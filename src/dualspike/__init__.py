@@ -10,10 +10,7 @@ from .attention import (
     FiringRateEMA,
     MultiHeadDualSpikeAttention,
     attn_map_scale,
-    dssa,
-    dst,
     dst_scale,
-    dst_t,
     output_scale,
     sdsa_scale,
 )
@@ -91,11 +88,8 @@ __all__ = [
     "config_digest",
     "conv_equiv",
     "cosine_lr",
-    "dssa",
-    "dst",
     "dst_moments_mc",
     "dst_scale",
-    "dst_t",
     "estimate_energy",
     "evaluate",
     "generate_split",

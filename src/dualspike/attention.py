@@ -1,7 +1,7 @@
 """Dual-spike transformations and spiking self-attention.
 
-Both transformation directions contract a binary operand against a
-generalized linear map f (conv + batch norm, foldable to one matrix):
+The attention forward contracts binary spikes against a generalized linear
+map f (conv + batch norm, foldable to one matrix) in both directions:
 
     dst(X, Y; f)   = X @ f(Y)        -- spike rows gate columns of f(Y)
     dst_t(X, Y; f) = X @ f(Y)^T
@@ -19,9 +19,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import ops
-from .layers import Conv2d, Module, NeuronSpec, RunContext, SpikingNeuron
+from .layers import Conv2d, Module, NeuronSpec, RunContext
 from .neuron import sn_forward
-from .tensor import ConfigError, ContractError, ShapeError, SpikeTensor, Tensor, matmul, mul, reshape, transpose
+from .tensor import ConfigError, ContractError, ShapeError, Tensor, matmul, mul, reshape, transpose
 
 RATE_FLOOR = 1e-4
 
@@ -90,13 +90,6 @@ class FiringRateEMA:
         return float(batch_rate)
 
 
-def _ensure_binary(x: Tensor, label: str) -> None:
-    if isinstance(x, SpikeTensor):
-        return
-    if not bool(((x.data == 0.0) | (x.data == 1.0)).all()):
-        raise ContractError(f"{label} operand of a dual-spike transformation must be binary")
-
-
 # -- scales -----------------------------------------------------------------
 
 
@@ -132,59 +125,6 @@ def sdsa_scale(f_q: float, f_k: float, hw: int) -> float:
     return 1.0 / np.sqrt(hw * max(prod * (1.0 - prod), RATE_FLOOR))
 
 
-# -- functional transformations ----------------------------------------------
-
-
-def dst(x: Tensor, y: Tensor, f) -> Tensor:
-    """X @ f(Y) over the last two axes (leading axes batch)."""
-    _ensure_binary(x, "left")
-    _ensure_binary(y, "right")
-    return matmul(x, f(y))
-
-
-def dst_t(x: Tensor, y: Tensor, f) -> Tensor:
-    """X @ f(Y)^T over the last two axes."""
-    _ensure_binary(x, "left")
-    _ensure_binary(y, "right")
-    fy = f(y)
-    axes = tuple(range(fy.data.ndim - 2)) + (fy.data.ndim - 1, fy.data.ndim - 2)
-    return matmul(x, transpose(fy, axes))
-
-
-def attn_map(
-    x: Tensor,
-    f,
-    rate_x: FiringRateEMA,
-    *,
-    neuron: NeuronSpec = NeuronSpec(),
-    training: bool = False,
-    smooth: bool = False,
-) -> Tensor:
-    """Binary attention map: SN(dst_t(x, x; f) * c1), c1 = 1/sqrt(f_X * d)."""
-    rate = rate_x.observe(float(x.data.mean()), training)
-    c1 = attn_map_scale(rate, x.data.shape[-1])
-    return sn_forward(mul(dst_t(x, x, f), c1), neuron.lif, neuron.surrogate, smooth=smooth)
-
-
-def dssa(
-    x: Tensor,
-    f_map,
-    f_val,
-    rate_x: FiringRateEMA,
-    rate_attn: FiringRateEMA,
-    *,
-    neuron: NeuronSpec = NeuronSpec(),
-    training: bool = False,
-    smooth: bool = False,
-) -> Tensor:
-    """Single-head dual-spike self-attention on token spikes [T, ..., HW, d]."""
-    amap = attn_map(x, f_map, rate_x, neuron=neuron, training=training, smooth=smooth)
-    rate_a = rate_attn.observe(float(amap.data.mean()), training)
-    c2 = dst_scale(rate_a, amap.data.shape[-1])
-    cur = mul(dst(amap, x, f_val), c2)
-    return sn_forward(cur, neuron.lif, neuron.surrogate, smooth=smooth)
-
-
 # -- multi-head module --------------------------------------------------------
 
 
@@ -199,9 +139,7 @@ class MultiHeadDualSpikeAttention(Module):
     def __init__(self, name: str, cfg: DSSAConfig, neuron: NeuronSpec, *, rng, dtype):
         self.name = name
         self.cfg = cfg
-        self.lif_in = SpikingNeuron(neuron)
-        self.lif_map = SpikingNeuron(neuron)
-        self.lif_out = SpikingNeuron(neuron)
+        self.neuron = neuron
         self.conv_map = Conv2d(f"{name}.embed_map", cfg.d, cfg.d, cfg.p, stride=cfg.p, padding=0, rng=rng, dtype=dtype)
         self.bn_map = ops.BatchNormState(f"{name}.embed_map.bn", cfg.d, dtype=dtype)
         self.conv_val = Conv2d(f"{name}.embed_val", cfg.d, cfg.d, cfg.p, stride=cfg.p, padding=0, rng=rng, dtype=dtype)
@@ -227,6 +165,9 @@ class MultiHeadDualSpikeAttention(Module):
     def rate_emas(self):
         return [self.rate_x, self.rate_attn]
 
+    def _fire(self, current: Tensor, ctx: RunContext) -> Tensor:
+        return sn_forward(current, self.neuron.lif, self.neuron.surrogate, smooth=ctx.smooth)
+
     def _embed_tokens(self, spikes_4d: Tensor, conv: Conv2d, bn: ops.BatchNormState, ctx: RunContext, tb: tuple):
         """Conv_p + BN on [T*B,d,H,W] spikes -> per-head token features [T,B,h,np,dh]."""
         t, b = tb
@@ -241,7 +182,7 @@ class MultiHeadDualSpikeAttention(Module):
             raise ShapeError(f"{self.name} expects [T,B,{cfg.d},{cfg.height},{cfg.width}], got {x.data.shape}")
         t, b = x.data.shape[:2]
 
-        s_in = self.lif_in.forward(x, ctx)
+        s_in = self._fire(x, ctx)
         rate_in = self.rate_x.observe(float(s_in.data.mean()), ctx.training)
 
         s4 = reshape(s_in, (t * b, cfg.d, cfg.height, cfg.width))
@@ -250,19 +191,19 @@ class MultiHeadDualSpikeAttention(Module):
 
         z_map = self._embed_tokens(s4, self.conv_map, self.bn_map, ctx, (t, b))  # [T,B,h,dh,np]
         c1 = attn_map_scale(rate_in, cfg.d_head)
-        amap = self.lif_map.forward(mul(matmul(xh, z_map), c1), ctx)  # [T,B,h,HW,np] binary
+        amap = self._fire(mul(matmul(xh, z_map), c1), ctx)  # [T,B,h,HW,np] binary
 
         rate_a = self.rate_attn.observe(float(amap.data.mean()), ctx.training)
         z_val = transpose(self._embed_tokens(s4, self.conv_val, self.bn_val, ctx, (t, b)), (0, 1, 2, 4, 3))
         c2 = output_scale(rate_a, cfg.hw, cfg.p)
-        s_out = self.lif_out.forward(mul(matmul(amap, z_val), c2), ctx)  # [T,B,h,HW,dh] binary
+        s_out = self._fire(mul(matmul(amap, z_val), c2), ctx)  # [T,B,h,HW,dh] binary
 
         merged = reshape(transpose(s_out, (0, 1, 2, 4, 3)), (t * b, cfg.d, cfg.height, cfg.width))
         out = ops.batchnorm(self.conv_proj.forward(merged), self.bn_proj, ctx.training)
 
         if ctx.audit is not None:
-            ctx.audit.add_dst_t(f"{self.name}.attn", s_in.data, self.conv_map, self.bn_map, cfg)
-            ctx.audit.add_dst(f"{self.name}.value", amap.data, s_in.data, self.conv_val, self.bn_val, cfg)
-            ctx.audit.add_conv(f"{self.name}.proj", merged.data, self.conv_proj, self.bn_proj)
+            ctx.audit.add_dst_t(f"{self.name}.attn", s_in, self.conv_map, self.bn_map, cfg)
+            ctx.audit.add_dst(f"{self.name}.value", amap, s_in, self.conv_val, self.bn_val, cfg)
+            ctx.audit.add_conv(f"{self.name}.proj", merged, self.conv_proj, self.bn_proj)
 
         return reshape(out, (t, b, cfg.d, cfg.height, cfg.width))

@@ -24,7 +24,7 @@ import numpy as np
 
 from .layers import RunContext
 from .ops import _im2col, conv_output_size, fold_bn
-from .tensor import ContractError, no_grad
+from .tensor import ContractError, SpikeTensor, no_grad
 
 ENERGY_PER_SOP_PJ = 0.9
 
@@ -54,8 +54,15 @@ class AuditTrace:
     def __init__(self):
         self.records: list[LayerTrace] = []
 
-    def _bool(self, arr):
-        return np.asarray(arr, dtype=bool)
+    def _bool(self, spikes):
+        """A synaptic layer's operand as bools. A SpikeTensor is binary by construction; anything else is
+        scanned, and a value other than 0 or 1 breaks the binary-operand contract."""
+        if isinstance(spikes, SpikeTensor):
+            return spikes.data.astype(bool)
+        arr = np.asarray(spikes)
+        if not ((arr == 0) | (arr == 1)).all():
+            raise ContractError("audited synaptic operands must be binary spikes (0 or 1)")
+        return arr.astype(bool)
 
     def add_stem(self, name, x_real, conv, bn):
         self.records.append(LayerTrace(name, "stem", np.asarray(x_real), conv=conv, bn=bn))

@@ -24,11 +24,18 @@ from .config import (
 )
 from .data import SyntheticSpec, generate_split, load_dataset, save_dataset
 from .model import build, load_checkpoint, save_checkpoint
-from .tensor import ConfigError, EngineError
+from .tensor import ConfigError, ContractError, EngineError
 from .training import evaluate, train
-from .verification import SUITES, run_suites
+from .verification import SUITES, check_jobs, run_suites
 
 _ARCHES = ("Ti", "S", "M", "L", "Nano")
+
+
+def _jobs(text: str) -> int:
+    try:
+        return check_jobs(int(text))
+    except ContractError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _print_json(obj):
@@ -250,7 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("suite", choices=sorted(SUITES) + ["all"])
     p.add_argument("--samples", type=int, default=100_000)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_jobs, default=1, help="worker processes for the Monte Carlo suites (1-16)")
     p.add_argument("--fx", type=float, help="override the firing-rate grid (theorem1)")
     p.add_argument("--m", type=int, help="override the fan-in grid (theorem1)")
     p.add_argument("--out", help="JSONL case records")

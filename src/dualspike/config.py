@@ -64,11 +64,6 @@ class ModelConfig:
         if self.num_classes < 2:
             raise ConfigError(f"num_classes must be >= 2, got {self.num_classes}")
 
-    @property
-    def downsample_dims(self) -> tuple:
-        # transition conv between stage i and i+1 always lands on the next stage's width
-        return tuple(s.d for s in self.stages[1:])
-
 
 @dataclass(frozen=True)
 class TrainConfig:

@@ -8,13 +8,13 @@ drawing disjoint noise streams. Generation is byte-identical across runs.
 
 from __future__ import annotations
 
-import binascii
 import struct
 from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import CheckpointError, ConfigError, ContractError
+from . import container
+from .tensor import ConfigError, ContractError
 
 _MAGIC = b"DSDS"
 _VERSION = 1
@@ -77,16 +77,6 @@ def generate_split(spec: SyntheticSpec, count: int, split: str) -> Dataset:
     return Dataset(spec=spec, images=images.astype(np.float32), labels=labels)
 
 
-def channel_stats(images: np.ndarray):
-    mean = images.mean(axis=(0, 2, 3))
-    std = images.std(axis=(0, 2, 3))
-    return mean.astype(np.float32), np.maximum(std, 1e-6).astype(np.float32)
-
-
-def normalize(images: np.ndarray, mean: np.ndarray, std: np.ndarray) -> np.ndarray:
-    return (images - mean[None, :, None, None]) / std[None, :, None, None]
-
-
 def iter_batches(images: np.ndarray, labels: np.ndarray, batch_size: int, rng: np.random.Generator | None = None):
     """Yield (images, labels) minibatches; shuffled when an rng is given."""
     n = images.shape[0]
@@ -98,14 +88,15 @@ def iter_batches(images: np.ndarray, labels: np.ndarray, batch_size: int, rng: n
 
 # -- binary container ---------------------------------------------------------
 
+_HEADER = "<IIIIIIdq"  # count, classes, channels, height, width, coarse, noise, seed
+
 
 def serialize_dataset(ds: Dataset) -> bytes:
     spec = ds.spec
     if ds.images.dtype != np.float32 or ds.labels.dtype != np.int64:
         raise ContractError("dataset container stores float32 images and int64 labels")
-    head = _MAGIC + struct.pack(
-        "<IIIIIIIdq",
-        _VERSION,
+    head = struct.pack(
+        _HEADER,
         ds.images.shape[0],
         spec.classes,
         spec.channels,
@@ -115,8 +106,8 @@ def serialize_dataset(ds: Dataset) -> bytes:
         spec.noise,
         spec.seed,
     )
-    body = head + ds.labels.astype("<i8").tobytes() + ds.images.astype("<f4").tobytes()
-    return body + struct.pack("<I", binascii.crc32(body) & 0xFFFFFFFF)
+    payload = head + ds.labels.astype("<i8").tobytes() + ds.images.astype("<f4").tobytes()
+    return container.pack(_MAGIC, _VERSION, payload)
 
 
 def save_dataset(path, ds: Dataset) -> None:
@@ -125,31 +116,13 @@ def save_dataset(path, ds: Dataset) -> None:
 
 
 def load_dataset(path) -> Dataset:
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    if len(blob) < len(_MAGIC) + 4:
-        raise CheckpointError(f"dataset file {path} is truncated")
-    if blob[:4] != _MAGIC:
-        raise CheckpointError(f"bad dataset magic {blob[:4]!r}")
-    (stored_crc,) = struct.unpack("<I", blob[-4:])
-    if binascii.crc32(blob[:-4]) & 0xFFFFFFFF != stored_crc:
-        raise CheckpointError(f"dataset file {path} failed its integrity check")
-    header_fmt = "<IIIIIIIdq"
-    header_size = struct.calcsize(header_fmt)
-    version, count, classes, channels, height, width, coarse, noise, seed = struct.unpack(
-        header_fmt, blob[4 : 4 + header_size]
-    )
-    if version != _VERSION:
-        raise CheckpointError(f"unsupported dataset version {version}")
+    r = container.read(path, _MAGIC, _VERSION, f"dataset file {path}")
+    count, classes, channels, height, width, coarse, noise, seed = r.unpack(_HEADER)
     spec = SyntheticSpec(
         classes=classes, channels=channels, height=height, width=width, coarse=coarse, noise=noise, seed=seed
     )
-    off = 4 + header_size
-    labels_bytes = count * 8
-    image_bytes = count * channels * height * width * 4
-    if len(blob) != off + labels_bytes + image_bytes + 4:
-        raise CheckpointError(f"dataset file {path} has inconsistent payload size")
-    labels = np.frombuffer(blob, dtype="<i8", count=count, offset=off).astype(np.int64)
-    images = np.frombuffer(blob, dtype="<f4", count=count * channels * height * width, offset=off + labels_bytes)
+    labels = r.array("<i8", count).astype(np.int64)
+    images = r.array("<f4", count * channels * height * width)
+    r.finish()
     images = images.reshape(count, channels, height, width).astype(np.float32)
     return Dataset(spec=spec, images=images, labels=labels)

@@ -76,7 +76,7 @@ class GroupWiseFeedForward(Module):
         s4 = reshape(s, (t * b, c, h, w))
         out = ops.batchnorm(conv.forward(s4), bn, ctx.training)
         if ctx.audit is not None:
-            ctx.audit.add_conv(f"{self.name}.{tag}", s4.data, conv, bn)
+            ctx.audit.add_conv(f"{self.name}.{tag}", s4, conv, bn)
         o = out.data.shape[1]
         return reshape(out, (t, b, o, h, w))
 

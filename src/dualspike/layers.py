@@ -8,7 +8,7 @@ import numpy as np
 
 from . import ops
 from .neuron import LIFParams, SurrogateSpec, sn_forward
-from .tensor import ConfigError, Parameter, Tensor
+from .tensor import ConfigError, Parameter, Tensor, add
 
 
 @dataclass
@@ -74,7 +74,7 @@ class Linear(Module):
         self.bias = Parameter(f"{name}.bias", np.zeros(out_features), dtype=dtype)
 
     def forward(self, x: Tensor) -> Tensor:
-        return ops.linear(x, self.weight, self.bias)
+        return add(ops.matmul(x, self.weight), self.bias)
 
     def parameters(self):
         return [self.weight, self.bias]

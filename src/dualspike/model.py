@@ -8,13 +8,11 @@ leave as per-step logits averaged over the time axis.
 
 from __future__ import annotations
 
-import binascii
 import struct
-import zlib
 
 import numpy as np
 
-from . import ops
+from . import container, ops
 from .attention import DSSAConfig, MultiHeadDualSpikeAttention
 from .config import ModelConfig, canonical_model_text, registry_config
 from .ffn import GroupWiseFeedForward, GWSFFNConfig
@@ -82,7 +80,7 @@ class Downsample(Module):
         s = reshape(self.lif.forward(x, ctx), (t * b, c, h, w))
         out = ops.batchnorm(self.conv.forward(s), self.bn, ctx.training)
         if ctx.audit is not None:
-            ctx.audit.add_conv(self.name, s.data, self.conv, self.bn)
+            ctx.audit.add_conv(self.name, s, self.conv, self.bn)
         ho, wo = out.data.shape[2:]
         return reshape(out, (t, b, out.data.shape[1], ho, wo))
 
@@ -104,7 +102,7 @@ class Classifier(Module):
     def forward(self, x: Tensor, ctx: RunContext) -> Tensor:
         s = self.lif.forward(x, ctx)
         if ctx.audit is not None:
-            ctx.audit.add_linear(self.name, s.data, self.fc)
+            ctx.audit.add_linear(self.name, s, self.fc)
         pooled = tensor_mean(s, axis=(3, 4))  # [T, B, D]
         logits = self.fc.forward(pooled)  # [T, B, classes]
         return tensor_mean(logits, axis=0)
@@ -310,10 +308,8 @@ def _pack_name(name: str) -> bytes:
 
 
 def serialize_checkpoint(model: DualSpikeNet) -> bytes:
-    parts = [_MAGIC, struct.pack("<I", _VERSION)]
     cfg_text = canonical_model_text(model.config).encode("utf-8")
-    parts.append(struct.pack("<I", len(cfg_text)))
-    parts.append(cfg_text)
+    parts = [struct.pack("<I", len(cfg_text)), cfg_text]
 
     tensors = model.state_tensors()
     parts.append(struct.pack("<I", len(tensors)))
@@ -332,8 +328,7 @@ def serialize_checkpoint(model: DualSpikeNet) -> bytes:
         parts.append(_pack_name(e.name))
         parts.append(struct.pack("<Bd", 1 if e.initialized else 0, e.value))
 
-    body = b"".join(parts)
-    return body + struct.pack("<I", zlib.crc32(body) & 0xFFFFFFFF)
+    return container.pack(_MAGIC, _VERSION, b"".join(parts))
 
 
 def save_checkpoint(model: DualSpikeNet, path):
@@ -342,61 +337,30 @@ def save_checkpoint(model: DualSpikeNet, path):
         fh.write(blob)
 
 
-class _Reader:
-    def __init__(self, blob: bytes):
-        self.blob = blob
-        self.pos = 0
-
-    def take(self, n: int) -> bytes:
-        if self.pos + n > len(self.blob):
-            raise CheckpointError("checkpoint truncated")
-        out = self.blob[self.pos : self.pos + n]
-        self.pos += n
-        return out
-
-    def u32(self) -> int:
-        return struct.unpack("<I", self.take(4))[0]
-
-    def name(self) -> str:
-        n = struct.unpack("<H", self.take(2))[0]
-        return self.take(n).decode("utf-8")
+def _read_name(r: container.Reader) -> str:
+    (n,) = r.unpack("<H")
+    return r.take(n).decode("utf-8")
 
 
 def read_checkpoint(path):
     """Returns (config_text, tensors dict, emas dict). Verifies integrity."""
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    if len(blob) < 12 or blob[:4] != _MAGIC:
-        raise CheckpointError("not a checkpoint file (bad magic)")
-    body, crc_stored = blob[:-4], struct.unpack("<I", blob[-4:])[0]
-    if (zlib.crc32(body) & 0xFFFFFFFF) != crc_stored:
-        raise CheckpointError(
-            f"checkpoint corrupt: crc32 {crc_stored:#010x} does not match {binascii.crc32(body):#010x}"
-        )
-    r = _Reader(body)
-    r.take(4)
-    version = r.u32()
-    if version != _VERSION:
-        raise CheckpointError(f"checkpoint format version {version} unsupported (expected {_VERSION})")
+    r = container.read(path, _MAGIC, _VERSION, "checkpoint")
     cfg_text = r.take(r.u32()).decode("utf-8")
     tensors = {}
     for _ in range(r.u32()):
-        name = r.name()
-        tag, rank = struct.unpack("<BB", r.take(2))
+        name = _read_name(r)
+        tag, rank = r.unpack("<BB")
         if tag not in _TAG_DTYPES:
             raise CheckpointError(f"tensor {name}: unknown dtype tag {tag}")
-        shape = struct.unpack(f"<{rank}I", r.take(4 * rank)) if rank else ()
-        dt = _TAG_DTYPES[tag].newbyteorder("<")
-        count = int(np.prod(shape, dtype=np.int64)) if shape else 1
-        arr = np.frombuffer(r.take(count * dt.itemsize), dtype=dt).reshape(shape)
-        tensors[name] = arr.astype(_TAG_DTYPES[tag])
+        shape = r.unpack(f"<{rank}I")
+        count = int(np.prod(shape, dtype=np.int64))
+        tensors[name] = r.array(_TAG_DTYPES[tag].newbyteorder("<"), count).reshape(shape).astype(_TAG_DTYPES[tag])
     emas = {}
     for _ in range(r.u32()):
-        name = r.name()
-        initialized, value = struct.unpack("<Bd", r.take(9))
+        name = _read_name(r)
+        initialized, value = r.unpack("<Bd")
         emas[name] = (bool(initialized), value)
-    if r.pos != len(body):
-        raise CheckpointError(f"checkpoint has {len(body) - r.pos} trailing bytes")
+    r.finish()
     return cfg_text, tensors, emas
 
 

@@ -119,7 +119,11 @@ def lif_step(
     spec: SurrogateSpec = SurrogateSpec(),
     smooth: bool = False,
 ):
-    """One charge/fire/reset step. Returns (v, spikes, next_state)."""
+    """One charge/fire/reset step. Returns (v, spikes, next_state).
+
+    Reference oracle for sn_forward, composed over time by
+    sn_forward_stepwise; the model itself runs only the fused sn_forward.
+    """
     u = state.u
     if u.data.shape != current.data.shape:
         raise ShapeError(f"membrane shape {u.data.shape} does not match current shape {current.data.shape}")
@@ -188,11 +192,11 @@ def sn_forward_stepwise(
     spec: SurrogateSpec = SurrogateSpec(),
     smooth: bool = False,
 ) -> Tensor:
-    """Reference path: compose lif_step over the time axis on the tape.
+    """Reference oracle for sn_forward: compose lif_step over the time axis on the tape.
 
-    Same contract as sn_forward; kept as the second route for equivalence
-    checks (fused vs. step-composed must agree bit-for-bit in forward and to
-    rounding in backward).
+    Same contract as sn_forward but not used by the model; it is the second
+    route for equivalence checks (fused vs. step-composed must agree
+    bit-for-bit in forward and to rounding in backward).
     """
     if current.data.ndim < 1 or current.data.shape[0] == 0:
         raise ShapeError(f"sn_forward needs a non-empty leading time axis, got shape {current.data.shape}")

@@ -18,9 +18,8 @@ from .tensor import (
     Parameter,
     ShapeError,
     Tensor,
-    add,
     make_node,
-    matmul,
+    matmul,  # Linear.forward calls ops.matmul
 )
 
 
@@ -312,14 +311,6 @@ def fold_bn(weight: np.ndarray, state: BatchNormState, training: bool = False):
     folded = w * scale[:, None, None, None]
     bias = state.beta.data - state.gamma.data * state.running_mean * inv
     return folded, bias
-
-
-def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
-    """x @ weight (+ bias). weight: [in, out]."""
-    out = matmul(x, weight)
-    if bias is not None:
-        out = add(out, bias)
-    return out
 
 
 def cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:

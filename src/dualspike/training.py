@@ -22,13 +22,6 @@ from .ops import cross_entropy
 from .tensor import ContractError, backward
 
 
-def decay_partition(params):
-    """Split parameters into (decayed, exempt) the way the optimizer will."""
-    decayed = [p for p in params if p.name.endswith(".weight")]
-    exempt = [p for p in params if not p.name.endswith(".weight")]
-    return decayed, exempt
-
-
 class AdamW:
     def __init__(self, params, lr: float = 1e-3, betas=(0.9, 0.999), eps: float = 1e-8, weight_decay: float = 0.01):
         if not params:

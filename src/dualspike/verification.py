@@ -54,20 +54,23 @@ class MCReport:
 
     def as_dict(self) -> dict:
         return {
-            "samples": self.samples,
-            "mean": self.mean,
-            "mean_stderr": self.mean_stderr,
-            "variance": self.variance,
-            "predicted_mean": self.predicted_mean,
-            "predicted_variance": self.predicted_variance,
-            "mean_ok": self.mean_ok,
-            "variance_ok": self.variance_ok,
-            "passed": self.passed,
+            "samples": int(self.samples),
+            "mean": float(self.mean),
+            "mean_stderr": float(self.mean_stderr),
+            "variance": float(self.variance),
+            "predicted_mean": float(self.predicted_mean),
+            "predicted_variance": float(self.predicted_variance),
+            "mean_ok": bool(self.mean_ok),
+            "variance_ok": bool(self.variance_ok),
+            "passed": bool(self.passed),
         }
 
 
-def _stream_rngs(seed: int):
-    return [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(_N_STREAMS)]
+def check_jobs(jobs: int) -> int:
+    """Return `jobs` if it lies in 1.._N_STREAMS; more workers than seed streams would sit idle."""
+    if not 1 <= jobs <= _N_STREAMS:
+        raise ContractError(f"jobs must lie in 1..{_N_STREAMS}, got {jobs}")
+    return jobs
 
 
 def _split_draws(total: int):
@@ -75,7 +78,27 @@ def _split_draws(total: int):
     return [base + (1 if i < rem else 0) for i in range(_N_STREAMS)]
 
 
-def _moments_from_chunks(chunks, predicted_mean, predicted_var, rtol=0.05) -> MCReport:
+def _run_chunk(task):
+    chunk, seed_seq, draws, args = task
+    if draws == 0:
+        return np.empty(0), np.empty(0)
+    return chunk(np.random.default_rng(seed_seq), draws, *args)
+
+
+def _mc_moments(chunk, args, *, draws, seed, jobs, predicted_mean, predicted_var, rtol=0.05) -> MCReport:
+    """Run chunk(rng, draws, *args) -> (entries, per-draw means) on each seed stream; pool the moments.
+
+    The draw budget is split over _N_STREAMS fixed seed streams and the chunks
+    are collected in stream order, so the report is the same for every `jobs`.
+    """
+    check_jobs(jobs)
+    seeds = np.random.SeedSequence(seed).spawn(_N_STREAMS)
+    tasks = [(chunk, s, d, args) for s, d in zip(seeds, _split_draws(draws))]
+    if jobs > 1:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            chunks = list(pool.map(_run_chunk, tasks))
+    else:
+        chunks = [_run_chunk(t) for t in tasks]
     entries = np.concatenate([c[0] for c in chunks])
     draw_means = np.concatenate([c[1] for c in chunks])
     return MCReport(
@@ -92,11 +115,7 @@ def _moments_from_chunks(chunks, predicted_mean, predicted_var, rtol=0.05) -> MC
 # -- moment law for dual-spike currents ----------------------------------------
 
 
-def _dst_chunk(args):
-    idx, seed_entropy, draws, f_x, m, p, q, transposed = args
-    rng = np.random.default_rng(seed_entropy)
-    if draws == 0:
-        return idx, np.empty(0), np.empty(0)
+def _dst_chunk(rng, draws, f_x, m, p, q, transposed):
     x = (rng.random((draws, p, m)) < f_x).astype(np.float64)
     if transposed:
         z = rng.standard_normal((draws, q, m))  # rows of f(Y); contraction against columns
@@ -104,7 +123,7 @@ def _dst_chunk(args):
     else:
         z = rng.standard_normal((draws, m, q))
         cur = np.matmul(x, z)
-    return idx, cur.ravel(), cur.mean(axis=(1, 2))
+    return cur.ravel(), cur.mean(axis=(1, 2))
 
 
 def dst_moments_mc(
@@ -116,27 +135,17 @@ def dst_moments_mc(
     if m < 1 or q < 1 or samples < 16:
         raise ContractError(f"bad sampling plan: m={m}, q={q}, samples={samples}")
     p = q
-    total_draws = max(_N_STREAMS, math.ceil(samples / (p * q)))
-    seeds = np.random.SeedSequence(seed).spawn(_N_STREAMS)
-    tasks = [(i, s, d, f_x, m, p, q, transposed) for i, (s, d) in enumerate(zip(seeds, _split_draws(total_draws)))]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = sorted(pool.map(_dst_chunk, tasks), key=lambda r: r[0])
-    else:
-        results = [_dst_chunk(t) for t in tasks]
-    chunks = [(r[1], r[2]) for r in results]
-    return _moments_from_chunks(chunks, 0.0, f_x * m)
+    return _mc_moments(
+        _dst_chunk, (f_x, m, p, q, transposed), draws=max(_N_STREAMS, math.ceil(samples / (p * q))),
+        seed=seed, jobs=jobs, predicted_mean=0.0, predicted_var=f_x * m,
+    )
 
 
-def _scaled_chunk(args):
-    idx, seed_seq, draws, rate, fan_in, p, q, scale = args
-    rng = np.random.default_rng(seed_seq)
-    if draws == 0:
-        return idx, np.empty(0), np.empty(0)
+def _scaled_chunk(rng, draws, rate, fan_in, p, q, scale):
     x = (rng.random((draws, p, fan_in)) < rate).astype(np.float64)
     z = rng.standard_normal((draws, fan_in, q))
     cur = np.matmul(x, z) * scale
-    return idx, cur.ravel(), cur.mean(axis=(1, 2))
+    return cur.ravel(), cur.mean(axis=(1, 2))
 
 
 def post_scale_variance(rate: float, fan_in: int, samples: int = 100_000, seed: int = 0, jobs: int = 1) -> MCReport:
@@ -145,28 +154,17 @@ def post_scale_variance(rate: float, fan_in: int, samples: int = 100_000, seed: 
         raise ContractError(f"post-scale check needs a rate in (0, 1), got {rate}")
     scale = dst_scale(rate, fan_in)
     p = q = 4
-    total_draws = max(_N_STREAMS, math.ceil(samples / (p * q)))
-    seeds = np.random.SeedSequence(seed).spawn(_N_STREAMS)
-    tasks = [(i, s, d, rate, fan_in, p, q, scale) for i, (s, d) in enumerate(zip(seeds, _split_draws(total_draws)))]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = sorted(pool.map(_scaled_chunk, tasks), key=lambda r: r[0])
-    else:
-        results = [_scaled_chunk(t) for t in tasks]
-    chunks = [(r[1], r[2]) for r in results]
-    report = _moments_from_chunks(chunks, 0.0, 1.0, rtol=0.1)
-    return report
+    return _mc_moments(
+        _scaled_chunk, (rate, fan_in, p, q, scale), draws=max(_N_STREAMS, math.ceil(samples / (p * q))),
+        seed=seed, jobs=jobs, predicted_mean=0.0, predicted_var=1.0, rtol=0.1,
+    )
 
 
-def _sdsa_chunk(args):
-    idx, seed_seq, draws, f_q, f_k, hw = args
-    rng = np.random.default_rng(seed_seq)
-    if draws == 0:
-        return idx, np.empty(0), np.empty(0)
+def _sdsa_chunk(rng, draws, f_q, f_k, hw):
     qs = rng.random((draws, hw)) < f_q
     ks = rng.random((draws, hw)) < f_k
     cur = (qs & ks).sum(axis=1).astype(np.float64)
-    return idx, cur, cur.copy()
+    return cur, cur
 
 
 def sdsa_moments_mc(f_q: float, f_k: float, hw: int, samples: int = 100_000, seed: int = 0, jobs: int = 1) -> MCReport:
@@ -174,16 +172,11 @@ def sdsa_moments_mc(f_q: float, f_k: float, hw: int, samples: int = 100_000, see
     for r in (f_q, f_k):
         if not 0.0 < r < 1.0:
             raise ContractError(f"rates must be in (0, 1), got {r}")
-    seeds = np.random.SeedSequence(seed).spawn(_N_STREAMS)
-    tasks = [(i, s, d, f_q, f_k, hw) for i, (s, d) in enumerate(zip(seeds, _split_draws(max(samples, _N_STREAMS))))]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = sorted(pool.map(_sdsa_chunk, tasks), key=lambda r: r[0])
-    else:
-        results = [_sdsa_chunk(t) for t in tasks]
-    chunks = [(r[1], r[2]) for r in results]
     prod = f_q * f_k
-    return _moments_from_chunks(chunks, prod * hw, hw * prod * (1.0 - prod))
+    return _mc_moments(
+        _sdsa_chunk, (f_q, f_k, hw), draws=max(samples, _N_STREAMS),
+        seed=seed, jobs=jobs, predicted_mean=prod * hw, predicted_var=hw * prod * (1.0 - prod),
+    )
 
 
 def sdsa_scaled_variance(f_q: float, f_k: float, hw: int, samples: int = 100_000, seed: int = 0) -> MCReport:
@@ -421,20 +414,18 @@ def suite_gradcheck(seed: int = 0, coords: int = 120):
 
 SUITES = {
     "theorem1": suite_theorem1,
-    "scaling": suite_scaling,
-    "conv-equiv": lambda samples=0, seed=0, jobs=1: suite_conv_equiv(seed=seed),
-    "sdsa": suite_sdsa,
-    "gradcheck": lambda samples=0, seed=0, jobs=1: suite_gradcheck(seed=seed),
+    "scaling": lambda samples, seed, jobs, **_: suite_scaling(samples=samples, seed=seed, jobs=jobs),
+    "conv-equiv": lambda seed, **_: suite_conv_equiv(seed=seed),
+    "sdsa": lambda samples, seed, jobs, **_: suite_sdsa(samples=samples, seed=seed, jobs=jobs),
+    "gradcheck": lambda seed, **_: suite_gradcheck(seed=seed),
 }
 
 
 def run_suites(names, samples: int = 100_000, seed: int = 0, jobs: int = 1, fx=None, m=None):
+    """Rows of the named suites in order; `fx` and `m` reach only theorem1."""
     rows = []
     for name in names:
-        if name == "theorem1":
-            rows.extend(suite_theorem1(samples=samples, seed=seed, jobs=jobs, fx=fx, m=m))
-        elif name in SUITES:
-            rows.extend(SUITES[name](samples=samples, seed=seed, jobs=jobs))
-        else:
+        if name not in SUITES:
             raise ContractError(f"unknown verification suite {name!r}; have {sorted(SUITES)} or 'all'")
+        rows.extend(SUITES[name](samples=samples, seed=seed, jobs=jobs, fx=fx, m=m))
     return rows

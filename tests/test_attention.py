@@ -3,19 +3,17 @@
 import numpy as np
 import pytest
 
+from dualspike import attention
 from dualspike.attention import (
     DSSAConfig,
     FiringRateEMA,
     MultiHeadDualSpikeAttention,
-    attn_map,
     attn_map_scale,
-    dssa,
-    dst,
     dst_scale,
-    dst_t,
     output_scale,
     sdsa_scale,
 )
+from dualspike.audit import AuditTrace
 from dualspike.layers import NeuronSpec, RunContext
 from dualspike.neuron import sn_forward
 from dualspike.tensor import (
@@ -26,10 +24,6 @@ from dualspike.tensor import (
     Tensor,
     no_grad,
 )
-
-
-def ident(y):
-    return y
 
 
 class TestScales:
@@ -99,50 +93,88 @@ class TestFiringRateEMA:
             FiringRateEMA("e", momentum=1.0)
 
 
+def identity_attention(d, tokens, gain_map=1.0, gain_val=1.0):
+    """Single-head, p=1 module over a column of tokens whose embeddings are f(Y) = gain * Y exactly."""
+    mod = build_attention(DSSAConfig(d=d, height=tokens, width=1, p=1, heads=1))
+    for conv, bn, gain in ((mod.conv_map, mod.bn_map, gain_map), (mod.conv_val, mod.bn_val, gain_val)):
+        conv.weight.data[...] = gain * np.eye(d)[:, :, None, None]
+        bn.eps = 0.0  # eval BN at running stats (0, 1) is then the identity
+    return mod
+
+
+def lif_traffic(monkeypatch, mod, x, training=False):
+    """(current, spikes) at the module's three LIFs in order: input, attention map, output."""
+    seen = []
+
+    def spy(current, *args, **kwargs):
+        out = sn_forward(current, *args, **kwargs)
+        seen.append((current.data, out))
+        return out
+
+    monkeypatch.setattr(attention, "sn_forward", spy)
+    with no_grad():
+        mod.forward(Tensor(x), RunContext(training=training))
+    return seen
+
+
+def token_input(tokens):
+    """Module input [1,1,d,HW,1] whose single-step input spikes are the given [HW, d] token rows."""
+    return 2.0 * np.asarray(tokens, dtype=np.float64).T[None, None, :, :, None]  # v = x/2 fires at x = 2
+
+
 class TestDualSpikeTransforms:
-    def test_dst_hand_oracle(self):
-        x = SpikeTensor(np.array([[1.0, 0, 1], [0, 1, 1]]))
-        y = SpikeTensor(np.array([[1.0, 1, 0], [0, 1, 1], [1, 0, 1]]))
-        out = dst(x, y, ident)
-        np.testing.assert_array_equal(out.data, [[2, 1, 1], [1, 1, 2]])
+    """Hand oracles for the two binary products inside the module's forward."""
 
-    def test_dst_applies_map(self):
-        x = SpikeTensor(np.array([[1.0, 1]]))
-        y = SpikeTensor(np.array([[1.0, 0], [0, 1]]))
-        out = dst(x, y, lambda t: t * 3.0)
-        np.testing.assert_array_equal(out.data, [[3, 3]])
+    TOKENS = [[1, 0, 1], [0, 1, 1], [1, 0, 0]]  # 5 of 9 spikes; X @ X^T = [[2,1,1],[1,2,0],[1,0,1]]
 
-    def test_dst_t_is_cooccurrence_for_identity(self):
-        x = SpikeTensor(np.array([[1.0, 1, 0], [0, 1, 1]]))
-        out = dst_t(x, x, ident)
-        np.testing.assert_array_equal(out.data, [[2, 1], [1, 2]])
+    def test_dst_t_is_cooccurrence_for_identity(self, monkeypatch):
+        mod = identity_attention(3, 3)
+        (_, s_in), (cur, _), _ = lif_traffic(monkeypatch, mod, token_input(self.TOKENS))
+        np.testing.assert_array_equal(s_in.data[0, 0, :, :, 0].T, self.TOKENS)
+        c1 = attn_map_scale(5 / 9, 3)
+        np.testing.assert_allclose(cur[0, 0, 0], c1 * np.array([[2, 1, 1], [1, 2, 0], [1, 0, 1]]), rtol=1e-12)
 
-    def test_binarity_contract(self):
-        bad = Tensor(np.array([[0.5, 1.0]]))
-        good = SpikeTensor(np.array([[1.0, 0.0]]))
+    def test_dst_hand_oracle(self, monkeypatch):
+        # gain 2: currents 2*c1*{2, 1, 0} = 3.10 / 1.55 / 0 and only co-occurrence 2 fires at one step
+        mod = identity_attention(3, 3, gain_map=2.0)
+        _, (_, amap), (cur, _) = lif_traffic(monkeypatch, mod, token_input(self.TOKENS))
+        np.testing.assert_array_equal(amap.data[0, 0, 0], [[1, 0, 0], [0, 1, 0], [0, 0, 0]])
+        c2 = output_scale(2 / 9, 3, 1)
+        np.testing.assert_allclose(cur[0, 0, 0], c2 * np.array([[1, 0, 1], [0, 1, 1], [0, 0, 0]]), rtol=1e-12)
+
+    def test_dst_applies_map(self, monkeypatch):
+        mod = identity_attention(3, 3, gain_map=2.0, gain_val=3.0)
+        _, _, (cur, _) = lif_traffic(monkeypatch, mod, token_input(self.TOKENS))
+        c2 = output_scale(2 / 9, 3, 1)
+        np.testing.assert_allclose(cur[0, 0, 0], 3.0 * c2 * np.array([[1, 0, 1], [0, 1, 1], [0, 0, 0]]), rtol=1e-12)
+
+    def test_binarity_contract(self, rng):
         with pytest.raises(ContractError):
-            dst(bad, good, ident)
+            SpikeTensor(np.array([[0.5, 1.0]]))
+        cfg = DSSAConfig(d=2, height=1, width=2, p=1)
+        mod = build_attention(cfg)
         with pytest.raises(ContractError):
-            dst_t(good, bad, ident)
+            AuditTrace().add_dst_t("attn", np.full((1, 1, 2, 1, 2), 0.5), mod.conv_map, mod.bn_map, cfg)
 
-    def test_attn_map_temporal_integration_oracle(self):
+    def test_attn_map_temporal_integration_oracle(self, monkeypatch):
         # all-ones tokens, d=3: rate 1, c1=1/sqrt(3), score (x @ x^T) = 3,
         # current 3/sqrt(3)=1.732; tau=2: v1=0.866 (no spike), v2=1.299 (spike)
-        x = SpikeTensor(np.ones((2, 1, 2, 3)))
-        ema = FiringRateEMA("e")
-        out = attn_map(x, ident, ema, training=True)
-        assert isinstance(out, SpikeTensor)
-        np.testing.assert_array_equal(out.data[0], 0.0)
-        np.testing.assert_array_equal(out.data[1], 1.0)
-        assert ema.value == 1.0
+        mod = identity_attention(3, 2)
+        (_, s_in), (_, amap), _ = lif_traffic(monkeypatch, mod, np.full((2, 1, 3, 2, 1), 10.0))
+        np.testing.assert_array_equal(s_in.data, 1.0)
+        assert isinstance(amap, SpikeTensor)
+        np.testing.assert_array_equal(amap.data[0], 0.0)
+        np.testing.assert_array_equal(amap.data[1], 1.0)
 
-    def test_dssa_shapes_and_binarity(self, rng):
-        x = SpikeTensor((rng.random((3, 2, 8, 4)) < 0.5).astype(np.float64))
-        ex, ea = FiringRateEMA("x"), FiringRateEMA("a")
-        out = dssa(x, ident, ident, ex, ea, training=True)
-        assert isinstance(out, SpikeTensor)
-        assert out.data.shape == (3, 2, 8, 4)
-        assert ex.initialized and ea.initialized
+    def test_dssa_shapes_and_binarity(self, monkeypatch, rng):
+        cfg = DSSAConfig(d=8, height=4, width=4, p=2, heads=2)
+        mod = build_attention(cfg)
+        traffic = lif_traffic(monkeypatch, mod, rng.standard_normal((3, 2, 8, 4, 4)) * 2, training=True)
+        shapes = [(3, 2, 8, 4, 4), (3, 2, 2, 16, 4), (3, 2, 2, 16, 4)]  # input, map [HW, np], output [HW, dh]
+        for (_, spikes), shape in zip(traffic, shapes, strict=True):
+            assert isinstance(spikes, SpikeTensor)
+            assert spikes.data.shape == shape
+        assert mod.rate_x.initialized and mod.rate_attn.initialized
 
 
 class TestDSSAConfig:

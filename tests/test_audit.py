@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from dualspike.attention import DSSAConfig
 from dualspike.audit import (
     ENERGY_PER_SOP_PJ,
+    AuditTrace,
     LayerTrace,
     _conv_sops,
     _dst_sops,
@@ -21,7 +22,7 @@ from dualspike.audit import (
 )
 from dualspike.layers import Conv2d, Linear
 from dualspike.model import build
-from dualspike.tensor import ContractError
+from dualspike.tensor import ContractError, SpikeTensor
 
 
 def conv_record(spikes, conv):
@@ -120,6 +121,23 @@ class TestSOPCounting:
         ra = LayerTrace("t", "dst_t", a.reshape(1, 1, 1, 4, 4))
         rb = LayerTrace("t", "dst_t", b.reshape(1, 1, 1, 4, 4))
         assert _dst_t_sops(ra) <= _dst_t_sops(rb)
+
+
+class TestTraceContract:
+    def test_non_binary_spikes_rejected(self):
+        trace = AuditTrace()
+        with pytest.raises(ContractError, match="binary"):
+            trace.add_linear("x", np.array([0.5, 2.0, 0.0]), None)
+        with pytest.raises(ContractError, match="binary"):
+            trace.add_conv("x", np.array([[1.0, np.nan]]), None, None)
+        assert trace.records == []
+
+    def test_binary_spikes_stored_as_bool(self):
+        trace = AuditTrace()
+        trace.add_linear("x", np.array([1.0, 0.0, 1.0], dtype=np.float32), None)
+        trace.add_linear("y", np.array([True, False]), None)
+        trace.add_linear("z", SpikeTensor(np.array([0.0, 1.0])), None)
+        assert [r.spikes.tolist() for r in trace.records] == [[True, False, True], [True, False], [False, True]]
 
 
 @pytest.fixture(scope="module")

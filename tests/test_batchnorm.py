@@ -3,13 +3,13 @@
 import numpy as np
 import pytest
 
+from dualspike.layers import Linear
 from dualspike.ops import (
     BatchNormState,
     batchnorm,
     conv2d,
     cross_entropy,
     fold_bn,
-    linear,
 )
 from dualspike.tensor import ContractError, ShapeError, Tensor, backward, mul, tensor_sum
 
@@ -114,11 +114,12 @@ class TestFolding:
 class TestLinearAndLoss:
     def test_linear_value_and_grads(self, rng):
         x = Tensor(rng.standard_normal((4, 3)), requires_grad=True)
-        w = Tensor(rng.standard_normal((3, 5)), requires_grad=True)
-        b = Tensor(rng.standard_normal(5), requires_grad=True)
-        out = linear(x, w, b)
+        fc = Linear("fc", 3, 5, rng=rng, dtype=np.float64)
+        w, b = fc.weight, fc.bias
+        b.data[...] = rng.standard_normal(5)
+        out = fc.forward(x)
         np.testing.assert_allclose(out.data, x.data @ w.data + b.data)
-        assert_grads_close(lambda: tensor_sum(mul(linear(x, w, b), linear(x, w, b))), [x, w, b])
+        assert_grads_close(lambda: tensor_sum(mul(fc.forward(x), fc.forward(x))), [x, w, b])
 
     def test_uniform_logits_loss_is_log_classes(self):
         logits = Tensor(np.zeros((6, 10)))

@@ -111,6 +111,13 @@ class TestVerify:
         assert stdout_rows == file_rows
         assert all(r["passed"] for r in file_rows)
 
+    @pytest.mark.parametrize("jobs", ["0", "-1", "17"])
+    def test_jobs_range_enforced(self, capsys, jobs):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "conv-equiv", "--jobs", jobs])
+        assert exc.value.code == 2
+        assert "jobs must lie in 1..16" in capsys.readouterr().err
+
     def test_suite_choice_enforced(self):
         with pytest.raises(SystemExit) as exc:
             main(["verify", "nonsense"])

@@ -1,7 +1,11 @@
 """Monte Carlo moment checks, conv-token equivalence, gradient checking."""
 
+import json
+
 import numpy as np
 import pytest
+
+from dualspike import verification
 
 from dualspike.layers import Linear
 from dualspike.tensor import ContractError, ShapeError, Tensor, mul, tensor_mean as tmean
@@ -70,6 +74,29 @@ class TestMomentLaw:
         a = dst_moments_mc(0.2, 64, samples=40_000, seed=3)
         b = dst_moments_mc(0.2, 64, samples=40_000, seed=4)
         assert a.mean != b.mean
+
+
+class TestJobsContract:
+    @pytest.fixture
+    def no_pool(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a process pool was started")
+
+        monkeypatch.setattr(verification, "ProcessPoolExecutor", refuse)
+
+    @pytest.mark.parametrize("jobs", [0, -1, 17])
+    def test_out_of_range_rejected_before_any_pool(self, no_pool, jobs):
+        for sample in (
+            lambda: dst_moments_mc(0.2, 64, samples=1_000, jobs=jobs),
+            lambda: post_scale_variance(0.2, 64, samples=1_000, jobs=jobs),
+            lambda: sdsa_moments_mc(0.2, 0.4, 49, samples=1_000, jobs=jobs),
+        ):
+            with pytest.raises(ContractError, match="jobs"):
+                sample()
+
+    def test_bounds_accepted(self):
+        assert verification.check_jobs(1) == 1
+        assert verification.check_jobs(16) == 16
 
 
 class TestScaledVariance:
@@ -204,6 +231,18 @@ class TestSuiteRunner:
     def test_unknown_suite(self):
         with pytest.raises(ContractError, match="unknown verification suite"):
             run_suites(["nonsense"])
+
+    def test_sdsa_rows_serialize(self):
+        rows = run_suites(["sdsa"], samples=20_000)
+        for row in rows:
+            back = json.loads(json.dumps(row))
+            assert back["passed"] is row["passed"] is True
+            assert type(row["mean_ok"]) is bool and type(row["variance"]) is float
+
+    def test_overrides_reach_only_theorem1(self):
+        rows = run_suites(["conv-equiv", "theorem1"], samples=20_000, fx=0.5, m=100)
+        assert [r["suite"] for r in rows][-2:] == ["theorem1", "theorem1"]
+        assert rows == run_suites(["conv-equiv"]) + run_suites(["theorem1"], samples=20_000, fx=0.5, m=100)
 
     def test_registry_of_suites(self):
         assert set(SUITES) == {"theorem1", "scaling", "conv-equiv", "sdsa", "gradcheck"}
