@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import ops
-from .layers import Conv2d, Module, NeuronSpec, RunContext
+from .layers import Conv2d, FiringRateEMA, Module, NeuronSpec, RunContext
 from .neuron import sn_forward
 from .tensor import ConfigError, ContractError, ShapeError, Tensor, matmul, mul, reshape, transpose
 
@@ -51,43 +51,6 @@ class DSSAConfig:
     @property
     def d_head(self) -> int:
         return self.d // self.heads
-
-
-class FiringRateEMA:
-    """Slow exponential moving average of an observed firing rate.
-
-    The first observation seeds the value directly; afterwards
-    value <- momentum * value + (1 - momentum) * batch_rate. Eval-time
-    observations never update; an uninitialized estimator at eval falls back
-    to the observed batch rate so untrained models still scale sensibly.
-    """
-
-    def __init__(self, name: str, momentum: float = 0.999):
-        if not 0.0 <= momentum < 1.0:
-            raise ConfigError(f"EMA momentum must lie in [0, 1), got {momentum}")
-        self.name = name
-        self.momentum = momentum
-        self.value = 0.0
-        self.initialized = False
-
-    def update(self, batch_rate: float) -> float:
-        if not 0.0 <= batch_rate <= 1.0:
-            raise ContractError(f"firing rate must lie in [0, 1], got {batch_rate}")
-        if not self.initialized:
-            self.value = float(batch_rate)
-            self.initialized = True
-        else:
-            self.value = self.momentum * self.value + (1.0 - self.momentum) * float(batch_rate)
-        return self.value
-
-    def observe(self, batch_rate: float, training: bool) -> float:
-        if training:
-            return self.update(batch_rate)
-        if self.initialized:
-            return self.value
-        if not 0.0 <= batch_rate <= 1.0:
-            raise ContractError(f"firing rate must lie in [0, 1], got {batch_rate}")
-        return float(batch_rate)
 
 
 # -- scales -----------------------------------------------------------------
@@ -148,22 +111,6 @@ class MultiHeadDualSpikeAttention(Module):
         self.bn_proj = ops.BatchNormState(f"{name}.proj.bn", cfg.d, dtype=dtype)
         self.rate_x = FiringRateEMA(f"{name}.rate_x")
         self.rate_attn = FiringRateEMA(f"{name}.rate_attn")
-
-    def parameters(self):
-        return (
-            self.conv_map.parameters()
-            + self.bn_map.parameters()
-            + self.conv_val.parameters()
-            + self.bn_val.parameters()
-            + self.conv_proj.parameters()
-            + self.bn_proj.parameters()
-        )
-
-    def bn_states(self):
-        return [self.bn_map, self.bn_val, self.bn_proj]
-
-    def rate_emas(self):
-        return [self.rate_x, self.rate_attn]
 
     def _fire(self, current: Tensor, ctx: RunContext) -> Tensor:
         return sn_forward(current, self.neuron.lif, self.neuron.surrogate, smooth=ctx.smooth)

@@ -38,6 +38,16 @@ def _jobs(text: str) -> int:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
+
+
 def _print_json(obj):
     print(json.dumps(obj, sort_keys=True))
 
@@ -52,7 +62,7 @@ def _model_cfg(args):
         cfg = registry_config(args.arch)
     else:
         raise ConfigError("provide --arch or --config")
-    if getattr(args, "time_steps", None):
+    if getattr(args, "time_steps", None) is not None:
         cfg = dataclasses.replace(cfg, time_steps=args.time_steps)
     return cfg, values
 
@@ -201,15 +211,15 @@ def cmd_dataset(args) -> int:
 def _add_model_flags(p, with_seed=True):
     p.add_argument("--arch", choices=_ARCHES, help="registry architecture")
     p.add_argument("--config", help="config file (key = value lines)")
-    p.add_argument("--time-steps", type=int, dest="time_steps")
+    p.add_argument("--time-steps", type=_positive_int, dest="time_steps")
     if with_seed:
         p.add_argument("--seed", type=int, default=0)
 
 
 def _add_data_flags(p):
     p.add_argument("--dataset", help="dataset container file; omit for synthetic data")
-    p.add_argument("--train-count", type=int, default=320, dest="train_count")
-    p.add_argument("--test-count", type=int, default=160, dest="test_count")
+    p.add_argument("--train-count", type=_positive_int, default=320, dest="train_count")
+    p.add_argument("--test-count", type=_positive_int, default=160, dest="test_count")
     p.add_argument("--noise", type=float, default=0.3)
     p.add_argument("--data-seed", type=int, default=0, dest="data_seed")
 
@@ -227,8 +237,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="train on a dataset")
     _add_model_flags(p)
     _add_data_flags(p)
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--batch-size", type=int, dest="batch_size")
+    p.add_argument("--epochs", type=_positive_int)
+    p.add_argument("--batch-size", type=_positive_int, dest="batch_size")
     p.add_argument("--lr", type=float)
     p.add_argument("--target-acc", type=float, dest="target_acc")
     p.add_argument("--log", help="JSONL training log path")
@@ -238,17 +248,17 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="evaluate a checkpoint")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--dataset")
-    p.add_argument("--test-count", type=int, default=160, dest="test_count")
+    p.add_argument("--test-count", type=_positive_int, default=160, dest="test_count")
     p.add_argument("--noise", type=float, default=0.3)
     p.add_argument("--data-seed", type=int, default=0, dest="data_seed")
-    p.add_argument("--batch-size", type=int, default=64, dest="batch_size")
+    p.add_argument("--batch-size", type=_positive_int, default=64, dest="batch_size")
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("audit", help="spike-driven compute audit")
     _add_model_flags(p)
     _add_data_flags(p)
     p.add_argument("--checkpoint")
-    p.add_argument("--batch", type=int, default=4)
+    p.add_argument("--batch", type=_positive_int, default=4)
     p.add_argument("--out", help="JSONL per-layer rows")
     p.add_argument("--check-equivalence", action="store_true", dest="check_equivalence")
     p.set_defaults(func=cmd_audit)
@@ -264,7 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("dataset", help="write a synthetic dataset container")
-    p.add_argument("--count", type=int, required=True)
+    p.add_argument("--count", type=_positive_int, required=True)
     p.add_argument("--split", choices=("train", "test"), default="train")
     p.add_argument("--noise", type=float, default=0.3)
     p.add_argument("--data-seed", type=int, default=0, dest="data_seed")

@@ -57,19 +57,6 @@ class GroupWiseFeedForward(Module):
         self.conv2 = Conv2d(f"{name}.ffl2", cfg.hidden, cfg.d, 1, rng=rng, dtype=dtype)
         self.bn2 = ops.BatchNormState(f"{name}.ffl2.bn", cfg.d, dtype=dtype)
 
-    def parameters(self):
-        return (
-            self.conv1.parameters()
-            + self.bn1.parameters()
-            + self.conv_g.parameters()
-            + self.bn_g.parameters()
-            + self.conv2.parameters()
-            + self.bn2.parameters()
-        )
-
-    def bn_states(self):
-        return [self.bn1, self.bn_g, self.bn2]
-
     def _synapse(self, x: Tensor, lif: SpikingNeuron, conv: Conv2d, bn, ctx: RunContext, tag: str) -> Tensor:
         t, b, c, h, w = x.data.shape
         s = lif.forward(x, ctx)

@@ -1,4 +1,4 @@
-"""Thin layer wrappers over the engine ops plus the shared run context."""
+"""Module base with its one walk over owned pieces, thin layer wrappers, the run context."""
 
 from __future__ import annotations
 
@@ -8,7 +8,7 @@ import numpy as np
 
 from . import ops
 from .neuron import LIFParams, SurrogateSpec, sn_forward
-from .tensor import ConfigError, Parameter, Tensor, add
+from .tensor import ConfigError, ContractError, Parameter, Tensor, add
 
 
 @dataclass
@@ -32,14 +32,75 @@ class NeuronSpec:
     surrogate: SurrogateSpec = field(default_factory=SurrogateSpec)
 
 
+class FiringRateEMA:
+    """Slow exponential moving average of an observed firing rate.
+
+    The first observation seeds the value directly; afterwards
+    value <- momentum * value + (1 - momentum) * batch_rate. Eval-time
+    observations never update; an uninitialized estimator at eval falls back
+    to the observed batch rate so untrained models still scale sensibly.
+    """
+
+    def __init__(self, name: str, momentum: float = 0.999):
+        if not 0.0 <= momentum < 1.0:
+            raise ConfigError(f"EMA momentum must lie in [0, 1), got {momentum}")
+        self.name = name
+        self.momentum = momentum
+        self.value = 0.0
+        self.initialized = False
+
+    def update(self, batch_rate: float) -> float:
+        if not 0.0 <= batch_rate <= 1.0:
+            raise ContractError(f"firing rate must lie in [0, 1], got {batch_rate}")
+        if not self.initialized:
+            self.value = float(batch_rate)
+            self.initialized = True
+        else:
+            self.value = self.momentum * self.value + (1.0 - self.momentum) * float(batch_rate)
+        return self.value
+
+    def observe(self, batch_rate: float, training: bool) -> float:
+        if training:
+            return self.update(batch_rate)
+        if self.initialized:
+            return self.value
+        if not 0.0 <= batch_rate <= 1.0:
+            raise ContractError(f"firing rate must lie in [0, 1], got {batch_rate}")
+        return float(batch_rate)
+
+
+def _walk(value):
+    """Parameters, BN states and rate EMAs under `value`, depth first in assignment order."""
+    if isinstance(value, (Parameter, FiringRateEMA, ops.BatchNormState)):
+        yield value
+    if isinstance(value, (Module, ops.BatchNormState)):
+        for item in vars(value).values():
+            yield from _walk(item)
+    elif isinstance(value, list):
+        for item in value:
+            yield from _walk(item)
+
+
 class Module:
-    """Minimal parameter container; subclasses list their own pieces."""
+    """Owns what `__init__` assigns to it.
+
+    Parameters, BN states and rate EMAs are found by one depth-first walk
+    over the attributes, in assignment order, through submodules, lists of
+    them and BN states. That order is the checkpoint, optimizer and BN
+    calibration order.
+    """
+
+    def _pieces(self, kind) -> list:
+        return [x for x in _walk(self) if isinstance(x, kind)]
 
     def parameters(self) -> list[Parameter]:
-        raise NotImplementedError
+        return self._pieces(Parameter)
 
     def bn_states(self) -> list[ops.BatchNormState]:
-        return []
+        return self._pieces(ops.BatchNormState)
+
+    def rate_emas(self) -> list[FiringRateEMA]:
+        return self._pieces(FiringRateEMA)
 
 
 def he_normal(rng: np.random.Generator, shape, fan_in: int, dtype) -> np.ndarray:
@@ -64,9 +125,6 @@ class Conv2d(Module):
     def forward(self, x: Tensor) -> Tensor:
         return ops.conv2d(x, self.weight, stride=self.stride, padding=self.padding, groups=self.groups)
 
-    def parameters(self):
-        return [self.weight]
-
 
 class Linear(Module):
     def __init__(self, name, in_features, out_features, *, rng, dtype):
@@ -75,9 +133,6 @@ class Linear(Module):
 
     def forward(self, x: Tensor) -> Tensor:
         return add(ops.matmul(x, self.weight), self.bias)
-
-    def parameters(self):
-        return [self.weight, self.bias]
 
 
 class SpikingNeuron(Module):
@@ -88,6 +143,3 @@ class SpikingNeuron(Module):
 
     def forward(self, current: Tensor, ctx: RunContext) -> Tensor:
         return sn_forward(current, self.neuron.lif, self.neuron.surrogate, smooth=ctx.smooth)
-
-    def parameters(self):
-        return []

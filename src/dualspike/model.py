@@ -21,6 +21,7 @@ from .ops import conv_output_size
 from .tensor import (
     CheckpointError,
     ConfigError,
+    ContractError,
     ShapeError,
     Tensor,
     add,
@@ -31,7 +32,7 @@ from .tensor import (
 
 
 class Stem(Module):
-    """Entry conv + BN (+ optional 3x3/2 max pool). Operates on real input."""
+    """Entry conv + BN (+ optional 3x3/2 max pool) on each step's real input."""
 
     def __init__(self, name, cfg: ModelConfig, *, rng, dtype):
         spec = cfg.stem
@@ -52,18 +53,14 @@ class Stem(Module):
         return h, w
 
     def forward(self, x: Tensor, ctx: RunContext) -> Tensor:
+        t, b = x.data.shape[:2]
+        flat = reshape(x, (t * b,) + x.data.shape[2:])
         if ctx.audit is not None:
-            ctx.audit.add_stem(self.name, x.data, self.conv, self.bn)
-        out = ops.batchnorm(self.conv.forward(x), self.bn, ctx.training)
+            ctx.audit.add_stem(self.name, flat.data, self.conv, self.bn)
+        out = ops.batchnorm(self.conv.forward(flat), self.bn, ctx.training)
         if self.pool:
             out = ops.maxpool2d(out, 3, 2, padding=1)
-        return out
-
-    def parameters(self):
-        return self.conv.parameters() + self.bn.parameters()
-
-    def bn_states(self):
-        return [self.bn]
+        return reshape(out, (t, b) + out.data.shape[1:])
 
 
 class Downsample(Module):
@@ -84,12 +81,6 @@ class Downsample(Module):
         ho, wo = out.data.shape[2:]
         return reshape(out, (t, b, out.data.shape[1], ho, wo))
 
-    def parameters(self):
-        return self.conv.parameters() + self.bn.parameters()
-
-    def bn_states(self):
-        return [self.bn]
-
 
 class Classifier(Module):
     """SN -> global average pool -> FC per step; logits averaged over steps."""
@@ -107,9 +98,6 @@ class Classifier(Module):
         logits = self.fc.forward(pooled)  # [T, B, classes]
         return tensor_mean(logits, axis=0)
 
-    def parameters(self):
-        return self.fc.parameters()
-
 
 class DualSpikeBlock(Module):
     """Attention and feed-forward sublayers with residual currents."""
@@ -123,17 +111,13 @@ class DualSpikeBlock(Module):
         y = add(self.attn.forward(x, ctx), x)
         return add(self.ffn.forward(y, ctx), y)
 
-    def parameters(self):
-        return self.attn.parameters() + self.ffn.parameters()
-
-    def bn_states(self):
-        return self.attn.bn_states() + self.ffn.bn_states()
-
-    def rate_emas(self):
-        return self.attn.rate_emas()
-
 
 class DualSpikeNet(Module):
+    """Stem, per-stage downsample (from stage 2 on) and blocks, classifier.
+
+    `body` holds them as one flat list in forward order, and `forward` runs it.
+    """
+
     def __init__(self, cfg: ModelConfig, *, dtype=np.float32, seed: int = 0):
         self.config = cfg
         self.dtype = np.dtype(dtype)
@@ -141,19 +125,15 @@ class DualSpikeNet(Module):
             raise ConfigError(f"model dtype must be float32 or float64, got {self.dtype}")
         rng = np.random.default_rng(seed)
         neuron = NeuronSpec(lif=cfg.lif, surrogate=cfg.surrogate)
-        self.neuron = neuron
 
-        self.stem = Stem("stem", cfg, rng=rng, dtype=dtype)
-        h, w = self.stem.out_size(cfg.input_height, cfg.input_width)
+        stem = Stem("stem", cfg, rng=rng, dtype=dtype)
+        h, w = stem.out_size(cfg.input_height, cfg.input_width)
         self.stage_sizes = []
-        self.stages = []
-        self.downsamples = []
+        self.body = [stem]
         for i, spec in enumerate(cfg.stages):
             if i > 0:
                 prev = cfg.stages[i - 1]
-                self.downsamples.append(
-                    Downsample(f"stage{i + 1}.down", prev.d, spec.d, neuron, rng=rng, dtype=dtype)
-                )
+                self.body.append(Downsample(f"stage{i + 1}.down", prev.d, spec.d, neuron, rng=rng, dtype=dtype))
                 h = conv_output_size(h, 3, 2, 1)
                 w = conv_output_size(w, 3, 2, 1)
             if h % spec.p or w % spec.p:
@@ -163,45 +143,14 @@ class DualSpikeNet(Module):
             self.stage_sizes.append((h, w))
             attn_cfg = DSSAConfig(d=spec.d, height=h, width=w, p=spec.p, heads=spec.heads)
             ffn_cfg = GWSFFNConfig(d=spec.d, expansion=spec.expansion, group_width=spec.group_width)
-            blocks = [
+            self.body.extend(
                 DualSpikeBlock(f"stage{i + 1}.block{j}", attn_cfg, ffn_cfg, neuron, rng=rng, dtype=dtype)
                 for j in range(spec.blocks)
-            ]
-            self.stages.append(blocks)
-        self.classifier = Classifier("classifier", cfg.stages[-1].d, cfg.num_classes, neuron, rng=rng, dtype=dtype)
+            )
+        self.body.append(Classifier("classifier", cfg.stages[-1].d, cfg.num_classes, neuron, rng=rng, dtype=dtype))
         names = [p.name for p in self.parameters()]
         if len(names) != len(set(names)):
             raise ConfigError("parameter names are not unique")
-
-    # -- structure ------------------------------------------------------
-
-    def modules(self):
-        out = [self.stem]
-        for i, blocks in enumerate(self.stages):
-            if i > 0:
-                out.append(self.downsamples[i - 1])
-            out.extend(blocks)
-        out.append(self.classifier)
-        return out
-
-    def parameters(self):
-        params = []
-        for m in self.modules():
-            params.extend(m.parameters())
-        return params
-
-    def bn_states(self):
-        states = []
-        for m in self.modules():
-            states.extend(m.bn_states())
-        return states
-
-    def rate_emas(self):
-        emas = []
-        for blocks in self.stages:
-            for b in blocks:
-                emas.extend(b.rate_emas())
-        return emas
 
     def param_count(self) -> int:
         return sum(p.data.size for p in self.parameters())
@@ -228,20 +177,14 @@ class DualSpikeNet(Module):
     def forward(self, images, ctx: RunContext | None = None) -> Tensor:
         ctx = ctx or RunContext()
         x = images if isinstance(images, Tensor) else self.encode(images)
-        t, b = x.data.shape[:2]
-        flat = reshape(x, (t * b,) + x.data.shape[2:])
-        stem_out = self.stem.forward(flat, ctx)
-        h, w = stem_out.data.shape[2:]
-        cur = reshape(stem_out, (t, b, stem_out.data.shape[1], h, w))
-        for i, blocks in enumerate(self.stages):
-            if i > 0:
-                cur = self.downsamples[i - 1].forward(cur, ctx)
-            for block in blocks:
-                cur = block.forward(cur, ctx)
-        return self.classifier.forward(cur, ctx)
+        for module in self.body:
+            x = module.forward(x, ctx)
+        return x
 
     def predict(self, images, batch_size: int = 64) -> np.ndarray:
         """Class predictions without tape recording."""
+        if batch_size < 1:
+            raise ContractError(f"batch size must be at least 1, got {batch_size}")
         images = np.asarray(images)
         outs = []
         with no_grad():
@@ -364,9 +307,12 @@ def read_checkpoint(path):
     return cfg_text, tensors, emas
 
 
-def load_checkpoint(path, cfg: ModelConfig | None = None, *, dtype=np.float32) -> DualSpikeNet:
-    """Rebuild a model from a checkpoint; `cfg`, when given, must match the echo."""
+def load_checkpoint(path, cfg: ModelConfig | None = None) -> DualSpikeNet:
+    """Rebuild a model, in the checkpoint's float dtype; `cfg`, when given, must match the echo."""
     cfg_text, tensors, emas = read_checkpoint(path)
+    dtypes = sorted({str(arr.dtype) for arr in tensors.values()})
+    if len(dtypes) != 1:
+        raise CheckpointError(f"checkpoint must hold one tensor dtype, found {dtypes}")
     if cfg is not None:
         expected = canonical_model_text(cfg)
         if cfg_text != expected:
@@ -376,6 +322,6 @@ def load_checkpoint(path, cfg: ModelConfig | None = None, *, dtype=np.float32) -
         from .config import model_config_from_values, parse_config_text
 
         target = model_config_from_values(parse_config_text(cfg_text))
-    model = DualSpikeNet(target, dtype=dtype, seed=0)
+    model = DualSpikeNet(target, dtype=dtypes[0], seed=0)
     model.load_state(tensors, emas)
     return model

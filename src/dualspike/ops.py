@@ -241,9 +241,6 @@ class BatchNormState:
         self.running_mean = np.zeros(channels, dtype=dtype)
         self.running_var = np.ones(channels, dtype=dtype)
 
-    def parameters(self):
-        return [self.gamma, self.beta]
-
 
 def batchnorm(x: Tensor, state: BatchNormState, training: bool) -> Tensor:
     """Batch normalization with the fused backward formula."""

@@ -79,18 +79,10 @@ def evaluate(model: DualSpikeNet, images, labels, batch_size: int = 64) -> float
 
 
 def _snapshot(model: DualSpikeNet):
+    """`load_state` arguments that put the model back to its current state."""
     tensors = {name: arr.copy() for name, arr in model.state_tensors()}
-    emas = [(e.initialized, e.value) for e in model.rate_emas()]
+    emas = {e.name: (e.initialized, e.value) for e in model.rate_emas()}
     return tensors, emas
-
-
-def _restore(model: DualSpikeNet, snap):
-    tensors, emas = snap
-    for name, arr in model.state_tensors():
-        arr[...] = tensors[name]
-    for ema, (init, value) in zip(model.rate_emas(), emas):
-        ema.initialized = init
-        ema.value = value
 
 
 def train(
@@ -145,7 +137,7 @@ def train(
                 global_step += 1
 
             if diverged:
-                _restore(model, snap)
+                model.load_state(*snap)
                 emit({"record": "abort", "epoch": epoch, "reason": "non-finite loss; restored last finished epoch"})
                 break
 

@@ -86,6 +86,35 @@ class TestBuild:
         assert exc.value.code == 2
 
 
+class TestCountFlags:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["build", "--arch", "Nano", "--time-steps", "0"],
+            ["train", "--arch", "Nano", "--epochs", "0"],
+            ["train", "--arch", "Nano", "--batch-size", "-2"],
+            ["train", "--arch", "Nano", "--train-count", "0"],
+            ["eval", "--checkpoint", "m.dskc", "--batch-size", "0"],
+            ["eval", "--checkpoint", "m.dskc", "--test-count", "0"],
+            ["audit", "--arch", "Nano", "--batch", "0"],
+            ["audit", "--arch", "Nano", "--batch", "-1"],
+            ["audit", "--arch", "Nano", "--batch", "two"],
+            ["dataset", "--count", "0", "--out", "d.dsds"],
+        ],
+    )
+    def test_counts_must_be_positive(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "expected a positive integer" in capsys.readouterr().err
+
+    def test_time_steps_override_applies(self, capsys, tmp_path, tiny_config):
+        ckpt = tmp_path / "t1.dskc"
+        code, _, _ = run(capsys, "build", "--config", tiny_config, "--time-steps", "1", "--out", str(ckpt))
+        assert code == 0
+        assert load_checkpoint(ckpt).config.time_steps == 1
+
+
 class TestVerify:
     def test_theorem1_overrides(self, capsys):
         code, out, _ = run(capsys, "verify", "theorem1", "--fx", "0.5", "--m", "100",

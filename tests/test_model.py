@@ -16,7 +16,7 @@ from dualspike.model import (
     save_checkpoint,
     serialize_checkpoint,
 )
-from dualspike.tensor import CheckpointError, ConfigError, ShapeError
+from dualspike.tensor import CheckpointError, ConfigError, ContractError, ShapeError
 
 
 def closed_form_params(cfg: ModelConfig) -> int:
@@ -138,10 +138,17 @@ class TestForwardSurface:
         model = DualSpikeNet(TINY, seed=1)
         assert model.predict(np.empty((0, 2, 8, 8), dtype=np.float32)).shape == (0,)
 
+    @pytest.mark.parametrize("batch_size", [0, -1])
+    def test_predict_batch_size_must_be_positive(self, rng, batch_size):
+        model = DualSpikeNet(TINY, seed=1)
+        imgs = rng.standard_normal((3, 2, 8, 8)).astype(np.float32)
+        with pytest.raises(ContractError, match="batch size"):
+            model.predict(imgs, batch_size=batch_size)
 
-def trained_tiny(rng, seed=2):
+
+def trained_tiny(rng, seed=2, dtype=np.float32):
     """Tiny net with moved BN stats and seeded rate EMAs."""
-    model = DualSpikeNet(TINY, seed=seed)
+    model = DualSpikeNet(TINY, seed=seed, dtype=dtype)
     imgs = rng.standard_normal((4, 2, 8, 8)).astype(np.float32) * 2
     model.forward(imgs, RunContext(training=True))
     return model, imgs
@@ -159,6 +166,26 @@ class TestCheckpoint:
         for ea, eb in zip(model.rate_emas(), clone.rate_emas()):
             assert (ea.name, ea.initialized, ea.value) == (eb.name, eb.initialized, eb.value)
         np.testing.assert_array_equal(model.predict(imgs), clone.predict(imgs))
+
+    def test_float64_round_trip_keeps_dtype(self, rng, tmp_path):
+        model, imgs = trained_tiny(rng, dtype=np.float64)
+        path = tmp_path / "m64.dskc"
+        save_checkpoint(model, path)
+        clone = load_checkpoint(path)
+        assert clone.dtype == np.float64
+        for (na, a), (nb, b) in zip(model.state_tensors(), clone.state_tensors()):
+            assert na == nb and b.dtype == np.float64
+            np.testing.assert_array_equal(a, b)
+        np.testing.assert_array_equal(model.predict(imgs), clone.predict(imgs))
+
+    def test_mixed_dtypes_rejected(self, rng, tmp_path):
+        model, _ = trained_tiny(rng)
+        first = model.parameters()[0]
+        first.data = first.data.astype(np.float64)
+        path = tmp_path / "mixed.dskc"
+        save_checkpoint(model, path)
+        with pytest.raises(CheckpointError, match="one tensor dtype"):
+            load_checkpoint(path)
 
     def test_serialization_deterministic(self, rng):
         model, _ = trained_tiny(rng)

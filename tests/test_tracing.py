@@ -1,0 +1,113 @@
+"""The benchmark's span tracer still fits the package: it wraps, times and restores.
+
+`perfbench/spans.py` wraps package functions and methods by name. A rename
+in the package must fail here, not in the next traced benchmark run.
+"""
+
+import importlib.util
+from pathlib import Path
+
+import numpy as np
+
+from dualspike import attention, audit, data, ffn, layers, model, neuron, ops, tensor, training, verification
+from dualspike.config import ModelConfig, StageSpec, StemSpec
+from dualspike.layers import RunContext
+from dualspike.model import DualSpikeNet
+
+SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+
+TWO_STAGE = ModelConfig(
+    name="two-stage",
+    input_height=8,
+    input_width=8,
+    in_channels=2,
+    num_classes=3,
+    time_steps=2,
+    stem=StemSpec(kernel=3, stride=1, padding=1, pool=True),
+    stages=(
+        StageSpec(d=8, heads=2, p=2, expansion=8, group_width=64),
+        StageSpec(d=16, heads=2, p=1, expansion=4, group_width=64),
+    ),
+)
+
+
+def _load_spans():
+    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
+
+
+def _bindings():
+    """Every module-level object, class attribute and dict entry of the wrapped modules."""
+    out = {}
+    for mod in (attention, audit, data, ffn, layers, model, neuron, ops, tensor, training, verification):
+        for name, value in vars(mod).items():
+            if name.startswith("__"):
+                continue
+            out[(mod.__name__, name)] = value
+            if isinstance(value, type) and value.__module__ == mod.__name__:
+                out.update(((mod.__name__, name, a), v) for a, v in vars(value).items())
+            elif isinstance(value, dict):
+                out.update(((mod.__name__, name, k), v) for k, v in value.items())
+    return out
+
+
+def _train_step():
+    net = DualSpikeNet(TWO_STAGE, seed=0)
+    images = np.random.default_rng(1).standard_normal((2, 2, 8, 8)).astype(np.float32)
+    logits = net.forward(images, RunContext(training=True))
+    tensor.backward(ops.cross_entropy(logits, np.array([0, 2])))  # looked up at call time, as callers do
+    return logits.data.copy(), [(p.name, p.grad.copy()) for p in net.parameters()]
+
+
+def test_tracer_install_times_a_step_and_uninstall_restores():
+    spans = _load_spans()
+    expected_logits, expected_grads = _train_step()
+    before = _bindings()
+
+    tracer = spans.Tracer()
+    try:  # an install that fails part way still undoes what it patched
+        tracer.install()
+        wrapped = [k for k, v in _bindings().items() if before.get(k) is not v]
+        logits, grads = _train_step()
+    finally:
+        tracer.uninstall()
+
+    np.testing.assert_array_equal(logits, expected_logits)
+    assert [n for n, _ in grads] == [n for n, _ in expected_grads]
+    for (name, g), (_, e) in zip(grads, expected_grads):
+        np.testing.assert_array_equal(g, e, err_msg=name)
+
+    after = _bindings()
+    assert after.keys() == before.keys()
+    assert [k for k, v in before.items() if after[k] is not v] == []
+    assert ("dualspike.model", "Stem", "forward") in wrapped
+    assert ("dualspike.layers", "sn_forward") in wrapped
+
+    names = {span[1] for span in tracer.spans}
+    assert {
+        "model.forward",
+        "model.stem",
+        "model.down",
+        "model.block",
+        "model.classifier",
+        "attention",
+        "ffn.ffl",
+        "ffn.gwl",
+        "neuron.sn_forward",
+        "ops.batchnorm.train",
+        "ops.conv2d",
+        "ops.cross_entropy",
+        "ops.maxpool2d",
+        "tensor.matmul",
+        "tensor.backward",
+        "tape.node",
+        "layer:stem",
+        "layer:stage2.down",
+        "layer:stage1.block0.attn.attn",
+        "layer:stage1.block0.attn.value",
+        "layer:stage2.block0.attn.proj",
+        "layer:stage1.block0.ffn.gwl",
+        "layer:classifier",
+    } <= names

@@ -7,6 +7,7 @@ import struct
 import numpy as np
 import pytest
 
+from dualspike import training
 from dualspike.config import ModelConfig, StageSpec, StemSpec, TrainConfig
 from dualspike.data import (
     Dataset,
@@ -19,10 +20,9 @@ from dualspike.data import (
     serialize_dataset,
 )
 from dualspike.model import DualSpikeNet, build, load_checkpoint
-from dualspike.tensor import CheckpointError, ConfigError, ContractError, Parameter
+from dualspike.tensor import CheckpointError, ConfigError, ContractError, Parameter, Tensor
 from dualspike.training import (
     AdamW,
-    _restore,
     _snapshot,
     cosine_lr,
     evaluate,
@@ -226,7 +226,7 @@ class TestTrainLoop:
             p.data += 1.0
         model.rate_emas()[0].initialized = True
         model.rate_emas()[0].value = 0.42
-        _restore(model, snap)
+        model.load_state(*snap)
         for name, arr in model.state_tensors():
             np.testing.assert_array_equal(arr, snap[0][name])
         assert not model.rate_emas()[0].initialized
@@ -254,6 +254,39 @@ class TestTrainLoop:
 
         clone = load_checkpoint(ckpt)
         np.testing.assert_array_equal(clone.predict(eval_ds.images), model.predict(eval_ds.images))
+
+    def test_divergence_restores_last_finished_epoch(self, monkeypatch):
+        """A non-finite loss mid-epoch 2 aborts and rolls back that epoch's steps."""
+        model = DualSpikeNet(TINY, seed=0)
+        real_iter, real_loss = training.iter_batches, training.cross_entropy
+        after_epoch1 = {}
+        calls = {"epochs": 0, "losses": 0}
+
+        def iter_batches(*args):
+            calls["epochs"] += 1
+            if calls["epochs"] == 2:
+                after_epoch1["tensors"] = {n: a.copy() for n, a in model.state_tensors()}
+                after_epoch1["emas"] = [(e.initialized, e.value) for e in model.rate_emas()]
+            return real_iter(*args)
+
+        def cross_entropy(logits, labels):
+            calls["losses"] += 1
+            if calls["losses"] == 4:  # second step of epoch 2, after one epoch-2 update
+                return Tensor(np.array(np.nan))
+            return real_loss(logits, labels)
+
+        monkeypatch.setattr(training, "iter_batches", iter_batches)
+        monkeypatch.setattr(training, "cross_entropy", cross_entropy)
+        cfg = TrainConfig(epochs=3, batch_size=8, lr=1e-3, seed=0)
+        result = train(model, generate_split(TINY_DATA, 16, "train"), cfg)
+
+        assert [r["record"] for r in result.history] == ["epoch", "abort", "final"]
+        assert result.diverged and result.epochs_run == 1
+        state = dict(model.state_tensors())
+        assert state.keys() == after_epoch1["tensors"].keys()
+        for name, arr in after_epoch1["tensors"].items():
+            np.testing.assert_array_equal(state[name], arr, err_msg=name)
+        assert [(e.initialized, e.value) for e in model.rate_emas()] == after_epoch1["emas"]
 
     def test_training_is_deterministic(self):
         cfg = TrainConfig(epochs=1, batch_size=8, lr=1e-3, seed=3)
