@@ -26,7 +26,7 @@ from .data import SyntheticSpec, generate_split, load_dataset, save_dataset
 from .model import build, load_checkpoint, save_checkpoint
 from .tensor import ConfigError, ContractError, EngineError
 from .training import evaluate, train
-from .verification import SUITES, check_jobs, run_suites
+from .verification import SUITES, check_jobs, check_samples, run_suites
 
 _ARCHES = ("Ti", "S", "M", "L", "Nano")
 
@@ -34,6 +34,13 @@ _ARCHES = ("Ti", "S", "M", "L", "Nano")
 def _jobs(text: str) -> int:
     try:
         return check_jobs(int(text))
+    except ContractError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
+def _samples(text: str) -> int:
+    try:
+        return check_samples(int(text))
     except ContractError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
@@ -172,6 +179,8 @@ def cmd_audit(args) -> int:
         cfg, _ = _model_cfg(args)
         model = build(cfg, seed=args.seed)
     ds = _dataset_for(args, cfg, "test")
+    if args.batch > len(ds):
+        raise ConfigError(f"--batch {args.batch} exceeds the {len(ds)} test images")
     images = ds.images[: args.batch]
     report = audit_model(model, images)
     if args.out:
@@ -265,7 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="statistical and numerical verification")
     p.add_argument("suite", choices=sorted(SUITES) + ["all"])
-    p.add_argument("--samples", type=int, default=100_000)
+    p.add_argument("--samples", type=_samples, default=100_000, help="Monte Carlo draws per case (at least 16)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--jobs", type=_jobs, default=1, help="worker processes for the Monte Carlo suites (1-16)")
     p.add_argument("--fx", type=float, help="override the firing-rate grid (theorem1)")

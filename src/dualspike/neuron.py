@@ -33,6 +33,7 @@ from .tensor import (
 )
 
 SURROGATE_KINDS = ("triangular", "sigmoid-derivative")
+BLOCK_NEURONS = 1 << 16  # neurons per block of the sn_forward time loop; keeps a block's state in L2
 
 
 @dataclass(frozen=True)
@@ -155,18 +156,34 @@ def sn_forward(
     xd = current.data
     t_steps = xd.shape[0]
     inv_tau = 1.0 / params.tau
-    v_hist = np.empty_like(xd)
-    s_out = np.empty_like(xd)
-    u = np.full(xd.shape[1:], params.u_rest, dtype=xd.dtype)
-    for t in range(t_steps):
-        v = u + (xd[t] - u + params.u_rest) * inv_tau
-        v_hist[t] = v
-        if smooth:
-            s = smooth_step(v, params, spec)
-        else:
-            s = (v >= params.u_th).astype(xd.dtype)
-        s_out[t] = s
-        u = s * params.u_rest + (1.0 - s) * v
+    v_hist = np.empty(xd.shape, dtype=xd.dtype)
+    s_out = np.empty(xd.shape, dtype=xd.dtype)
+    x2, v2, s2 = (a.reshape(t_steps, -1) for a in (xd, v_hist, s_out))
+    size = x2.shape[1]
+    block = max(1, min(size, BLOCK_NEURONS))
+    u_buf = np.empty(block, dtype=xd.dtype)
+    tmp_buf = np.empty(block, dtype=xd.dtype)
+    # Each cache-sized block of neurons runs all T steps before the next
+    # block starts. In place, but the same expressions in the same order as
+    # lif_step: v = u + ((x - u) + u_rest) * inv_tau, u = s * u_rest + (1 - s) * v.
+    for b0 in range(0, size, block):
+        b1 = min(size, b0 + block)
+        u, tmp = u_buf[: b1 - b0], tmp_buf[: b1 - b0]
+        u.fill(params.u_rest)
+        for t in range(t_steps):
+            v, s = v2[t, b0:b1], s2[t, b0:b1]
+            np.subtract(x2[t, b0:b1], u, out=v)
+            v += params.u_rest
+            v *= inv_tau
+            v += u
+            if smooth:
+                s[...] = smooth_step(v, params, spec)
+            else:
+                np.greater_equal(v, params.u_th, out=s)
+            np.subtract(1.0, s, out=tmp)
+            tmp *= v
+            np.multiply(s, params.u_rest, out=u)
+            u += tmp
 
     def bw(g):
         d_current = np.empty_like(xd)

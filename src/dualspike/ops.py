@@ -2,9 +2,14 @@
 
 Convolution lowers to grouped GEMM. Non-overlapping kernels (1x1 and the
 kernel==stride patchify used by token embeddings) go through an im2col that
-is a pure reshape; overlapping kernels run one wide GEMM per kernel offset
-on strided views, which avoids the kh*kw column blowup and keeps single-core
-BLAS efficient on desk-scale machines.
+is a pure reshape. Overlapping kernels run one GEMM per (kernel offset,
+group) with K = C/g, over near-equal chunks of the batch of about
+CHUNK_ELEMENTS activations, adding the offsets up in a fixed order. That
+avoids the kh*kw column blowup and keeps each chunk's operands in cache.
+The offsets are not fused into one K = C/g*kh*kw GEMM on purpose: that
+re-associates the float32 sums, which flips spikes downstream and moves the
+training losses; the chunked forward keeps the whole-batch lowering's bits
+(see `_conv2d_offsets`).
 """
 
 from __future__ import annotations
@@ -21,6 +26,9 @@ from .tensor import (
     make_node,
     matmul,  # Linear.forward calls ops.matmul
 )
+
+
+CHUNK_ELEMENTS = 1 << 20  # activations per image chunk of the offset-path conv forward
 
 
 def conv_output_size(size: int, kernel: int, stride: int, padding: int) -> int:
@@ -131,13 +139,28 @@ def _conv2d_cols(x: Tensor, weight: Tensor, stride, padding, groups, ho, wo) -> 
 
 
 def _conv2d_offsets(x: Tensor, weight: Tensor, stride, padding, groups, ho, wo) -> Tensor:
-    """Overlapping kernels: one wide GEMM per (group, kernel offset).
+    """Overlapping kernels: one wide GEMM per (kernel offset, group), chunk by chunk.
 
-    Activations are flipped once to channels-leading [C, N, H, W]; each
-    offset then slices a strided window and contracts it against the
-    matching kernel tap. Peak extra memory stays near one input-sized
-    copy instead of the kh*kw column blowup, and every GEMM has n*Ho*Wo
-    columns, which keeps single-core BLAS near peak.
+    The forward splits the batch into near-equal image chunks of about
+    CHUNK_ELEMENTS activations. Per chunk, each kernel offset copies its
+    strided window into one reused channels-leading buffer [C, m*Ho*Wo] and
+    contracts it, group by group, against the matching kernel tap
+    (K = C/g); the products are added into the chunk's output block in
+    offset order, and the block is written back to [N, C, Ho, Wo]. A
+    chunk's operands stay cache-sized, and neither a kh*kw column matrix
+    nor a channels-leading copy of the whole batch is built.
+
+    Bit-exact contract: each output is the same K-term GEMM sum, added over
+    the offsets in the same order, as one GEMM per offset over all N*Ho*Wo
+    columns gives; a batch that fits in one chunk runs exactly those GEMMs.
+    Across chunks the bits hold where BLAS computes a column independently
+    of the column count. OpenBLAS's blocked sgemm does, and chunks of about
+    CHUNK_ELEMENTS keep the model's GEMMs on it; its small-matrix kernel and
+    its float64 edge kernels can round differently. `tests/test_conv.py` and
+    `tests/test_reference.py` pin the float32 bits.
+
+    The backward keeps whole-batch GEMMs, so dW reduces over K = N*Ho*Wo in
+    one call.
     """
     n, c, h, w = x.data.shape
     o, cg, kh, kw = weight.data.shape
@@ -158,19 +181,30 @@ def _conv2d_offsets(x: Tensor, weight: Tensor, stride, padding, groups, ho, wo) 
     # off the BLAS kernel onto the slow ufunc loop
     w_off = [np.ascontiguousarray(w6[:, :, :, di, dj]) for di in range(kh) for dj in range(kw)]
 
-    xg = channels_leading()
-    acc = np.zeros((groups, og, n * l), dtype=xd.dtype)
-    prod = np.empty((og, n * l), dtype=xd.dtype)
-    for di in range(kh):
-        for dj in range(kw):
-            si, sj = offset_slices(di, dj)
-            xs = np.ascontiguousarray(xg[:, :, :, si, sj]).reshape(groups, cg, n * l)
-            wk = w_off[di * kw + dj]
-            for gi in range(groups):
-                np.matmul(wk[gi], xs[gi], out=prod)
-                acc[gi] += prod
-    out = np.ascontiguousarray(acc.reshape(o, n, ho, wo).transpose(1, 0, 2, 3))
-    del xg, acc, prod
+    xp = _pad_hw(xd, padding)
+    chunks = min(n, -(-n * max(c, o) * l // CHUNK_ELEMENTS))
+    bounds = [-(-n * i // chunks) for i in range(chunks + 1)]  # sizes differ by one image at most
+    cols = -(-n // chunks) * l  # columns of the widest chunk
+    xs_buf = np.empty(c * cols, dtype=xd.dtype)
+    acc_buf = np.empty(o * cols, dtype=xd.dtype)
+    prod_buf = np.empty(og * cols, dtype=xd.dtype)
+    out = np.empty((n, o, ho, wo), dtype=xd.dtype)
+    for b0, b1 in zip(bounds, bounds[1:]):
+        m = b1 - b0
+        xs = xs_buf[: c * m * l].reshape(c, m, ho, wo)
+        xsg = xs.reshape(groups, cg, m * l)
+        acc = acc_buf[: o * m * l].reshape(groups, og, m * l)
+        prod = prod_buf[: og * m * l].reshape(og, m * l)
+        acc.fill(0.0)  # zero, then add each offset, as the whole-batch lowering does (sign of zero sums)
+        for di in range(kh):
+            for dj in range(kw):
+                si, sj = offset_slices(di, dj)
+                np.copyto(xs, xp[b0:b1, :, si, sj].transpose(1, 0, 2, 3))
+                wk = w_off[di * kw + dj]
+                for gi in range(groups):
+                    np.matmul(wk[gi], xsg[gi], out=prod)
+                    acc[gi] += prod
+        out[b0:b1] = acc.reshape(o, m, ho, wo).transpose(1, 0, 2, 3)
 
     def bw(g):
         gt = np.ascontiguousarray(g.transpose(1, 0, 2, 3)).reshape(groups, og, n * l)

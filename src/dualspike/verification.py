@@ -73,6 +73,13 @@ def check_jobs(jobs: int) -> int:
     return jobs
 
 
+def check_samples(samples: int) -> int:
+    """Return `samples` if it gives each of the _N_STREAMS seed streams a draw."""
+    if samples < _N_STREAMS:
+        raise ContractError(f"bad sampling plan: samples={samples}, need at least {_N_STREAMS}")
+    return samples
+
+
 def _split_draws(total: int):
     base, rem = divmod(total, _N_STREAMS)
     return [base + (1 if i < rem else 0) for i in range(_N_STREAMS)]
@@ -132,8 +139,9 @@ def dst_moments_mc(
     """Sample dual-spike currents and compare moments to (0, f_x * m)."""
     if not 0.0 < f_x < 1.0:
         raise ContractError(f"moment law needs a non-degenerate rate in (0, 1), got {f_x}")
-    if m < 1 or q < 1 or samples < 16:
-        raise ContractError(f"bad sampling plan: m={m}, q={q}, samples={samples}")
+    if m < 1 or q < 1:
+        raise ContractError(f"bad sampling plan: m={m}, q={q}")
+    check_samples(samples)
     p = q
     return _mc_moments(
         _dst_chunk, (f_x, m, p, q, transposed), draws=max(_N_STREAMS, math.ceil(samples / (p * q))),
@@ -152,6 +160,7 @@ def post_scale_variance(rate: float, fan_in: int, samples: int = 100_000, seed: 
     """Scaled current variance must land in [0.9, 1.1]."""
     if not 0.0 < rate < 1.0:
         raise ContractError(f"post-scale check needs a rate in (0, 1), got {rate}")
+    check_samples(samples)
     scale = dst_scale(rate, fan_in)
     p = q = 4
     return _mc_moments(
@@ -172,9 +181,10 @@ def sdsa_moments_mc(f_q: float, f_k: float, hw: int, samples: int = 100_000, see
     for r in (f_q, f_k):
         if not 0.0 < r < 1.0:
             raise ContractError(f"rates must be in (0, 1), got {r}")
+    check_samples(samples)
     prod = f_q * f_k
     return _mc_moments(
-        _sdsa_chunk, (f_q, f_k, hw), draws=max(samples, _N_STREAMS),
+        _sdsa_chunk, (f_q, f_k, hw), draws=samples,
         seed=seed, jobs=jobs, predicted_mean=prod * hw, predicted_var=hw * prod * (1.0 - prod),
     )
 

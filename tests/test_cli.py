@@ -147,6 +147,14 @@ class TestVerify:
         assert exc.value.code == 2
         assert "jobs must lie in 1..16" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("suite", ["theorem1", "scaling", "sdsa"])
+    @pytest.mark.parametrize("samples", ["0", "15"])
+    def test_samples_floor_enforced(self, capsys, suite, samples):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", suite, "--samples", samples])
+        assert exc.value.code == 2
+        assert "need at least 16" in capsys.readouterr().err
+
     def test_suite_choice_enforced(self):
         with pytest.raises(SystemExit) as exc:
             main(["verify", "nonsense"])
@@ -193,6 +201,16 @@ class TestTrainEvalAudit:
             assert code == 1
         else:  # a lucky perfect run still satisfies the contract
             assert code == 0
+
+    def test_audit_batch_beyond_split_is_config_error(self, capsys, tmp_path):
+        code, out, err = run(capsys, "audit", "--arch", "Nano", "--batch", "8", "--test-count", "2")
+        assert (code, out) == (2, "")
+        assert "--batch 8 exceeds the 2 test images" in err
+        path = str(tmp_path / "d.dsds")
+        run(capsys, "dataset", "--count", "3", "--out", path)
+        code, out, err = run(capsys, "audit", "--arch", "Nano", "--batch", "4", "--dataset", path)
+        assert (code, out) == (2, "")
+        assert "--batch 4 exceeds the 3 test images" in err
 
     def test_audit_totals_and_equivalence(self, capsys, tmp_path):
         rows_path = tmp_path / "audit.jsonl"

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from dualspike import ops
 from dualspike.ops import conv2d, conv_output_size, maxpool2d
 from dualspike.tensor import ConfigError, ShapeError, Tensor, backward, mul, tensor_sum
 
@@ -67,6 +68,70 @@ class TestConvForward:
         wt = np.ones((1, 1, 2, 2))
         out = conv2d(Tensor(x), Tensor(wt), stride=2)
         np.testing.assert_array_equal(out.data, [[[[10, 18], [42, 50]]]])
+
+
+def offsets_oracle(x, w, stride, padding, groups):
+    """Reference oracle: the whole-batch per-offset lowering of overlapping kernels.
+
+    One GEMM per (kernel offset, group) over all N*Ho*Wo columns of a
+    channels-leading copy, added up in offset order. The chunked forward of
+    `ops._conv2d_offsets` must reproduce it bit for bit.
+    """
+    n, c, h, w_in = x.shape
+    o, cg, kh, kw = w.shape
+    og = o // groups
+    ho = conv_output_size(h, kh, stride, padding)
+    wo = conv_output_size(w_in, kw, stride, padding)
+    xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    xg = np.ascontiguousarray(xp.transpose(1, 0, 2, 3)).reshape(groups, cg, n, *xp.shape[2:])
+    acc = np.zeros((groups, og, n * ho * wo), dtype=x.dtype)
+    for di in range(kh):
+        for dj in range(kw):
+            win = xg[:, :, :, di : di + stride * ho : stride, dj : dj + stride * wo : stride]
+            xs = np.ascontiguousarray(win).reshape(groups, cg, n * ho * wo)
+            wk = np.ascontiguousarray(w[:, :, di, dj]).reshape(groups, og, cg)
+            for gi in range(groups):
+                acc[gi] += np.matmul(wk[gi], xs[gi])
+    return np.ascontiguousarray(acc.reshape(o, n, ho, wo).transpose(1, 0, 2, 3))
+
+
+class TestConvBitExact:
+    """The chunked offset-path forward equals the whole-batch lowering bit for bit.
+
+    Float32 at the model's group width (64 channels), on inputs whose chunk
+    GEMMs are as wide as the model's: the contract `ops._conv2d_offsets`
+    states and the benchmark's reference losses rest on.
+    """
+
+    @pytest.fixture(params=[None, 2], ids=["one-chunk", "chunks-of-2-2-1"])
+    def chunking(self, request, monkeypatch):
+        """Set CHUNK_ELEMENTS to two images of a layer, so 5 images run as chunks of 2, 2 and 1."""
+
+        def set_for(c, o, l):
+            if request.param is not None:
+                monkeypatch.setattr(ops, "CHUNK_ELEMENTS", request.param * max(c, o) * l)
+
+        return set_for
+
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("groups", [1, 2, 8])
+    def test_binary_spikes(self, rng, chunking, groups, stride):
+        n, c, h = 5, 64 * groups, 24
+        x = (rng.random((n, c, h, h)) < 0.25).astype(np.float32)
+        w = rng.standard_normal((c, 64, 3, 3)).astype(np.float32)
+        ho = conv_output_size(h, 3, stride, 1)
+        chunking(c, c, ho * ho)
+        out = conv2d(Tensor(x), Tensor(w), stride=stride, padding=1, groups=groups).data
+        expect = offsets_oracle(x, w, stride, 1, groups)
+        assert out.dtype == expect.dtype and np.array_equal(out, expect)
+
+    def test_real_valued_stem(self, rng, chunking):
+        n, h = 5, 32
+        x = rng.standard_normal((n, 3, h, h)).astype(np.float32)
+        w = rng.standard_normal((32, 3, 3, 3)).astype(np.float32)
+        chunking(3, 32, h * h)
+        out = conv2d(Tensor(x), Tensor(w), stride=1, padding=1).data
+        assert np.array_equal(out, offsets_oracle(x, w, 1, 1, 1))
 
 
 class TestConvBackward:

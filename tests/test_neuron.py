@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dualspike import neuron
 from dualspike.neuron import (
     LIFParams,
     SurrogateSpec,
@@ -109,6 +110,23 @@ class TestSequences:
             backward(tensor_sum(mul(fn(cur, smooth=smooth), proj)))
             grads.append(cur.grad.copy())
         np.testing.assert_allclose(grads[0], grads[1], atol=1e-12)
+
+    @pytest.mark.parametrize("smooth", [False, True])
+    def test_neuron_blocks_match_one_block_and_stepwise(self, rng, monkeypatch, smooth):
+        params = LIFParams(tau=3.0, u_th=1.0, u_rest=-0.25)
+        cur_data = (rng.standard_normal((5, 4, 3)) * 2).astype(np.float32)
+        proj = Tensor(rng.standard_normal((5, 4, 3)).astype(np.float32))
+        runs = []
+        for block in (neuron.BLOCK_NEURONS, 5):  # 12 neurons: one block, then blocks of 5, 5 and 2
+            monkeypatch.setattr(neuron, "BLOCK_NEURONS", block)
+            cur = Tensor(cur_data.copy(), requires_grad=True)
+            out = sn_forward(cur, params, smooth=smooth)
+            backward(tensor_sum(mul(out, proj)))
+            runs.append((out.data, cur.grad))
+        stepped = sn_forward_stepwise(Tensor(cur_data), params, smooth=smooth)
+        for out, grad in runs:
+            assert out.dtype == np.float32 and np.array_equal(out, stepped.data)
+        assert np.array_equal(runs[0][1], runs[1][1])
 
     @given(st.integers(1, 6), st.integers(0, 2**31 - 1))
     @settings(max_examples=25, deadline=None)

@@ -99,6 +99,23 @@ class TestJobsContract:
         assert verification.check_jobs(16) == 16
 
 
+class TestSamplesContract:
+    @pytest.mark.parametrize("samples", [0, 15])
+    def test_too_few_rejected(self, samples):
+        for sample in (
+            lambda: dst_moments_mc(0.2, 64, samples=samples),
+            lambda: post_scale_variance(0.2, 64, samples=samples),
+            lambda: sdsa_moments_mc(0.2, 0.4, 49, samples=samples),
+        ):
+            with pytest.raises(ContractError, match="bad sampling plan"):
+                sample()
+
+    def test_floor_accepted(self):
+        assert verification.check_samples(16) == 16
+        assert post_scale_variance(0.2, 64, samples=16).samples >= 16
+        assert sdsa_moments_mc(0.2, 0.4, 49, samples=16).samples == 16
+
+
 class TestScaledVariance:
     def test_attention_scale_normalizes(self):
         rep = post_scale_variance(0.25, 128, samples=80_000, seed=0)
