@@ -33,7 +33,7 @@ from .tensor import (
 )
 
 SURROGATE_KINDS = ("triangular", "sigmoid-derivative")
-BLOCK_NEURONS = 1 << 16  # neurons per block of the sn_forward time loop; keeps a block's state in L2
+BLOCK_NEURONS = 1 << 16  # neurons per block of the sn_forward time loops; keeps a block's state in L2
 
 
 @dataclass(frozen=True)
@@ -148,8 +148,12 @@ def sn_forward(
     """Run LIF over the leading time axis: [T, ...] currents -> [T, ...] spikes.
 
     Fused into one tape node: the forward stores only membrane values V and
-    outputs S, and the backward runs truncated-in-space BPTT in a tight loop.
-    Matches the per-step composition of lif_step exactly (tested both ways).
+    outputs S, and the backward runs truncated-in-space BPTT. Both run the
+    neurons in blocks of BLOCK_NEURONS, each block through all T steps in
+    reused buffers, with the same expressions in the same order as the
+    whole-array loop, so blocking changes no bits. The forward matches the
+    per-step composition of lif_step exactly, and the backward matches the
+    whole-array BPTT exactly (tests/test_neuron.py).
     """
     if current.data.ndim < 1 or current.data.shape[0] == 0:
         raise ShapeError(f"sn_forward needs a non-empty leading time axis, got shape {current.data.shape}")
@@ -187,17 +191,30 @@ def sn_forward(
 
     def bw(g):
         d_current = np.empty_like(xd)
-        du = np.zeros(xd.shape[1:], dtype=xd.dtype)
-        for t in range(t_steps - 1, -1, -1):
-            v = v_hist[t]
-            s = s_out[t]
-            sg = surrogate_grad(v, params, spec)
-            if smooth:
-                dv = g[t] * sg + du * ((1.0 - s) + sg * (params.u_rest - v))
-            else:
-                dv = g[t] * sg + du * (1.0 - s)  # reset gate is detached
-            d_current[t] = dv * inv_tau
-            du = dv * (1.0 - inv_tau)
+        g2, d2 = g.reshape(t_steps, -1), d_current.reshape(t_steps, -1)
+        du_buf, dv_buf, tmp_buf = (np.empty(block, dtype=xd.dtype) for _ in range(3))
+        # The same blocks as the forward, each through all T steps backwards.
+        # Same expressions in the same order as the whole-array BPTT:
+        # dv = g * sg + du * (1 - s)  (the reset gate is detached), or with
+        # the smooth reset du * ((1 - s) + sg * (u_rest - v)); then
+        # d = dv * inv_tau and du = dv * (1 - inv_tau).
+        for b0 in range(0, size, block):
+            b1 = min(size, b0 + block)
+            du, dv, tmp = du_buf[: b1 - b0], dv_buf[: b1 - b0], tmp_buf[: b1 - b0]
+            du.fill(0.0)
+            for t in range(t_steps - 1, -1, -1):
+                v, s = v2[t, b0:b1], s2[t, b0:b1]
+                sg = surrogate_grad(v, params, spec)
+                np.subtract(1.0, s, out=tmp)
+                if smooth:
+                    np.subtract(params.u_rest, v, out=dv)
+                    dv *= sg
+                    tmp += dv
+                tmp *= du
+                np.multiply(g2[t, b0:b1], sg, out=dv)
+                dv += tmp
+                np.multiply(dv, inv_tau, out=d2[t, b0:b1])
+                np.multiply(dv, 1.0 - inv_tau, out=du)
         return (d_current,)
 
     return make_node(s_out, (current,), bw, cls=Tensor if smooth else SpikeTensor)

@@ -4,12 +4,17 @@ Convolution lowers to grouped GEMM. Non-overlapping kernels (1x1 and the
 kernel==stride patchify used by token embeddings) go through an im2col that
 is a pure reshape. Overlapping kernels run one GEMM per (kernel offset,
 group) with K = C/g, over near-equal chunks of the batch of about
-CHUNK_ELEMENTS activations, adding the offsets up in a fixed order. That
-avoids the kh*kw column blowup and keeps each chunk's operands in cache.
-The offsets are not fused into one K = C/g*kh*kw GEMM on purpose: that
-re-associates the float32 sums, which flips spikes downstream and moves the
-training losses; the chunked forward keeps the whole-batch lowering's bits
-(see `_conv2d_offsets`).
+CHUNK_ELEMENTS activations, adding the offsets up in a fixed order; their
+backward chunks dX the same way and keeps dW whole-batch. That avoids the
+kh*kw column blowup and keeps each chunk's operands in cache. The offsets
+are not fused into one K = C/g*kh*kw GEMM on purpose: that re-associates
+the float32 sums, which flips spikes downstream and moves the training
+losses; the chunked forward and backward keep the whole-batch lowering's
+bits (see `_conv2d_offsets`).
+
+Batch norm runs its elementwise passes in place, with one full-size
+temporary in the train-mode backward; every product and sum is the one the
+plain expressions compute, in the same order, so the bits are the same.
 """
 
 from __future__ import annotations
@@ -159,8 +164,14 @@ def _conv2d_offsets(x: Tensor, weight: Tensor, stride, padding, groups, ho, wo) 
     its float64 edge kernels can round differently. `tests/test_conv.py` and
     `tests/test_reference.py` pin the float32 bits.
 
-    The backward keeps whole-batch GEMMs, so dW reduces over K = N*Ho*Wo in
-    one call.
+    In the backward, dW stays whole-batch: one GEMM per (offset, group)
+    reduces over all K = N*Ho*Wo columns in one call (splitting that K
+    re-associates the sum and moves the training losses), reading each
+    offset's window from one padded channels-leading copy of the input.
+    dX is chunked over the forward's image bounds: per chunk, the same
+    per-(offset, group) GEMMs against the transposed taps, added in offset
+    order into a zeroed padded chunk buffer that is cropped into dX. Its
+    bits hold across chunks as the forward's do.
     """
     n, c, h, w = x.data.shape
     o, cg, kh, kw = weight.data.shape
@@ -172,10 +183,6 @@ def _conv2d_offsets(x: Tensor, weight: Tensor, stride, padding, groups, ho, wo) 
 
     def offset_slices(di, dj):
         return slice(di, di + stride * ho, stride), slice(dj, dj + stride * wo, stride)
-
-    def channels_leading():
-        xp = _pad_hw(xd, padding)
-        return np.ascontiguousarray(xp.transpose(1, 0, 2, 3)).reshape(groups, cg, n, hp, wp)
 
     # contiguous per-offset taps; strided weight views would push matmul
     # off the BLAS kernel onto the slow ufunc loop
@@ -209,21 +216,42 @@ def _conv2d_offsets(x: Tensor, weight: Tensor, stride, padding, groups, ho, wo) 
     def bw(g):
         gt = np.ascontiguousarray(g.transpose(1, 0, 2, 3)).reshape(groups, og, n * l)
         wt_off = [np.ascontiguousarray(wo_.swapaxes(1, 2)) for wo_ in w_off]  # [g, cg, og]
-        xg_b = channels_leading()
+        # dW: one GEMM per (offset, group) over all N*Ho*Wo columns. The input
+        # is padded once, channels-leading, so each offset's window copy into
+        # the reused [C, N*Ho*Wo] buffer reads rows in order.
+        xpc = np.zeros((c, n, hp, wp), dtype=xd.dtype)
+        xpc[:, :, padding : padding + h, padding : padding + w] = xd.transpose(1, 0, 2, 3)
+        xs = np.empty((c, n, ho, wo), dtype=xd.dtype)
+        xsg = xs.reshape(groups, cg, n * l)
         dw6 = np.zeros_like(w6)
-        gp = np.zeros((groups, cg, n, hp, wp), dtype=xd.dtype)
-        dxs = np.empty((groups, cg, n * l), dtype=xd.dtype)
         for di in range(kh):
             for dj in range(kw):
                 si, sj = offset_slices(di, dj)
-                xs = np.ascontiguousarray(xg_b[:, :, :, si, sj]).reshape(groups, cg, n * l)
-                wk_t = wt_off[di * kw + dj]
+                np.copyto(xs, xpc[:, :, si, sj])
                 for gi in range(groups):
-                    dw6[gi, :, :, di, dj] += np.matmul(gt[gi], xs[gi].T)
-                    np.matmul(wk_t[gi], gt[gi], out=dxs[gi])
-                gp[:, :, :, si, sj] += dxs.reshape(groups, cg, n, ho, wo)
-        cropped = gp.reshape(c, n, hp, wp)[:, :, padding : padding + h, padding : padding + w]
-        dx = np.ascontiguousarray(cropped.transpose(1, 0, 2, 3))
+                    dw6[gi, :, :, di, dj] += np.matmul(gt[gi], xsg[gi].T)
+        del xpc, xs, xsg  # freed before the dX buffers exist: lower peak memory
+        # dX: chunk by chunk over the forward's bounds. Each GEMM reads the
+        # chunk's columns of gt in place (BLAS takes the row stride, so no
+        # per-chunk copy of g); the offsets are added in order into a zeroed
+        # padded chunk, which is cropped into [N, C, H, W].
+        dx = np.empty((n, c, h, w), dtype=xd.dtype)
+        gp_buf = np.empty(c * (-(-n // chunks)) * hp * wp, dtype=xd.dtype)
+        dxs_buf = np.empty(c * cols, dtype=xd.dtype)
+        for b0, b1 in zip(bounds, bounds[1:]):
+            m = b1 - b0
+            gp = gp_buf[: c * m * hp * wp].reshape(groups, cg, m, hp, wp)
+            dxs = dxs_buf[: c * m * l].reshape(groups, cg, m * l)
+            gp.fill(0.0)
+            for di in range(kh):
+                for dj in range(kw):
+                    si, sj = offset_slices(di, dj)
+                    wk_t = wt_off[di * kw + dj]
+                    for gi in range(groups):
+                        np.matmul(wk_t[gi], gt[gi, :, b0 * l : b1 * l], out=dxs[gi])
+                    gp[:, :, :, si, sj] += dxs.reshape(groups, cg, m, ho, wo)
+            cropped = gp.reshape(c, m, hp, wp)[:, :, padding : padding + h, padding : padding + w]
+            dx[b0:b1] = cropped.transpose(1, 0, 2, 3)
         return (dx, dw6.reshape(wd.shape))
 
     return make_node(out, (x, weight), bw)
@@ -295,17 +323,26 @@ def batchnorm(x: Tensor, state: BatchNormState, training: bool) -> Tensor:
         state.running_mean = (1.0 - m) * state.running_mean + m * mu.astype(state.running_mean.dtype)
         state.running_var = (1.0 - m) * state.running_var + m * var.astype(state.running_var.dtype)
         inv = 1.0 / np.sqrt(var + state.eps)
-        xhat = (x.data - mu.reshape(bshape)) * inv.reshape(bshape)
-        out = gd * xhat + bd
+        xhat = np.subtract(x.data, mu.reshape(bshape))
+        xhat *= inv.reshape(bshape)
+        out = np.multiply(xhat, gd)
+        out += bd
         count = x.data.size // state.channels
 
         def bw(g):
+            # In place, one full-size temporary; the same products and sums as
+            # dx = inv * ((g * gamma - mean(g * gamma)) - xhat * mean(g * gamma * xhat)).
             dbeta = g.sum(axis=axes)
-            dgamma = (g * xhat).sum(axis=axes)
-            dxhat = g * gd
-            mean_dxhat = dxhat.mean(axis=axes).reshape(bshape)
-            mean_dxhat_x = (dxhat * xhat).sum(axis=axes).reshape(bshape) / count
-            dx = inv.reshape(bshape) * (dxhat - mean_dxhat - xhat * mean_dxhat_x)
+            tmp = np.multiply(g, xhat)
+            dgamma = tmp.sum(axis=axes)
+            dx = np.multiply(g, gd)
+            mean_dxhat = dx.mean(axis=axes).reshape(bshape)
+            np.multiply(dx, xhat, out=tmp)
+            mean_dxhat_x = tmp.sum(axis=axes).reshape(bshape) / count
+            dx -= mean_dxhat
+            np.multiply(xhat, mean_dxhat_x, out=tmp)
+            dx -= tmp
+            dx *= inv.reshape(bshape)
             return (dx, dgamma, dbeta)
 
         return make_node(out, (x, gamma, beta), bw)
@@ -313,7 +350,8 @@ def batchnorm(x: Tensor, state: BatchNormState, training: bool) -> Tensor:
     inv = 1.0 / np.sqrt(state.running_var + state.eps)
     scale = (gamma.data * inv).reshape(bshape)
     shift = (beta.data - gamma.data * state.running_mean * inv).reshape(bshape)
-    out = x.data * scale + shift
+    out = np.multiply(x.data, scale)
+    out += shift
     xhat_scale = inv.reshape(bshape)
     rm = state.running_mean.reshape(bshape)
 

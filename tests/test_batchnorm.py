@@ -85,6 +85,66 @@ class TestBackward:
         )
 
 
+def bn_train_oracle(x, gamma, beta, eps, g):
+    """Reference oracle: train-mode batch norm, forward and backward, as whole-array expressions.
+
+    The in-place `ops.batchnorm` must reproduce out, dx, dgamma and dbeta bit for bit.
+    """
+    axes = (0,) + tuple(range(2, x.ndim))
+    bshape = (1, x.shape[1]) + (1,) * (x.ndim - 2)
+    gd, bd = gamma.reshape(bshape), beta.reshape(bshape)
+    mu, var = x.mean(axis=axes), x.var(axis=axes)
+    inv = 1.0 / np.sqrt(var + eps)
+    xhat = (x - mu.reshape(bshape)) * inv.reshape(bshape)
+    out = gd * xhat + bd
+    dbeta = g.sum(axis=axes)
+    dgamma = (g * xhat).sum(axis=axes)
+    dxhat = g * gd
+    mean_dxhat = dxhat.mean(axis=axes).reshape(bshape)
+    mean_dxhat_x = (dxhat * xhat).sum(axis=axes).reshape(bshape) / (x.size // x.shape[1])
+    dx = inv.reshape(bshape) * (dxhat - mean_dxhat - xhat * mean_dxhat_x)
+    return out, dx, dgamma, dbeta
+
+
+def bn_eval_oracle(x, st):
+    """Reference oracle: eval-mode batch norm as one whole-array expression."""
+    bshape = (1, x.shape[1]) + (1,) * (x.ndim - 2)
+    inv = 1.0 / np.sqrt(st.running_var + st.eps)
+    scale = (st.gamma.data * inv).reshape(bshape)
+    shift = (st.beta.data - st.gamma.data * st.running_mean * inv).reshape(bshape)
+    return x * scale + shift
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+class TestBitExact:
+    """The in-place batch norm equals the whole-array expressions bit for bit."""
+
+    def state(self, rng, dtype):
+        st = BatchNormState("bn", 6, dtype=dtype)
+        st.gamma.data[:] = rng.standard_normal(6) + 1.0
+        st.beta.data[:] = rng.standard_normal(6)
+        st.running_mean = rng.standard_normal(6).astype(dtype)
+        st.running_var = (rng.random(6) + 0.5).astype(dtype)
+        return st
+
+    def test_train_forward_and_backward(self, rng, dtype):
+        st = self.state(rng, dtype)
+        x_data = (rng.standard_normal((8, 6, 16, 16)) * 3 + 1).astype(dtype)
+        g = rng.standard_normal(x_data.shape).astype(dtype)
+        expect = bn_train_oracle(x_data, st.gamma.data, st.beta.data, st.eps, g)
+        x = Tensor(x_data, requires_grad=True)
+        out = batchnorm(x, st, training=True)
+        backward(tensor_sum(mul(out, Tensor(g))))  # the batch norm node receives g itself
+        for got, want in zip((out.data, x.grad, st.gamma.grad, st.beta.grad), expect):
+            assert got.dtype == dtype and np.array_equal(got, want)
+
+    def test_eval_forward(self, rng, dtype):
+        st = self.state(rng, dtype)
+        x = (rng.standard_normal((8, 6, 16, 16)) * 3 + 1).astype(dtype)
+        out = batchnorm(Tensor(x), st, training=False).data
+        assert out.dtype == dtype and np.array_equal(out, bn_eval_oracle(x, st))
+
+
 class TestFolding:
     def test_conv_bn_fold_equivalence(self, rng):
         st = BatchNormState("bn", 4)

@@ -95,8 +95,50 @@ def offsets_oracle(x, w, stride, padding, groups):
     return np.ascontiguousarray(acc.reshape(o, n, ho, wo).transpose(1, 0, 2, 3))
 
 
+def offsets_backward_oracle(x, w, g, stride, padding, groups):
+    """Reference oracle: the whole-batch backward of the per-offset lowering.
+
+    Per kernel offset, a channels-leading copy of the padded input window and
+    of g over all N*Ho*Wo columns; one GEMM per (offset, group) gives that
+    offset's dW tap (K = N*Ho*Wo) and its dX columns, which are added in
+    offset order into a zeroed padded buffer. The backward of
+    `ops._conv2d_offsets`, with dX chunked, must reproduce both bit for bit.
+    """
+    n, c, h, w_in = x.shape
+    o, cg, kh, kw = w.shape
+    og = o // groups
+    ho, wo = g.shape[2:]
+    xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    hp, wp = xp.shape[2:]
+    xg = np.ascontiguousarray(xp.transpose(1, 0, 2, 3)).reshape(groups, cg, n, hp, wp)
+    gt = np.ascontiguousarray(g.transpose(1, 0, 2, 3)).reshape(groups, og, n * ho * wo)
+    w6 = w.reshape(groups, og, cg, kh, kw)
+    dw6 = np.zeros_like(w6)
+    gp = np.zeros((groups, cg, n, hp, wp), dtype=x.dtype)
+    dxs = np.empty((groups, cg, n * ho * wo), dtype=x.dtype)
+    for di in range(kh):
+        for dj in range(kw):
+            si, sj = slice(di, di + stride * ho, stride), slice(dj, dj + stride * wo, stride)
+            xs = np.ascontiguousarray(xg[:, :, :, si, sj]).reshape(groups, cg, n * ho * wo)
+            wk_t = np.ascontiguousarray(w6[:, :, :, di, dj].swapaxes(1, 2))  # [g, cg, og]
+            for gi in range(groups):
+                dw6[gi, :, :, di, dj] += np.matmul(gt[gi], xs[gi].T)
+                np.matmul(wk_t[gi], gt[gi], out=dxs[gi])
+            gp[:, :, :, si, sj] += dxs.reshape(groups, cg, n, ho, wo)
+    cropped = gp.reshape(c, n, hp, wp)[:, :, padding : padding + h, padding : padding + w_in]
+    return np.ascontiguousarray(cropped.transpose(1, 0, 2, 3)), dw6.reshape(w.shape)
+
+
+def conv_grads(x, w, g, stride, padding, groups):
+    """(dx, dW) of conv2d on the tape for upstream gradient g."""
+    xt, wt = Tensor(x, requires_grad=True), Tensor(w, requires_grad=True)
+    out = conv2d(xt, wt, stride=stride, padding=padding, groups=groups)
+    backward(tensor_sum(mul(out, Tensor(g))))  # the conv node receives g itself
+    return xt.grad, wt.grad
+
+
 class TestConvBitExact:
-    """The chunked offset-path forward equals the whole-batch lowering bit for bit.
+    """The chunked offset-path forward and backward equal the whole-batch lowering bit for bit.
 
     Float32 at the model's group width (64 channels), on inputs whose chunk
     GEMMs are as wide as the model's: the contract `ops._conv2d_offsets`
@@ -132,6 +174,30 @@ class TestConvBitExact:
         chunking(3, 32, h * h)
         out = conv2d(Tensor(x), Tensor(w), stride=1, padding=1).data
         assert np.array_equal(out, offsets_oracle(x, w, 1, 1, 1))
+
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("groups", [1, 2, 8])
+    def test_backward_binary_spikes(self, rng, chunking, groups, stride):
+        n, c, h = 5, 64 * groups, 24
+        x = (rng.random((n, c, h, h)) < 0.25).astype(np.float32)
+        w = rng.standard_normal((c, 64, 3, 3)).astype(np.float32)
+        ho = conv_output_size(h, 3, stride, 1)
+        g = rng.standard_normal((n, c, ho, ho)).astype(np.float32)
+        chunking(c, c, ho * ho)
+        dx, dw = conv_grads(x, w, g, stride, 1, groups)
+        expect_dx, expect_dw = offsets_backward_oracle(x, w, g, stride, 1, groups)
+        assert dx.dtype == expect_dx.dtype and dw.dtype == expect_dw.dtype
+        assert np.array_equal(dx, expect_dx) and np.array_equal(dw, expect_dw)
+
+    def test_backward_real_valued_stem(self, rng, chunking):
+        n, h = 5, 32
+        x = rng.standard_normal((n, 3, h, h)).astype(np.float32)
+        w = rng.standard_normal((32, 3, 3, 3)).astype(np.float32)
+        g = rng.standard_normal((n, 32, h, h)).astype(np.float32)
+        chunking(3, 32, h * h)
+        dx, dw = conv_grads(x, w, g, 1, 1, 1)
+        expect_dx, expect_dw = offsets_backward_oracle(x, w, g, 1, 1, 1)
+        assert np.array_equal(dx, expect_dx) and np.array_equal(dw, expect_dw)
 
 
 class TestConvBackward:

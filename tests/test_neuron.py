@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from dualspike import neuron
 from dualspike.neuron import (
+    SURROGATE_KINDS,
     LIFParams,
     SurrogateSpec,
     initial_state,
@@ -74,6 +75,34 @@ class TestSingleStep:
             lif_step(state, Tensor(np.zeros(3)))
 
 
+def bptt_oracle(current, g, params, spec, smooth):
+    """Reference oracle: the whole-array LIF forward and BPTT loop, one time step per iteration.
+
+    Same expressions in the same order as the blocked `sn_forward`; the
+    blocked backward must reproduce its d_current bit for bit.
+    """
+    inv_tau = 1.0 / params.tau
+    u = np.full(current.shape[1:], params.u_rest, dtype=current.dtype)
+    v_hist, s_out = np.empty_like(current), np.empty_like(current)
+    for t in range(current.shape[0]):
+        v = ((current[t] - u) + params.u_rest) * inv_tau + u
+        s = smooth_step(v, params, spec) if smooth else (v >= params.u_th).astype(v.dtype)
+        v_hist[t], s_out[t] = v, s
+        u = s * params.u_rest + (1.0 - s) * v
+    d_current = np.empty_like(current)
+    du = np.zeros(current.shape[1:], dtype=current.dtype)
+    for t in range(current.shape[0] - 1, -1, -1):
+        v, s = v_hist[t], s_out[t]
+        sg = surrogate_grad(v, params, spec)
+        if smooth:
+            dv = g[t] * sg + du * ((1.0 - s) + sg * (params.u_rest - v))
+        else:
+            dv = g[t] * sg + du * (1.0 - s)
+        d_current[t] = dv * inv_tau
+        du = dv * (1.0 - inv_tau)
+    return d_current
+
+
 class TestSequences:
     def test_constant_drive_at_tau_threshold_fires_every_step(self):
         params = LIFParams()
@@ -127,6 +156,20 @@ class TestSequences:
         for out, grad in runs:
             assert out.dtype == np.float32 and np.array_equal(out, stepped.data)
         assert np.array_equal(runs[0][1], runs[1][1])
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("kind", SURROGATE_KINDS)
+    @pytest.mark.parametrize("smooth", [False, True])
+    def test_blocked_backward_matches_whole_array_bptt(self, rng, monkeypatch, smooth, kind, dtype):
+        monkeypatch.setattr(neuron, "BLOCK_NEURONS", 5)  # 12 neurons: blocks of 5, 5 and 2
+        params = LIFParams(tau=3.0, u_th=1.0, u_rest=-0.25)
+        spec = SurrogateSpec(kind, width=1.5)
+        cur_data = (rng.standard_normal((5, 4, 3)) * 2).astype(dtype)
+        g = rng.standard_normal((5, 4, 3)).astype(dtype)
+        cur = Tensor(cur_data.copy(), requires_grad=True)
+        backward(tensor_sum(mul(sn_forward(cur, params, spec, smooth=smooth), Tensor(g))))
+        expect = bptt_oracle(cur_data, g, params, spec, smooth)
+        assert cur.grad.dtype == dtype and np.array_equal(cur.grad, expect)
 
     @given(st.integers(1, 6), st.integers(0, 2**31 - 1))
     @settings(max_examples=25, deadline=None)
