@@ -138,19 +138,23 @@ class MultiHeadDualSpikeAttention(Module):
 
         z_map = self._embed_tokens(s4, self.conv_map, self.bn_map, ctx, (t, b))  # [T,B,h,dh,np]
         c1 = attn_map_scale(rate_in, cfg.d_head)
-        amap = self._fire(mul(matmul(xh, z_map), c1), ctx)  # [T,B,h,HW,np] binary
+        # each product goes to the trace as it is made, so no local keeps it alive
+        amap = self._fire(  # [T,B,h,HW,np] binary
+            mul(ctx.record(f"{self.name}.attn", "dst_t", s_in, matmul(xh, z_map),
+                           conv=self.conv_map, bn=self.bn_map, cfg=cfg), c1),
+            ctx,
+        )
 
         rate_a = self.rate_attn.observe(float(amap.data.mean()), ctx.training)
         z_val = transpose(self._embed_tokens(s4, self.conv_val, self.bn_val, ctx, (t, b)), (0, 1, 2, 4, 3))
         c2 = output_scale(rate_a, cfg.hw, cfg.p)
-        s_out = self._fire(mul(matmul(amap, z_val), c2), ctx)  # [T,B,h,HW,dh] binary
+        s_out = self._fire(  # [T,B,h,HW,dh] binary
+            mul(ctx.record(f"{self.name}.value", "dst", s_in, matmul(amap, z_val),
+                           amap=amap, conv=self.conv_val, bn=self.bn_val, cfg=cfg), c2),
+            ctx,
+        )
 
         merged = reshape(transpose(s_out, (0, 1, 2, 4, 3)), (t * b, cfg.d, cfg.height, cfg.width))
         out = ops.batchnorm(self.conv_proj.forward(merged), self.bn_proj, ctx.training)
-
-        if ctx.audit is not None:
-            ctx.audit.add_dst_t(f"{self.name}.attn", s_in, self.conv_map, self.bn_map, cfg)
-            ctx.audit.add_dst(f"{self.name}.value", amap, s_in, self.conv_val, self.bn_val, cfg)
-            ctx.audit.add_conv(f"{self.name}.proj", merged, self.conv_proj, self.bn_proj)
-
+        ctx.record(f"{self.name}.proj", "conv", merged, out, conv=self.conv_proj, bn=self.bn_proj)
         return reshape(out, (t, b, cfg.d, cfg.height, cfg.width))

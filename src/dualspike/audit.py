@@ -2,17 +2,21 @@
 
 A SOP is one weight accumulation on the event-driven evaluation path: for a
 synaptic layer fed by binary spikes, the number of (spike, weight) pairs that
-actually fire. Counts are computed in closed form from spike counts; the
-equivalence checker additionally recomputes each audited layer two ways,
-dense algebra vs. an accumulation that touches only nonzero spikes, both on
-batch-norm-folded weights in float64.
+actually fire. Counts are computed in closed form from spike counts.
+
+Each synaptic layer hands the trace its input spikes and the current it
+computed: the batch-norm output of a conv, the two attention products before
+their scales, and the per-step classifier logits. The equivalence check runs
+the traced forward on a float64 twin of the model and replays every layer
+event-driven, adding only the (batch-norm-folded) weight rows that spikes
+select; the replay must match the currents the twin's forward computed.
 
 The stem convolution sees real-valued input, so it is counted in MACs and
 reported separately, excluded from the headline SOP/energy totals. Residual
 adds, max pooling, and the folded BN affine are not synaptic events. The FC
-bias and the folded BN bias are added on both sides of the equivalence check
-but never counted as SOPs; the dropped-bias magnitude of each attention
-transformation is reported per layer.
+bias and the folded BN bias are added in the replay but never counted as
+SOPs; the dropped-bias magnitude of each attention transformation is
+reported per layer.
 """
 
 from __future__ import annotations
@@ -23,7 +27,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .layers import RunContext
-from .ops import _im2col, conv_output_size, fold_bn
+from .model import build
+from .ops import conv_output_size, fold_bn
 from .tensor import ContractError, SpikeTensor, no_grad
 
 ENERGY_PER_SOP_PJ = 0.9
@@ -41,6 +46,7 @@ class LayerTrace:
     name: str
     kind: str  # stem | conv | linear | dst_t | dst
     spikes: np.ndarray  # bool, layout depends on kind
+    current: np.ndarray = None  # what the layer computed; None for the stem
     conv: object = None
     bn: object = None
     fc: object = None
@@ -64,38 +70,34 @@ class AuditTrace:
             raise ContractError("audited synaptic operands must be binary spikes (0 or 1)")
         return arr.astype(bool)
 
-    def add_stem(self, name, x_real, conv, bn):
-        self.records.append(LayerTrace(name, "stem", np.asarray(x_real), conv=conv, bn=bn))
-
-    def add_conv(self, name, spikes, conv, bn):
-        self.records.append(LayerTrace(name, "conv", self._bool(spikes), conv=conv, bn=bn))
-
-    def add_linear(self, name, spikes, fc):
-        self.records.append(LayerTrace(name, "linear", self._bool(spikes), fc=fc))
-
-    def add_dst_t(self, name, x_spikes, conv, bn, cfg):
-        self.records.append(LayerTrace(name, "dst_t", self._bool(x_spikes), conv=conv, bn=bn, cfg=cfg))
-
-    def add_dst(self, name, amap, x_spikes, conv, bn, cfg):
-        self.records.append(
-            LayerTrace(name, "dst", self._bool(x_spikes), conv=conv, bn=bn, cfg=cfg, amap=self._bool(amap))
-        )
+    def record(self, name, kind, spikes, current, **layer):
+        """Append one layer: its input spikes (the stem's real input as given), the current it computed, its modules."""
+        spikes = np.asarray(spikes) if kind == "stem" else self._bool(spikes)
+        if "amap" in layer:
+            layer["amap"] = self._bool(layer["amap"])
+        self.records.append(LayerTrace(name, kind, spikes, None if current is None else current.data, **layer))
 
 
 # -- SOP counting --------------------------------------------------------------
 
 
+def _windows(spikes: np.ndarray, conv):
+    """Per kernel offset (di, dj, window): the [N,Ho,Wo,C] channels-last view of the zero-padded
+    [N,C,H,W] spikes that the offset's kernel tap reads at each output position."""
+    k, stride, pad = conv.weight.data.shape[-1], conv.stride, conv.padding
+    n, c, h, w = spikes.shape
+    ho = conv_output_size(h, k, stride, pad)
+    wo = conv_output_size(w, k, stride, pad)
+    xp = np.zeros((n, h + 2 * pad, w + 2 * pad, c), dtype=spikes.dtype)
+    xp[:, pad : pad + h, pad : pad + w] = spikes.transpose(0, 2, 3, 1)
+    for di in range(k):
+        for dj in range(k):
+            yield di, dj, xp[:, di : di + stride * ho : stride, dj : dj + stride * wo : stride]
+
+
 def _conv_sops(rec: LayerTrace) -> int:
-    conv = rec.conv
-    kh = conv.weight.data.shape[-1]
-    og = conv.weight.data.shape[0] // conv.groups
-    total = 0
-    spikes = rec.spikes
-    step = max(1, (32 << 20) // max(1, spikes[0].size * kh * kh))
-    for i in range(0, spikes.shape[0], step):
-        cols, _, _ = _im2col(spikes[i : i + step].astype(np.uint8), kh, kh, conv.stride, conv.padding, conv.groups)
-        total += int(cols.sum(dtype=np.int64)) * og
-    return total
+    og = rec.conv.weight.data.shape[0] // rec.conv.groups
+    return og * sum(int(np.count_nonzero(win)) for _, _, win in _windows(rec.spikes, rec.conv))
 
 
 def _linear_sops(rec: LayerTrace) -> int:
@@ -176,21 +178,6 @@ class AuditReport:
         lines.append(json.dumps(self.totals_dict(), sort_keys=True))
         return "\n".join(lines) + "\n"
 
-    def to_table(self) -> str:
-        header = f"{'layer':<28} {'kind':<7} {'rate':>8} {'SOPs':>14} {'MACs':>14}"
-        lines = [header, "-" * len(header)]
-        for row in self.rows:
-            lines.append(
-                f"{row['name']:<28} {row['kind']:<7} {row['rate']:>8.4f} {row['sops']:>14d} {row['macs']:>14d}"
-            )
-        t = self.totals_dict()
-        lines.append("-" * len(header))
-        lines.append(
-            f"per image: {t['sops_giga_per_image']:.6f} GSOPs, {t['energy_mj_per_image']:.6f} mJ "
-            f"(stem: {t['stem_macs_per_image']:.3e} MACs, excluded)"
-        )
-        return "\n".join(lines)
-
 
 def run_traced(model, images) -> AuditTrace:
     trace = AuditTrace()
@@ -224,128 +211,89 @@ def audit_model(model, images) -> AuditReport:
     return report
 
 
-# -- dense vs. event-driven equivalence -----------------------------------------
+# -- event-driven replay against the forward's currents ------------------------
 
 
-def _dense_conv(x: np.ndarray, w: np.ndarray, stride, padding, groups) -> np.ndarray:
-    n, c = x.shape[:2]
-    o = w.shape[0]
-    kh = w.shape[-1]
-    cols, ho, wo = _im2col(x, kh, kh, stride, padding, groups)
-    wg = w.reshape(groups, o // groups, -1)
-    return np.matmul(wg[None], cols).reshape(n, o, ho, wo)
+def _spike_rows(mask: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """Event-driven product of a binary mask [..., R, K] and a table [..., K, F] -> [..., R, F].
+
+    Row r of the result sums the table rows that the spikes of mask row r
+    select. A table with leading axes has the mask's leading axes, one
+    [K, F] table per leading index. One np.flatnonzero finds every spike. A
+    row's j-th spike is added in pass j, all rows at once, so each add is
+    one (spike, table row) pair and each pass gathers at most one table row
+    per mask row.
+    """
+    r, k = mask.shape[-2:]
+    f = table.shape[-1]
+    rows, cols = np.divmod(np.flatnonzero(mask), k)  # row-major: a row's spikes in column order
+    picks = cols if table.ndim == 2 else rows // r * k + cols
+    table = table.reshape(-1, f)
+    out = np.zeros((mask.size // k, f), dtype=table.dtype)
+    if rows.size:
+        first = np.flatnonzero(np.diff(rows, prepend=-1))
+        rank = np.arange(rows.size) - np.repeat(first, np.diff(first, append=rows.size))
+        order = np.argsort(rank, kind="stable")
+        lo = 0
+        for hi in np.cumsum(np.bincount(rank)):
+            sel = order[lo:hi]
+            out[rows[sel]] += table[picks[sel]]
+            lo = hi
+    return out.reshape(mask.shape[:-1] + (f,))
 
 
-def _event_conv(spikes: np.ndarray, w: np.ndarray, stride, padding, groups) -> np.ndarray:
-    """Accumulate kernel columns only where input spikes are nonzero."""
-    n, c, h, wdt = spikes.shape
-    o, cg, kh, kw = w.shape
-    ho = conv_output_size(h, kh, stride, padding)
-    wo = conv_output_size(wdt, kw, stride, padding)
+def _event_conv(rec: LayerTrace, spikes: np.ndarray) -> np.ndarray:
+    """Conv + folded BN of [N,C,H,W] spikes, event-driven, channels last [N,Ho,Wo,O]: per (kernel
+    offset, group), each output position adds the folded weight rows of the spikes in its window."""
+    groups = rec.conv.groups
+    w, bias = fold_bn(rec.conv.weight.data.astype(np.float64), rec.bn)
+    o, cg = w.shape[:2]
     og = o // groups
-    out = np.zeros((n, o, ho, wo), dtype=w.dtype)
-    pad = ((0, 0), (padding, padding), (padding, padding))
-    for i in range(n):
-        xp = np.pad(spikes[i], pad) if padding else spikes[i]
-        po = out[i].transpose(1, 2, 0)  # [Ho, Wo, O] view for row scatter
-        for ch in range(c):
-            gi = ch // cg
-            osl = slice(gi * og, (gi + 1) * og)
-            wch = w[osl, ch - gi * cg]  # [og, kh, kw]
-            for di in range(kh):
-                for dj in range(kw):
-                    window = xp[ch, di : di + stride * ho : stride, dj : dj + stride * wo : stride]
-                    ii, jj = np.nonzero(window)
-                    if ii.size:
-                        po[ii, jj, osl] += wch[:, di, dj]
+    acc = None
+    for di, dj, win in _windows(spikes, rec.conv):
+        if acc is None:
+            acc = np.zeros((groups, win[..., 0].size, og))
+        for gi in range(groups):
+            tap = np.ascontiguousarray(w[gi * og : (gi + 1) * og, :, di, dj].T)  # [cg, og]
+            acc[gi] += _spike_rows(win[..., gi * cg : (gi + 1) * cg], tap).reshape(-1, og)
+    out = acc.transpose(1, 0, 2).reshape(win.shape[:3] + (o,))
+    out += bias
     return out
 
 
-def _fold64(rec: LayerTrace):
-    return fold_bn(rec.conv.weight.data.astype(np.float64), rec.bn)
-
-
-def _deviation(dense: np.ndarray, event: np.ndarray) -> float:
-    return float(np.max(np.abs(dense - event) / np.maximum(1.0, np.abs(dense)))) if dense.size else 0.0
+def _deviation(current: np.ndarray, event: np.ndarray) -> float:
+    return float(np.max(np.abs(current - event) / np.maximum(1.0, np.abs(current)))) if current.size else 0.0
 
 
 def _check_conv(rec: LayerTrace) -> float:
-    w, bias = _fold64(rec)
-    x = rec.spikes
-    t_fold = x.reshape((-1,) + x.shape[-3:]) if x.ndim == 5 else x
-    dense = _dense_conv(t_fold.astype(np.float64), w, rec.conv.stride, rec.conv.padding, rec.conv.groups)
-    event = _event_conv(t_fold, w, rec.conv.stride, rec.conv.padding, rec.conv.groups)
-    b = bias[None, :, None, None]
-    return _deviation(dense + b, event + b)
+    return _deviation(rec.current.transpose(0, 2, 3, 1), _event_conv(rec, rec.spikes))
 
 
 def _check_linear(rec: LayerTrace) -> float:
-    w = rec.fc.weight.data.astype(np.float64)
-    b = rec.fc.bias.data.astype(np.float64)
-    t, bb, d, h, wdt = rec.spikes.shape
-    pool = h * wdt
-    flat = rec.spikes.reshape(t * bb, d, pool)
-    dense = flat.astype(np.float64).mean(axis=2) @ w + b
-    event = np.zeros_like(dense)
-    for i in range(t * bb):
-        d_idx, _ = np.nonzero(flat[i])
-        event[i] = w[d_idx].sum(axis=0) / pool + b
-    return _deviation(dense, event)
+    t, b, d, h, w = rec.spikes.shape
+    pool = h * w
+    weight = np.repeat(rec.fc.weight.data.astype(np.float64), pool, axis=0)  # one row per (channel, position)
+    event = _spike_rows(rec.spikes.reshape(t, b, d * pool), weight) / pool + rec.fc.bias.data
+    return _deviation(rec.current, event)
 
 
-def _tokens_from_conv(rec: LayerTrace, sample: np.ndarray) -> tuple:
-    """(dense_tokens, event_tokens), each [tokens, d] for one [d,H,W] sample."""
-    w, _ = _fold64(rec)
-    conv = rec.conv
-    x = sample[None]
-    dense = _dense_conv(x.astype(np.float64), w, conv.stride, conv.padding, conv.groups)[0]
-    event = _event_conv(x, w, conv.stride, conv.padding, conv.groups)[0]
-    d = dense.shape[0]
-    return dense.reshape(d, -1).T, event.reshape(d, -1).T
-
-
-def _gated_rows(mask_rows: np.ndarray, table: np.ndarray) -> np.ndarray:
-    """For each binary row, sum the table rows its nonzero entries select."""
-    out = np.zeros((mask_rows.shape[0], table.shape[1]), dtype=table.dtype)
-    for i in range(mask_rows.shape[0]):
-        (idx,) = np.nonzero(mask_rows[i])
-        if idx.size:
-            out[i] = table[idx].sum(axis=0)
-    return out
+def _tokens(rec: LayerTrace) -> np.ndarray:
+    """The embedding z [T,B,h,dh,np] of the input spikes, replayed event-driven (its BN shift included)."""
+    cfg = rec.cfg
+    t, b = rec.spikes.shape[:2]
+    z = _event_conv(rec, rec.spikes.reshape((t * b,) + rec.spikes.shape[2:]))  # [T*B, Ho, Wo, d]
+    return z.reshape(t, b, cfg.tokens_reduced, cfg.heads, cfg.d_head).transpose(0, 1, 3, 4, 2)
 
 
 def _check_dst_t(rec: LayerTrace) -> float:
     cfg = rec.cfg
     t, b = rec.spikes.shape[:2]
-    dev = 0.0
-    for ti in range(t):
-        for bi in range(b):
-            sample = rec.spikes[ti, bi]
-            z_dense, z_event = _tokens_from_conv(rec, sample)  # [np, d]
-            x_tok = sample.reshape(cfg.d, cfg.hw).T  # [HW, d] binary
-            for hd in range(cfg.heads):
-                cols = slice(hd * cfg.d_head, (hd + 1) * cfg.d_head)
-                dense = x_tok[:, cols].astype(np.float64) @ z_dense[:, cols].T
-                # spike k of token row i selects column k of the event-side table
-                event = _gated_rows(x_tok[:, cols], z_event[:, cols].T)
-                dev = max(dev, _deviation(dense, event))
-    return dev
+    tokens = rec.spikes.reshape(t, b, cfg.heads, cfg.d_head, cfg.hw).swapaxes(-1, -2)  # [T,B,h,HW,dh]
+    return _deviation(rec.current, _spike_rows(tokens, _tokens(rec)))
 
 
 def _check_dst(rec: LayerTrace) -> float:
-    cfg = rec.cfg
-    t, b = rec.amap.shape[:2]
-    dev = 0.0
-    for ti in range(t):
-        for bi in range(b):
-            z_dense, z_event = _tokens_from_conv(rec, rec.spikes[ti, bi])  # [np, d]
-            for hd in range(cfg.heads):
-                cols = slice(hd * cfg.d_head, (hd + 1) * cfg.d_head)
-                a = rec.amap[ti, bi, hd]  # [HW, np]
-                dense = a.astype(np.float64) @ z_dense[:, cols]
-                event = _gated_rows(a, z_event[:, cols])
-                dev = max(dev, _deviation(dense, event))
-    return dev
+    return _deviation(rec.current, _spike_rows(rec.amap, _tokens(rec).swapaxes(-1, -2)))
 
 
 _CHECK_FNS = {"conv": _check_conv, "linear": _check_linear, "dst_t": _check_dst_t, "dst": _check_dst}
@@ -365,8 +313,11 @@ class EquivalenceReport:
 
 
 def verify_spike_driven(model, images, tolerance: float = 1e-6) -> EquivalenceReport:
-    """Recompute every audited synaptic layer dense vs. event-driven."""
-    trace = run_traced(model, np.asarray(images))
+    """Replay every audited synaptic layer event-driven against the current the forward computed,
+    on a float64 twin of the model (same tensors, statistics and rate EMAs)."""
+    twin = build(model.config, dtype=np.float64)
+    twin.load_state(*model.snapshot())
+    trace = run_traced(twin, np.asarray(images))
     rows = []
     passed = True
     for rec in trace.records:

@@ -189,7 +189,12 @@ def cmd_audit(args) -> int:
     _print_json(report.totals_dict())
     if args.check_equivalence:
         eq = verify_spike_driven(model, images[: min(args.batch, 2)])
-        _print_json({"equivalence_passed": eq.passed, "tolerance": eq.tolerance})
+        _print_json({
+            "equivalence_passed": eq.passed,
+            "tolerance": eq.tolerance,
+            "max_deviation": max((r["max_deviation"] for r in eq.rows), default=0.0),
+            "failed_layers": [r["name"] for r in eq.rows if not r["passed"]],
+        })
         if not eq.passed:
             return 1
     return 0

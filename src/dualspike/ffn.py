@@ -62,8 +62,7 @@ class GroupWiseFeedForward(Module):
         s = lif.forward(x, ctx)
         s4 = reshape(s, (t * b, c, h, w))
         out = ops.batchnorm(conv.forward(s4), bn, ctx.training)
-        if ctx.audit is not None:
-            ctx.audit.add_conv(f"{self.name}.{tag}", s4, conv, bn)
+        ctx.record(f"{self.name}.{tag}", "conv", s4, out, conv=conv, bn=bn)
         o = out.data.shape[1]
         return reshape(out, (t, b, o, h, w))
 

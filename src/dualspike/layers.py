@@ -18,12 +18,23 @@ class RunContext:
     training  -- batch-norm statistics mode and firing-rate EMA updates
     smooth    -- replace hard spikes with the surrogate antiderivative
                  (finite-difference-checkable forward)
-    audit     -- optional trace collector; layers append per-synapse records
+    audit     -- optional trace collector (`audit.AuditTrace`); every
+                 synaptic layer hands it, through `record`, its input spikes,
+                 the current it computed and its modules
     """
 
     training: bool = False
     smooth: bool = False
     audit: object = None
+
+    def record(self, name, kind, spikes, current, **layer):
+        """Pass a synaptic layer's current through, recording it in the audit trace if one is installed.
+
+        Callers hand the current over where it is made, so no local keeps it alive.
+        """
+        if self.audit is not None:
+            self.audit.record(name, kind, spikes, current, **layer)
+        return current
 
 
 @dataclass(frozen=True)

@@ -55,8 +55,7 @@ class Stem(Module):
     def forward(self, x: Tensor, ctx: RunContext) -> Tensor:
         t, b = x.data.shape[:2]
         flat = reshape(x, (t * b,) + x.data.shape[2:])
-        if ctx.audit is not None:
-            ctx.audit.add_stem(self.name, flat.data, self.conv, self.bn)
+        ctx.record(self.name, "stem", flat.data, None, conv=self.conv, bn=self.bn)
         out = ops.batchnorm(self.conv.forward(flat), self.bn, ctx.training)
         if self.pool:
             out = ops.maxpool2d(out, 3, 2, padding=1)
@@ -76,8 +75,7 @@ class Downsample(Module):
         t, b, c, h, w = x.data.shape
         s = reshape(self.lif.forward(x, ctx), (t * b, c, h, w))
         out = ops.batchnorm(self.conv.forward(s), self.bn, ctx.training)
-        if ctx.audit is not None:
-            ctx.audit.add_conv(self.name, s, self.conv, self.bn)
+        ctx.record(self.name, "conv", s, out, conv=self.conv, bn=self.bn)
         ho, wo = out.data.shape[2:]
         return reshape(out, (t, b, out.data.shape[1], ho, wo))
 
@@ -92,10 +90,8 @@ class Classifier(Module):
 
     def forward(self, x: Tensor, ctx: RunContext) -> Tensor:
         s = self.lif.forward(x, ctx)
-        if ctx.audit is not None:
-            ctx.audit.add_linear(self.name, s, self.fc)
         pooled = tensor_mean(s, axis=(3, 4))  # [T, B, D]
-        logits = self.fc.forward(pooled)  # [T, B, classes]
+        logits = ctx.record(self.name, "linear", s, self.fc.forward(pooled), fc=self.fc)  # [T, B, classes]
         return tensor_mean(logits, axis=0)
 
 
@@ -204,6 +200,12 @@ class DualSpikeNet(Module):
             entries.append((f"{s.name}.running_mean", s.running_mean))
             entries.append((f"{s.name}.running_var", s.running_var))
         return entries
+
+    def snapshot(self):
+        """`load_state` arguments holding the current state: a restore point, or a copy for a twin of another dtype."""
+        tensors = {name: arr.copy() for name, arr in self.state_tensors()}
+        emas = {e.name: (e.initialized, e.value) for e in self.rate_emas()}
+        return tensors, emas
 
     def load_state(self, tensors: dict, emas: dict):
         own = {name: arr for name, arr in self.state_tensors()}

@@ -49,45 +49,25 @@ def _pad_hw(x: np.ndarray, padding: int, value: float = 0.0) -> np.ndarray:
     return np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)), constant_values=value)
 
 
-def _im2col(x: np.ndarray, kh: int, kw: int, stride: int, padding: int, groups: int):
-    """[n,C,H,W] -> columns [n, groups, (C/g)*kh*kw, Ho*Wo]."""
+def _im2col(x: np.ndarray, k: int, groups: int):
+    """Non-overlapping k x k patches (stride k, no padding): [n,C,H,W] -> columns
+    [n, groups, (C/g)*k*k, Ho*Wo], a pure reshape/transpose."""
     n, c, h, w = x.shape
-    ho = conv_output_size(h, kh, stride, padding)
-    wo = conv_output_size(w, kw, stride, padding)
+    ho, wo = h // k, w // k
     cg = c // groups
-    if kh == 1 and kw == 1 and stride == 1 and padding == 0:
-        cols = x.reshape(n, groups, cg, ho * wo)
-    elif kh == stride and kw == stride and padding == 0 and h % kh == 0 and w % kw == 0:
-        # non-overlapping patchify: pure reshape/transpose
-        cols = x.reshape(n, c, ho, kh, wo, kw)
-        cols = cols.transpose(0, 1, 3, 5, 2, 4).reshape(n, groups, cg * kh * kw, ho * wo)
-    else:
-        xp = _pad_hw(x, padding)
-        win = sliding_window_view(xp, (kh, kw), axis=(2, 3))[:, :, ::stride, ::stride]
-        cols = win.transpose(0, 1, 4, 5, 2, 3).reshape(n, groups, cg * kh * kw, ho * wo)
-    return cols, ho, wo
+    if k == 1:
+        return x.reshape(n, groups, cg, ho * wo)
+    cols = x.reshape(n, c, ho, k, wo, k)
+    return cols.transpose(0, 1, 3, 5, 2, 4).reshape(n, groups, cg * k * k, ho * wo)
 
 
-def _col2im(cols: np.ndarray, xshape, kh, kw, stride, padding, groups):
-    """Adjoint of _im2col: scatter columns back to [n,C,H,W]."""
+def _col2im(cols: np.ndarray, xshape, k: int):
+    """Adjoint of _im2col: columns back to [n,C,H,W]."""
     n, c, h, w = xshape
-    cg = c // groups
-    ho = conv_output_size(h, kh, stride, padding)
-    wo = conv_output_size(w, kw, stride, padding)
-    if kh == 1 and kw == 1 and stride == 1 and padding == 0:
+    if k == 1:
         return cols.reshape(n, c, h, w)
-    if kh == stride and kw == stride and padding == 0 and h % kh == 0 and w % kw == 0:
-        six = cols.reshape(n, c, kh, kw, ho, wo)
-        return six.transpose(0, 1, 4, 2, 5, 3).reshape(n, c, h, w)
-    six = cols.reshape(n, c, kh, kw, ho, wo)
-    hp, wp = h + 2 * padding, w + 2 * padding
-    xp = np.zeros((n, c, hp, wp), dtype=cols.dtype)
-    for di in range(kh):
-        for dj in range(kw):
-            xp[:, :, di : di + stride * ho : stride, dj : dj + stride * wo : stride] += six[:, :, di, dj]
-    if padding:
-        return xp[:, :, padding : hp - padding, padding : wp - padding]
-    return xp
+    six = cols.reshape(n, c, k, k, h // k, w // k)
+    return six.transpose(0, 1, 4, 2, 5, 3).reshape(n, c, h, w)
 
 
 def conv2d(x: Tensor, weight: Tensor, stride: int = 1, padding: int = 0, groups: int = 1) -> Tensor:
@@ -123,7 +103,7 @@ def _conv2d_cols(x: Tensor, weight: Tensor, stride, padding, groups, ho, wo) -> 
     wg = wd.reshape(groups, og, cg * kh * kw)
 
     def col_t(src):
-        cols, _, _ = _im2col(src, kh, kw, stride, padding, groups)
+        cols = _im2col(src, kh, groups)
         return np.ascontiguousarray(cols.transpose(1, 2, 0, 3)).reshape(groups, cg * kh * kw, n * l)
 
     ct = col_t(xd)
@@ -137,7 +117,7 @@ def _conv2d_cols(x: Tensor, weight: Tensor, stride, padding, groups, ho, wo) -> 
         dcols = np.ascontiguousarray(
             dcols.reshape(groups, cg * kh * kw, n, l).transpose(2, 0, 1, 3)
         )
-        dx = _col2im(dcols, (n, c, h, w), kh, kw, stride, padding, groups)
+        dx = _col2im(dcols, (n, c, h, w), kh)
         return (dx, dw.reshape(wd.shape))
 
     return make_node(out, (x, weight), bw)

@@ -53,10 +53,6 @@ class no_grad:
         return False
 
 
-def grad_enabled() -> bool:
-    return _grad_enabled
-
-
 class Tensor:
     """Multi-dimensional float array with optional gradient tracking."""
 
@@ -161,11 +157,6 @@ class SpikeTensor(Tensor):
         super().__init__(data, requires_grad=requires_grad, dtype=dtype)
         if self.data.size and not bool(((self.data == 0.0) | (self.data == 1.0)).all()):
             raise ContractError("SpikeTensor values must be exactly 0 or 1")
-
-    def firing_rate(self) -> float:
-        if self.data.size == 0:
-            return 0.0
-        return float(self.data.mean())
 
 
 class Parameter(Tensor):

@@ -78,13 +78,6 @@ def evaluate(model: DualSpikeNet, images, labels, batch_size: int = 64) -> float
     return float((preds == np.asarray(labels)).mean())
 
 
-def _snapshot(model: DualSpikeNet):
-    """`load_state` arguments that put the model back to its current state."""
-    tensors = {name: arr.copy() for name, arr in model.state_tensors()}
-    emas = {e.name: (e.initialized, e.value) for e in model.rate_emas()}
-    return tensors, emas
-
-
 def train(
     model: DualSpikeNet,
     train_ds: Dataset,
@@ -108,7 +101,7 @@ def train(
             log_fh.write(json.dumps(record, sort_keys=True) + "\n")
             log_fh.flush()
 
-    snap = _snapshot(model)
+    snap = model.snapshot()
     ctx = RunContext(training=True)
     diverged = False
     stopped_early = False
@@ -142,7 +135,7 @@ def train(
                 break
 
             epochs_run = epoch + 1
-            snap = _snapshot(model)
+            snap = model.snapshot()
             rates = [e.value for e in model.rate_emas() if e.initialized]
             running_acc = correct / max(seen, 1)
             emit(

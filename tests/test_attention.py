@@ -154,7 +154,9 @@ class TestDualSpikeTransforms:
         cfg = DSSAConfig(d=2, height=1, width=2, p=1)
         mod = build_attention(cfg)
         with pytest.raises(ContractError):
-            AuditTrace().add_dst_t("attn", np.full((1, 1, 2, 1, 2), 0.5), mod.conv_map, mod.bn_map, cfg)
+            AuditTrace().record(
+                "attn", "dst_t", np.full((1, 1, 2, 1, 2), 0.5), None, conv=mod.conv_map, bn=mod.bn_map, cfg=cfg
+            )
 
     def test_attn_map_temporal_integration_oracle(self, monkeypatch):
         # all-ones tokens, d=3: rate 1, c1=1/sqrt(3), score (x @ x^T) = 3,

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dualspike import attention, audit, layers, tensor
 from dualspike.attention import DSSAConfig
 from dualspike.audit import (
     ENERGY_PER_SOP_PJ,
@@ -20,7 +21,7 @@ from dualspike.audit import (
     estimate_energy,
     verify_spike_driven,
 )
-from dualspike.layers import Conv2d, Linear
+from dualspike.layers import Conv2d, Linear, RunContext
 from dualspike.model import build
 from dualspike.tensor import ContractError, SpikeTensor
 
@@ -127,16 +128,18 @@ class TestTraceContract:
     def test_non_binary_spikes_rejected(self):
         trace = AuditTrace()
         with pytest.raises(ContractError, match="binary"):
-            trace.add_linear("x", np.array([0.5, 2.0, 0.0]), None)
+            trace.record("x", "linear", np.array([0.5, 2.0, 0.0]), None)
         with pytest.raises(ContractError, match="binary"):
-            trace.add_conv("x", np.array([[1.0, np.nan]]), None, None)
+            trace.record("x", "conv", np.array([[1.0, np.nan]]), None)
+        with pytest.raises(ContractError, match="binary"):
+            trace.record("x", "dst", np.ones((1, 2)), None, amap=np.array([[0.0, 0.5]]))
         assert trace.records == []
 
     def test_binary_spikes_stored_as_bool(self):
         trace = AuditTrace()
-        trace.add_linear("x", np.array([1.0, 0.0, 1.0], dtype=np.float32), None)
-        trace.add_linear("y", np.array([True, False]), None)
-        trace.add_linear("z", SpikeTensor(np.array([0.0, 1.0])), None)
+        trace.record("x", "linear", np.array([1.0, 0.0, 1.0], dtype=np.float32), None)
+        trace.record("y", "linear", np.array([True, False]), None)
+        trace.record("z", "linear", SpikeTensor(np.array([0.0, 1.0])), None)
         assert [r.spikes.tolist() for r in trace.records] == [[True, False, True], [True, False], [False, True]]
 
 
@@ -178,12 +181,88 @@ class TestAuditReport:
         assert rows[-1]["record"] == "totals"
         assert len(rows) == len(nano_report.rows) + 1
 
-    def test_table_renders(self, nano_report):
-        table = nano_report.to_table()
-        assert "GSOPs" in table and "stem" in table
+
+def calibrated_nano(seed):
+    """Nano whose BN statistics and rate EMAs come from one no-grad train-mode forward at BN
+    momentum 1, so every layer fires in eval mode (a fresh model's deep layers stay silent)."""
+    model = build("Nano", seed=seed)
+    states = model.bn_states()
+    for s in states:
+        s.momentum = 1.0
+    images = np.random.default_rng(seed).standard_normal((8, 3, 32, 32)).astype(np.float32)
+    with tensor.no_grad():
+        model.forward(images, RunContext(training=True))
+    for s in states:
+        s.momentum = 0.1
+    return model
+
+
+@pytest.fixture(scope="module")
+def calibrated():
+    model = calibrated_nano(3)
+    images = np.random.default_rng(5).standard_normal((1, 3, 32, 32)).astype(np.float32)
+    return model, images
+
+
+def failed_layers(report):
+    return [r["name"] for r in report.rows if not r["passed"]]
 
 
 class TestEventDrivenEquivalence:
+    def test_calibrated_nano_passes_with_every_layer_firing(self, calibrated):
+        model, images = calibrated
+        rows = audit_model(model, images).rows
+        assert all(r["spike_count"] > 0 for r in rows if r["kind"] != "stem")
+        report = verify_spike_driven(model, images, tolerance=1e-6)
+        assert report.passed
+        assert max(r["max_deviation"] for r in report.rows) <= 1e-6
+        assert [(r["name"], r["kind"]) for r in report.rows] == [(r["name"], r["kind"]) for r in rows[1:]]
+
+    def test_scaled_conv_output_fails(self, calibrated, monkeypatch):
+        model, images = calibrated
+        forward = layers.Conv2d.forward
+        monkeypatch.setattr(layers.Conv2d, "forward", lambda self, x: tensor.mul(forward(self, x), 1.5))
+        report = verify_spike_driven(model, images)
+        assert not report.passed
+        # every layer behind a conv fails; the classifier's current is not a conv output
+        assert failed_layers(report) == [r["name"] for r in report.rows if r["kind"] != "linear"]
+
+    def test_zeroed_attention_head_fails(self, calibrated, monkeypatch):
+        model, images = calibrated
+        product = attention.matmul
+        calls = []
+
+        def zero_one_head(a, b):
+            out = product(a, b)
+            calls.append(out.data.shape)
+            if len(calls) == 3:  # stage 2's score, after stage 1's score and value products
+                data = out.data.copy()
+                data[:, :, -1] = 0.0  # the last of its two heads
+                return tensor.Tensor(data)
+            return out
+
+        monkeypatch.setattr(attention, "matmul", zero_one_head)
+        report = verify_spike_driven(model, images)
+        assert not report.passed
+        assert failed_layers(report) == ["stage2.block0.attn.attn"]
+
+    @pytest.mark.parametrize("wrong", ["eps", "bias"])
+    def test_wrong_bn_fold_fails(self, calibrated, monkeypatch, wrong):
+        model, images = calibrated
+        fold = audit.fold_bn
+
+        def wrong_fold(weight, state, training=False):
+            if wrong == "bias":
+                folded, bias = fold(weight, state)
+                return folded, np.zeros_like(bias)
+            scale = state.gamma.data / np.sqrt(state.running_var)
+            return weight * scale[:, None, None, None], state.beta.data - state.running_mean * scale
+
+        monkeypatch.setattr(audit, "fold_bn", wrong_fold)
+        report = verify_spike_driven(model, images)
+        assert not report.passed
+        assert failed_layers(report) == [r["name"] for r in report.rows if r["kind"] != "linear"]
+
     def test_nano_passes(self):
         model = build("Nano", seed=1)
         rng = np.random.default_rng(11)

@@ -5,10 +5,12 @@ import json
 import numpy as np
 import pytest
 
+from dualspike import layers
 from dualspike.cli import main
 from dualspike.config import REGISTRY, canonical_model_text, config_digest
 from dualspike.data import SyntheticSpec, generate_split, load_dataset
 from dualspike.model import load_checkpoint
+from dualspike.tensor import mul
 
 TINY_TEXT = """\
 # small model for command tests
@@ -226,7 +228,18 @@ class TestTrainEvalAudit:
         np.testing.assert_allclose(
             totals["energy_mj_per_image"], totals["sops_giga_per_image"] * 0.9
         )
-        assert equiv == {"equivalence_passed": True, "tolerance": 1e-6}
+        assert equiv.pop("max_deviation") <= 1e-6
+        assert equiv == {"equivalence_passed": True, "tolerance": 1e-6, "failed_layers": []}
         file_rows = [json.loads(l) for l in rows_path.read_text().splitlines()]
         assert file_rows[-1]["record"] == "totals"
         assert sum(r.get("sops", 0) for r in file_rows[:-1]) == totals["sops_total"]
+
+    def test_audit_equivalence_failure_names_layers(self, capsys, monkeypatch):
+        forward = layers.Conv2d.forward
+        monkeypatch.setattr(layers.Conv2d, "forward", lambda self, x: mul(forward(self, x), 1.5))
+        code, out, _ = run(capsys, "audit", "--arch", "Nano", "--batch", "1", "--check-equivalence")
+        assert code == 1
+        equiv = json.loads(out.strip().splitlines()[-1])
+        assert equiv["equivalence_passed"] is False
+        assert equiv["max_deviation"] > 1e-6
+        assert "stage1.block0.ffn.gwl" in equiv["failed_layers"]

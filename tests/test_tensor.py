@@ -191,10 +191,6 @@ class TestSpikeTensor:
         with pytest.raises(ContractError):
             SpikeTensor(np.array([0.5]))
 
-    def test_firing_rate(self):
-        s = SpikeTensor(np.array([0.0, 1.0, 1.0, 0.0]))
-        assert s.firing_rate() == 0.5
-
     def test_take_step_preserves_class(self):
         s = SpikeTensor(np.array([[[0.0, 1.0]], [[1.0, 1.0]]]))
         step = take_step(s, 1)

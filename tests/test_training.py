@@ -23,7 +23,6 @@ from dualspike.model import DualSpikeNet, build, load_checkpoint
 from dualspike.tensor import CheckpointError, ConfigError, ContractError, Parameter, Tensor
 from dualspike.training import (
     AdamW,
-    _snapshot,
     cosine_lr,
     evaluate,
     train,
@@ -221,7 +220,7 @@ class TestTrainLoop:
 
     def test_snapshot_restore_round_trip(self):
         model = DualSpikeNet(TINY, seed=0)
-        snap = _snapshot(model)
+        snap = model.snapshot()
         for p in model.parameters():
             p.data += 1.0
         model.rate_emas()[0].initialized = True
