@@ -314,7 +314,8 @@ class EquivalenceReport:
 
 def verify_spike_driven(model, images, tolerance: float = 1e-6) -> EquivalenceReport:
     """Replay every audited synaptic layer event-driven against the current the forward computed,
-    on a float64 twin of the model (same tensors, statistics and rate EMAs)."""
+    on a float64 twin of the model (same tensors, statistics and rate EMAs). Each row carries the
+    layer's input spike count: a layer with none passes without adding a single weight row."""
     twin = build(model.config, dtype=np.float64)
     twin.load_state(*model.snapshot())
     trace = run_traced(twin, np.asarray(images))
@@ -327,5 +328,5 @@ def verify_spike_driven(model, images, tolerance: float = 1e-6) -> EquivalenceRe
         ok = dev <= tolerance
         passed = passed and ok
         rows.append({"record": "layer", "name": rec.name, "kind": rec.kind,
-                     "max_deviation": dev, "passed": ok})
+                     "spikes": int(rec.spikes.sum(dtype=np.int64)), "max_deviation": dev, "passed": ok})
     return EquivalenceReport(passed=passed, tolerance=tolerance, rows=rows)

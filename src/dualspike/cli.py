@@ -194,6 +194,7 @@ def cmd_audit(args) -> int:
             "tolerance": eq.tolerance,
             "max_deviation": max((r["max_deviation"] for r in eq.rows), default=0.0),
             "failed_layers": [r["name"] for r in eq.rows if not r["passed"]],
+            "silent_layers": [r["name"] for r in eq.rows if r["spikes"] == 0],
         })
         if not eq.passed:
             return 1

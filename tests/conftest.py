@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
 
+from dualspike import tensor
+from dualspike.layers import RunContext
+from dualspike.model import build
 from dualspike.tensor import Tensor, backward
 
 
@@ -43,3 +46,18 @@ def assert_grads_close(build_loss, leaves, atol=1e-7, rtol=1e-5):
     fd = fd_grad(lambda: float(build_loss().item()), [l.data for l in leaves])
     for a, f, leaf in zip(an, fd, leaves):
         np.testing.assert_allclose(a, f, atol=atol, rtol=rtol, err_msg=f"gradient mismatch for leaf {leaf!r}")
+
+
+def calibrated_nano(seed):
+    """Nano whose BN statistics and rate EMAs come from one no-grad train-mode forward at BN
+    momentum 1, so every layer fires in eval mode (a fresh model's deep layers stay silent)."""
+    model = build("Nano", seed=seed)
+    states = model.bn_states()
+    for s in states:
+        s.momentum = 1.0
+    images = np.random.default_rng(seed).standard_normal((8, 3, 32, 32)).astype(np.float32)
+    with tensor.no_grad():
+        model.forward(images, RunContext(training=True))
+    for s in states:
+        s.momentum = 0.1
+    return model

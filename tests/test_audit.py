@@ -21,9 +21,11 @@ from dualspike.audit import (
     estimate_energy,
     verify_spike_driven,
 )
-from dualspike.layers import Conv2d, Linear, RunContext
+from dualspike.layers import Conv2d, Linear
 from dualspike.model import build
 from dualspike.tensor import ContractError, SpikeTensor
+
+from conftest import calibrated_nano
 
 
 def conv_record(spikes, conv):
@@ -182,21 +184,6 @@ class TestAuditReport:
         assert len(rows) == len(nano_report.rows) + 1
 
 
-def calibrated_nano(seed):
-    """Nano whose BN statistics and rate EMAs come from one no-grad train-mode forward at BN
-    momentum 1, so every layer fires in eval mode (a fresh model's deep layers stay silent)."""
-    model = build("Nano", seed=seed)
-    states = model.bn_states()
-    for s in states:
-        s.momentum = 1.0
-    images = np.random.default_rng(seed).standard_normal((8, 3, 32, 32)).astype(np.float32)
-    with tensor.no_grad():
-        model.forward(images, RunContext(training=True))
-    for s in states:
-        s.momentum = 0.1
-    return model
-
-
 @pytest.fixture(scope="module")
 def calibrated():
     model = calibrated_nano(3)
@@ -217,6 +204,7 @@ class TestEventDrivenEquivalence:
         assert report.passed
         assert max(r["max_deviation"] for r in report.rows) <= 1e-6
         assert [(r["name"], r["kind"]) for r in report.rows] == [(r["name"], r["kind"]) for r in rows[1:]]
+        assert all(r["spikes"] > 0 for r in report.rows)
 
     def test_scaled_conv_output_fails(self, calibrated, monkeypatch):
         model, images = calibrated
@@ -262,6 +250,33 @@ class TestEventDrivenEquivalence:
         report = verify_spike_driven(model, images)
         assert not report.passed
         assert failed_layers(report) == [r["name"] for r in report.rows if r["kind"] != "linear"]
+
+    def test_conv_and_linear_replay_adds_equal_sops(self, calibrated, monkeypatch):
+        """The replay adds one table row of F floats per spike it gathers: count those scalar adds per
+        record and hold them against the closed-form SOP count of the same (twin) trace."""
+        model = calibrated[0]
+        images = np.random.default_rng(6).standard_normal((2, 3, 32, 32)).astype(np.float32)
+        traces, replaying, adds = [], [], {}
+        run_traced, spike_rows = audit.run_traced, audit._spike_rows
+
+        def keep_trace(*args):
+            traces.append(run_traced(*args))
+            return traces[-1]
+
+        def count_adds(mask, table):
+            adds[replaying[-1]] = adds.get(replaying[-1], 0) + int(np.count_nonzero(mask)) * table.shape[-1]
+            return spike_rows(mask, table)
+
+        monkeypatch.setattr(audit, "run_traced", keep_trace)
+        monkeypatch.setattr(audit, "_spike_rows", count_adds)
+        for kind, check in list(audit._CHECK_FNS.items()):
+            monkeypatch.setitem(audit._CHECK_FNS, kind, lambda rec, check=check: replaying.append(rec.name) or check(rec))
+        assert verify_spike_driven(model, images).passed
+        (trace,) = traces
+        records = [rec for rec in trace.records if rec.kind in ("conv", "linear")]
+        assert {rec.kind for rec in records} == {"conv", "linear"}
+        for rec in records:
+            assert adds[rec.name] == audit._SOP_FNS[rec.kind](rec) > 0, rec.name
 
     def test_nano_passes(self):
         model = build("Nano", seed=1)

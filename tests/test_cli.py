@@ -9,8 +9,10 @@ from dualspike import layers
 from dualspike.cli import main
 from dualspike.config import REGISTRY, canonical_model_text, config_digest
 from dualspike.data import SyntheticSpec, generate_split, load_dataset
-from dualspike.model import load_checkpoint
+from dualspike.model import load_checkpoint, save_checkpoint
 from dualspike.tensor import mul
+
+from conftest import calibrated_nano
 
 TINY_TEXT = """\
 # small model for command tests
@@ -229,10 +231,24 @@ class TestTrainEvalAudit:
             totals["energy_mj_per_image"], totals["sops_giga_per_image"] * 0.9
         )
         assert equiv.pop("max_deviation") <= 1e-6
+        # a fresh model's BN statistics silence its deep layers in eval mode
+        silent = equiv.pop("silent_layers")
+        stage3 = ["stage3.block0.attn.attn", "stage3.block0.attn.value", "stage3.block0.attn.proj",
+                  "stage3.block0.ffn.ffl1", "stage3.block0.ffn.gwl", "stage3.block0.ffn.ffl2"]
+        assert set(stage3 + ["classifier"]) <= set(silent)
         assert equiv == {"equivalence_passed": True, "tolerance": 1e-6, "failed_layers": []}
         file_rows = [json.loads(l) for l in rows_path.read_text().splitlines()]
         assert file_rows[-1]["record"] == "totals"
         assert sum(r.get("sops", 0) for r in file_rows[:-1]) == totals["sops_total"]
+
+    def test_audit_calibrated_checkpoint_has_no_silent_layers(self, capsys, tmp_path):
+        ckpt = str(tmp_path / "calibrated.dskc")
+        save_checkpoint(calibrated_nano(3), ckpt)
+        code, out, _ = run(capsys, "audit", "--checkpoint", ckpt, "--batch", "2", "--check-equivalence")
+        assert code == 0
+        equiv = json.loads(out.strip().splitlines()[-1])
+        assert equiv["equivalence_passed"] is True
+        assert equiv["silent_layers"] == []
 
     def test_audit_equivalence_failure_names_layers(self, capsys, monkeypatch):
         forward = layers.Conv2d.forward

@@ -1,6 +1,7 @@
 """Monte Carlo moment checks, conv-token equivalence, gradient checking."""
 
 import json
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -66,8 +67,9 @@ class TestMomentLaw:
             dst_moments_mc(0.5, 64, samples=4)
 
     def test_jobs_do_not_change_results(self):
-        a = dst_moments_mc(0.2, 64, samples=40_000, seed=3, jobs=1)
-        b = dst_moments_mc(0.2, 64, samples=40_000, seed=3, jobs=4)
+        a = dst_moments_mc(0.2, 64, samples=40_000, seed=3)
+        with ProcessPoolExecutor(max_workers=4) as pool:
+            b = dst_moments_mc(0.2, 64, samples=40_000, seed=3, pool=pool)
         assert (a.mean, a.variance, a.mean_stderr) == (b.mean, b.variance, b.mean_stderr)
 
     def test_seed_changes_samples(self):
@@ -86,13 +88,9 @@ class TestJobsContract:
 
     @pytest.mark.parametrize("jobs", [0, -1, 17])
     def test_out_of_range_rejected_before_any_pool(self, no_pool, jobs):
-        for sample in (
-            lambda: dst_moments_mc(0.2, 64, samples=1_000, jobs=jobs),
-            lambda: post_scale_variance(0.2, 64, samples=1_000, jobs=jobs),
-            lambda: sdsa_moments_mc(0.2, 0.4, 49, samples=1_000, jobs=jobs),
-        ):
+        for suite in ("theorem1", "scaling", "sdsa"):
             with pytest.raises(ContractError, match="jobs"):
-                sample()
+                run_suites([suite], samples=1_000, jobs=jobs)
 
     def test_bounds_accepted(self):
         assert verification.check_jobs(1) == 1
@@ -136,13 +134,14 @@ class TestSpikeProductAttention:
         assert rep.passed, rep.as_dict()
 
     def test_scaled_variance_near_one(self):
-        rep = sdsa_scaled_variance(0.2, 0.4, 196, samples=120_000, seed=0)
+        rep = sdsa_scaled_variance(sdsa_moments_mc(0.2, 0.4, 196, samples=120_000, seed=0), 0.2, 0.4, 196)
         assert rep.predicted_variance == 1.0
         assert 0.9 <= rep.variance <= 1.1
 
     def test_jobs_deterministic(self):
-        a = sdsa_moments_mc(0.3, 0.6, 49, samples=30_000, seed=5, jobs=1)
-        b = sdsa_moments_mc(0.3, 0.6, 49, samples=30_000, seed=5, jobs=2)
+        a = sdsa_moments_mc(0.3, 0.6, 49, samples=30_000, seed=5)
+        with ProcessPoolExecutor(max_workers=2) as pool:
+            b = sdsa_moments_mc(0.3, 0.6, 49, samples=30_000, seed=5, pool=pool)
         assert (a.mean, a.variance) == (b.mean, b.variance)
 
     def test_rate_contract(self):
@@ -263,3 +262,69 @@ class TestSuiteRunner:
 
     def test_registry_of_suites(self):
         assert set(SUITES) == {"theorem1", "scaling", "conv-equiv", "sdsa", "gradcheck"}
+
+
+class TestSuitePool:
+    SAMPLES = 3_200
+
+    @pytest.fixture
+    def pools(self, monkeypatch):
+        """Every process pool `verification` starts, with the number of times each was shut down."""
+        started = []
+
+        class Counting(ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                self.shutdowns = 0
+                started.append(self)
+
+            def shutdown(self, *args, **kwargs):
+                self.shutdowns += 1
+                super().shutdown(*args, **kwargs)
+
+        monkeypatch.setattr(verification, "ProcessPoolExecutor", Counting)
+        return started
+
+    def test_rows_equal_across_jobs(self):
+        one = run_suites(sorted(SUITES), samples=self.SAMPLES, seed=0, jobs=1)
+        two = run_suites(sorted(SUITES), samples=self.SAMPLES, seed=0, jobs=2)
+        assert one == two
+        assert repr(one) == repr(two)  # same Python scalar types, not only equal values
+
+    def test_one_pool_per_call(self, pools):
+        run_suites(["theorem1", "scaling", "sdsa"], samples=self.SAMPLES, jobs=2)
+        assert [p.shutdowns for p in pools] == [1]
+        assert pools[0]._max_workers == 2
+
+    @pytest.mark.parametrize("names, jobs", [(["theorem1", "scaling", "sdsa"], 1), (["conv-equiv", "gradcheck"], 2)])
+    def test_no_pool_without_parallel_draws(self, pools, names, jobs):
+        run_suites(names, samples=self.SAMPLES, jobs=jobs)
+        assert pools == []
+
+    def test_pool_shut_down_on_exception(self, pools, monkeypatch):
+        def broken(*args):
+            raise RuntimeError("scaled report broke")
+
+        monkeypatch.setattr(verification, "sdsa_scaled_variance", broken)
+        with pytest.raises(RuntimeError, match="scaled report broke"):
+            run_suites(["sdsa"], samples=self.SAMPLES, jobs=2)
+        assert [p.shutdowns for p in pools] == [1]
+
+    def test_scaled_sdsa_rows_reuse_the_unscaled_draws(self, monkeypatch):
+        chunk = verification._sdsa_chunk
+        calls = []
+
+        def counting(*args):
+            calls.append(args[1])
+            return chunk(*args)
+
+        monkeypatch.setattr(verification, "_sdsa_chunk", counting)
+        rows = run_suites(["sdsa"], samples=self.SAMPLES, seed=0)
+        cases = [r for r in rows if not r["case"]["scaled"]]
+        assert len(cases) == 2 and len(rows) == 4
+        assert len(calls) == 16 * len(cases)  # one pass over the 16 seed streams per case
+        assert sum(calls) == self.SAMPLES * len(cases)
+        for raw, scaled in zip(rows[::2], rows[1::2]):
+            scale = scaled["case"]["scale"]
+            assert scaled["samples"] == raw["samples"]
+            assert scaled["variance"] == raw["variance"] * scale * scale
