@@ -6,10 +6,12 @@ actually fire. Counts are computed in closed form from spike counts.
 
 Each synaptic layer hands the trace its input spikes and the current it
 computed: the batch-norm output of a conv, the two attention products before
-their scales, and the per-step classifier logits. The equivalence check runs
-the traced forward on a float64 twin of the model and replays every layer
-event-driven, adding only the (batch-norm-folded) weight rows that spikes
-select; the replay must match the currents the twin's forward computed.
+their scales, and the per-step classifier logits. The SOP count reads only
+the spikes, so its trace drops the currents. The equivalence check keeps
+them: it runs the traced forward on a float64 twin of the model and replays
+every layer event-driven, adding only the (batch-norm-folded) weight rows
+that spikes select; the replay must match the currents the twin's forward
+computed.
 
 The stem convolution sees real-valued input, so it is counted in MACs and
 reported separately, excluded from the headline SOP/energy totals. Residual
@@ -46,7 +48,7 @@ class LayerTrace:
     name: str
     kind: str  # stem | conv | linear | dst_t | dst
     spikes: np.ndarray  # bool, layout depends on kind
-    current: np.ndarray = None  # what the layer computed; None for the stem
+    current: np.ndarray = None  # what the layer computed; None for the stem and in a count-only trace
     conv: object = None
     bn: object = None
     fc: object = None
@@ -55,9 +57,11 @@ class LayerTrace:
 
 
 class AuditTrace:
-    """Collects per-synapse records during a forward pass."""
+    """Collects per-synapse records during a forward pass. Counting reads only the spikes, so each
+    layer's current is kept only when `currents` is set, as the equivalence check sets it."""
 
-    def __init__(self):
+    def __init__(self, currents: bool = False):
+        self.currents = currents
         self.records: list[LayerTrace] = []
 
     def _bool(self, spikes):
@@ -71,11 +75,13 @@ class AuditTrace:
         return arr.astype(bool)
 
     def record(self, name, kind, spikes, current, **layer):
-        """Append one layer: its input spikes (the stem's real input as given), the current it computed, its modules."""
+        """Append one layer: its input spikes (the stem's real input as given), the current it computed
+        if currents are kept, its modules."""
         spikes = np.asarray(spikes) if kind == "stem" else self._bool(spikes)
         if "amap" in layer:
             layer["amap"] = self._bool(layer["amap"])
-        self.records.append(LayerTrace(name, kind, spikes, None if current is None else current.data, **layer))
+        kept = current.data if self.currents and current is not None else None
+        self.records.append(LayerTrace(name, kind, spikes, kept, **layer))
 
 
 # -- SOP counting --------------------------------------------------------------
@@ -179,8 +185,9 @@ class AuditReport:
         return "\n".join(lines) + "\n"
 
 
-def run_traced(model, images) -> AuditTrace:
-    trace = AuditTrace()
+def run_traced(model, images, trace=None) -> AuditTrace:
+    """An eval-mode forward of `images` recorded into `trace` (a fresh count-only AuditTrace if None)."""
+    trace = AuditTrace() if trace is None else trace
     with no_grad():
         model.forward(np.asarray(images), RunContext(training=False, audit=trace))
     return trace
@@ -318,7 +325,7 @@ def verify_spike_driven(model, images, tolerance: float = 1e-6) -> EquivalenceRe
     layer's input spike count: a layer with none passes without adding a single weight row."""
     twin = build(model.config, dtype=np.float64)
     twin.load_state(*model.snapshot())
-    trace = run_traced(twin, np.asarray(images))
+    trace = run_traced(twin, np.asarray(images), AuditTrace(currents=True))
     rows = []
     passed = True
     for rec in trace.records:

@@ -26,23 +26,22 @@ from .data import SyntheticSpec, generate_split, load_dataset, save_dataset
 from .model import build, load_checkpoint, save_checkpoint
 from .tensor import ConfigError, ContractError, EngineError
 from .training import evaluate, train
-from .verification import SUITES, check_jobs, check_samples, run_suites
+from .verification import SUITES, check_fan_in, check_jobs, check_rate, check_samples, run_suites
 
 _ARCHES = ("Ti", "S", "M", "L", "Nano")
 
 
-def _jobs(text: str) -> int:
-    try:
-        return check_jobs(int(text))
-    except ContractError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
+def _checked(check, convert=int):
+    """An argparse type that converts the text and holds it to a verification `check`; a breach exits 2."""
 
+    def parse(text: str):
+        try:
+            return check(convert(text))
+        except ContractError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
 
-def _samples(text: str) -> int:
-    try:
-        return check_samples(int(text))
-    except ContractError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
+    parse.__name__ = convert.__name__  # argparse names it in "invalid float value: 'abc'"
+    return parse
 
 
 def _positive_int(text: str) -> int:
@@ -202,6 +201,8 @@ def cmd_audit(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.suite not in ("theorem1", "all") and (args.fx is not None or args.m is not None):
+        raise ConfigError(f"--fx and --m override the theorem1 grid; suite {args.suite!r} has none")
     names = sorted(SUITES) if args.suite == "all" else [args.suite]
     rows = run_suites(names, samples=args.samples, seed=args.seed, jobs=args.jobs, fx=args.fx, m=args.m)
     for row in rows:
@@ -280,11 +281,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="statistical and numerical verification")
     p.add_argument("suite", choices=sorted(SUITES) + ["all"])
-    p.add_argument("--samples", type=_samples, default=100_000, help="Monte Carlo draws per case (at least 16)")
+    p.add_argument("--samples", type=_checked(check_samples), default=100_000,
+                   help="Monte Carlo draws per case (at least 16)")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--jobs", type=_jobs, default=1, help="worker processes for the Monte Carlo suites (1-16)")
-    p.add_argument("--fx", type=float, help="override the firing-rate grid (theorem1)")
-    p.add_argument("--m", type=int, help="override the fan-in grid (theorem1)")
+    p.add_argument("--jobs", type=_checked(check_jobs), default=1,
+                   help="worker processes for the Monte Carlo suites (1-16)")
+    p.add_argument("--fx", type=_checked(check_rate, float), help="override the firing-rate grid, in (0, 1) (theorem1)")
+    p.add_argument("--m", type=_checked(check_fan_in), help="override the fan-in grid, at least 1 (theorem1)")
     p.add_argument("--out", help="JSONL case records")
     p.set_defaults(func=cmd_verify)
 

@@ -14,8 +14,11 @@ starts a pool itself. `run_suites` is the one place that does: a `verify` call
 at `jobs` > 1 starts at most one process pool, on its first Monte Carlo draw
 (so `conv-equiv` and `gradcheck` alone start none), and shuts it down when the
 call returns or raises. The scaled `sdsa` rows rescale the draws of the
-unscaled rows instead of drawing them again. On a 2-core machine the five
-suites at default samples take about 3.1 s at `jobs` 1 and 2.5 s at `jobs` 2.
+unscaled rows instead of drawing them again. Cases that share a seed and a
+shape always drew the same numbers, so they read one draw: `theorem1` draws
+once per fan-in for all its rates and both product forms, and the two
+`output` cases of `scaling` share one. On a 2-core machine the five suites at
+default samples take about 1.5 s at `jobs` 1 and 1.35 s at `jobs` 2.
 """
 
 from __future__ import annotations
@@ -80,6 +83,20 @@ def check_jobs(jobs: int) -> int:
     return jobs
 
 
+def check_rate(f_x: float) -> float:
+    """Return `f_x` if it is a non-degenerate firing rate, in (0, 1); NaN is not."""
+    if not 0.0 < f_x < 1.0:
+        raise ContractError(f"moment law needs a non-degenerate rate in (0, 1), got {f_x}")
+    return f_x
+
+
+def check_fan_in(m: int) -> int:
+    """Return `m` if the sampled product has at least one input."""
+    if m < 1:
+        raise ContractError(f"bad sampling plan: m={m}, need at least 1")
+    return m
+
+
 def check_samples(samples: int) -> int:
     """Return `samples` if it gives each of the _N_STREAMS seed streams a draw."""
     if samples < _N_STREAMS:
@@ -94,8 +111,6 @@ def _split_draws(total: int):
 
 def _run_chunk(task):
     chunk, seed_seq, draws, args = task
-    if draws == 0:
-        return np.empty(0), np.empty(0)
     return chunk(np.random.default_rng(seed_seq), draws, *args)
 
 
@@ -116,84 +131,103 @@ class _SuitePool:
             self._executor.shutdown()
 
 
-def _mc_moments(chunk, args, *, draws, seed, pool, predicted_mean, predicted_var, rtol=0.05) -> MCReport:
-    """Run chunk(rng, draws, *args) -> (entries, per-draw means) on each seed stream; pool the moments.
+def _mc_moments(chunk, args, *, draws, seed, pool, predicted) -> list[MCReport]:
+    """Run chunk(rng, draws, *args) on each seed stream and pool each of its readings' moments.
 
-    The draw budget is split over _N_STREAMS fixed seed streams, mapped over
+    The chunk returns one (entries, per-draw means) pair per reading, and
+    `predicted` holds one (mean, variance, variance rtol) per reading. The
+    draw budget is split over _N_STREAMS fixed seed streams, mapped over
     `pool` (anything with an executor's `map`; None runs them inline) and
-    collected in stream order, so the report is the same for every pool size.
+    collected in stream order, so the reports are the same for every pool size.
     """
     seeds = np.random.SeedSequence(seed).spawn(_N_STREAMS)
     tasks = [(chunk, s, d, args) for s, d in zip(seeds, _split_draws(draws))]
     chunks = list((map if pool is None else pool.map)(_run_chunk, tasks))
-    entries = np.concatenate([c[0] for c in chunks])
-    draw_means = np.concatenate([c[1] for c in chunks])
-    return MCReport(
-        samples=entries.size,
-        mean=float(entries.mean()),
-        mean_stderr=float(draw_means.std(ddof=1) / math.sqrt(draw_means.size)),
-        variance=float(entries.var()),
-        predicted_mean=predicted_mean,
-        predicted_variance=predicted_var,
-        variance_rtol=rtol,
-    )
+    reports = []
+    for i, (predicted_mean, predicted_var, rtol) in enumerate(predicted):
+        entries = np.concatenate([c[i][0] for c in chunks])
+        draw_means = np.concatenate([c[i][1] for c in chunks])
+        reports.append(MCReport(
+            samples=entries.size,
+            mean=float(entries.mean()),
+            mean_stderr=float(draw_means.std(ddof=1) / math.sqrt(draw_means.size)),
+            variance=float(entries.var()),
+            predicted_mean=predicted_mean,
+            predicted_variance=predicted_var,
+            variance_rtol=rtol,
+        ))
+    return reports
 
 
 # -- moment law for dual-spike currents ----------------------------------------
 
 
-def _dst_chunk(rng, draws, f_x, m, p, q, transposed):
-    x = (rng.random((draws, p, m)) < f_x).astype(np.float64)
-    if transposed:
-        z = rng.standard_normal((draws, q, m))  # rows of f(Y); contraction against columns
-        cur = np.matmul(x, z.swapaxes(-1, -2))
-    else:
-        z = rng.standard_normal((draws, m, q))
-        cur = np.matmul(x, z)
-    return cur.ravel(), cur.mean(axis=(1, 2))
+def _dst_chunk(rng, draws, m, q, readings):
+    """Draw spikes' uniforms [draws, q, m] and normals [draws, m, q] once; read them once per reading.
+
+    A reading (rate, transposed, scale) spikes where the uniforms fall below
+    `rate` and multiplies by the normals, or, transposed, by the same normals
+    laid out as rows of f(Y) [draws, q, m] and contracted against their
+    columns; the current is then times `scale`. Cases that share a seed and a
+    shape always drew these same numbers, so reading one draw changes no bit.
+    """
+    u = rng.random((draws, q, m))
+    z = rng.standard_normal((draws, m, q))
+    zt = z.reshape(draws, q, m).swapaxes(-1, -2)
+    out = []
+    for rate, transposed, scale in readings:
+        cur = np.matmul((u < rate).astype(np.float64), zt if transposed else z) * scale
+        out.append((cur.ravel(), cur.mean(axis=(1, 2))))
+    return out
+
+
+def _dst_mc(m, readings, predicted, *, q=4, samples, seed, pool) -> list[MCReport]:
+    """One report per (rate, transposed, scale) reading of the [q, m] x [m, q] products of one draw."""
+    return _mc_moments(
+        _dst_chunk, (m, q, readings), draws=max(_N_STREAMS, math.ceil(samples / (q * q))),
+        seed=seed, pool=pool, predicted=predicted,
+    )
+
+
+def _moment_law_mc(m, forms, *, q=4, samples, seed, pool) -> list[MCReport]:
+    """dst_moments_mc for each (f_x, transposed) form at fan-in m, in order, all read from one draw."""
+    for f_x, _ in forms:
+        check_rate(f_x)
+    check_fan_in(m)
+    if q < 1:
+        raise ContractError(f"bad sampling plan: q={q}, need at least 1")
+    check_samples(samples)
+    return _dst_mc(m, [(f_x, transposed, 1.0) for f_x, transposed in forms], [(0.0, f_x * m, 0.05) for f_x, _ in forms],
+                   q=q, samples=samples, seed=seed, pool=pool)
 
 
 def dst_moments_mc(
     f_x: float, m: int, q: int = 4, samples: int = 100_000, seed: int = 0, pool=None, transposed: bool = False
 ) -> MCReport:
     """Sample dual-spike currents and compare moments to (0, f_x * m)."""
-    if not 0.0 < f_x < 1.0:
-        raise ContractError(f"moment law needs a non-degenerate rate in (0, 1), got {f_x}")
-    if m < 1 or q < 1:
-        raise ContractError(f"bad sampling plan: m={m}, q={q}")
+    return _moment_law_mc(m, [(f_x, transposed)], q=q, samples=samples, seed=seed, pool=pool)[0]
+
+
+def _post_scale_mc(rates, fan_in, *, samples, seed, pool) -> list[MCReport]:
+    """post_scale_variance for each rate at `fan_in`, in order, all read from one draw."""
+    for rate in rates:
+        if not 0.0 < rate < 1.0:
+            raise ContractError(f"post-scale check needs a rate in (0, 1), got {rate}")
     check_samples(samples)
-    p = q
-    return _mc_moments(
-        _dst_chunk, (f_x, m, p, q, transposed), draws=max(_N_STREAMS, math.ceil(samples / (p * q))),
-        seed=seed, pool=pool, predicted_mean=0.0, predicted_var=f_x * m,
-    )
-
-
-def _scaled_chunk(rng, draws, rate, fan_in, p, q, scale):
-    x = (rng.random((draws, p, fan_in)) < rate).astype(np.float64)
-    z = rng.standard_normal((draws, fan_in, q))
-    cur = np.matmul(x, z) * scale
-    return cur.ravel(), cur.mean(axis=(1, 2))
+    readings = [(rate, False, dst_scale(rate, fan_in)) for rate in rates]
+    return _dst_mc(fan_in, readings, [(0.0, 1.0, 0.1)] * len(rates), samples=samples, seed=seed, pool=pool)
 
 
 def post_scale_variance(rate: float, fan_in: int, samples: int = 100_000, seed: int = 0, pool=None) -> MCReport:
     """Scaled current variance must land in [0.9, 1.1]."""
-    if not 0.0 < rate < 1.0:
-        raise ContractError(f"post-scale check needs a rate in (0, 1), got {rate}")
-    check_samples(samples)
-    scale = dst_scale(rate, fan_in)
-    p = q = 4
-    return _mc_moments(
-        _scaled_chunk, (rate, fan_in, p, q, scale), draws=max(_N_STREAMS, math.ceil(samples / (p * q))),
-        seed=seed, pool=pool, predicted_mean=0.0, predicted_var=1.0, rtol=0.1,
-    )
+    return _post_scale_mc([rate], fan_in, samples=samples, seed=seed, pool=pool)[0]
 
 
 def _sdsa_chunk(rng, draws, f_q, f_k, hw):
     qs = rng.random((draws, hw)) < f_q
     ks = rng.random((draws, hw)) < f_k
     cur = (qs & ks).sum(axis=1).astype(np.float64)
-    return cur, cur
+    return [(cur, cur)]
 
 
 def sdsa_moments_mc(f_q: float, f_k: float, hw: int, samples: int = 100_000, seed: int = 0, pool=None) -> MCReport:
@@ -205,8 +239,8 @@ def sdsa_moments_mc(f_q: float, f_k: float, hw: int, samples: int = 100_000, see
     prod = f_q * f_k
     return _mc_moments(
         _sdsa_chunk, (f_q, f_k, hw), draws=samples,
-        seed=seed, pool=pool, predicted_mean=prod * hw, predicted_var=hw * prod * (1.0 - prod),
-    )
+        seed=seed, pool=pool, predicted=[(prod * hw, hw * prod * (1.0 - prod), 0.05)],
+    )[0]
 
 
 def sdsa_scaled_variance(base: MCReport, f_q: float, f_k: float, hw: int) -> MCReport:
@@ -371,11 +405,16 @@ def _case(suite: str, case: dict, report_dict: dict, passed: bool) -> dict:
 def suite_theorem1(samples: int = 100_000, seed: int = 0, pool=None, fx=None, m=None):
     fx_grid = [fx] if fx is not None else [0.1, 0.3, 0.5]
     m_grid = [m] if m is not None else [64, 256]
+    forms = [(f, transposed) for f in fx_grid for transposed in (False, True)]
+    reports = {}
+    for mm in m_grid:  # every rate and form of one fan-in reads one draw
+        reps = _moment_law_mc(mm, forms, samples=samples, seed=seed, pool=pool)
+        reports.update({(f, mm, transposed): rep for (f, transposed), rep in zip(forms, reps)})
     rows = []
     for f in fx_grid:
         for mm in m_grid:
             for transposed in (False, True):
-                rep = dst_moments_mc(f, mm, samples=samples, seed=seed, pool=pool, transposed=transposed)
+                rep = reports[f, mm, transposed]
                 rows.append(_case("theorem1", {"f_x": f, "m": mm, "transposed": transposed}, rep.as_dict(), rep.passed))
     return rows
 
@@ -387,9 +426,10 @@ def suite_scaling(samples: int = 100_000, seed: int = 0, pool=None):
         var_ok = 0.9 <= rep.variance <= 1.1
         rows.append(_case("scaling", {"role": "attn_map", "rate": rate, "fan_in": d,
                                       "scale": attn_map_scale(rate, d)}, rep.as_dict(), var_ok))
-    for rate, hw, p in ((0.1, 784, 2), (0.25, 3136, 4)):
-        fan = hw // (p * p)
-        rep = post_scale_variance(rate, fan, samples=samples, seed=seed + 1, pool=pool)
+    outputs = ((0.1, 784, 2), (0.25, 3136, 4))
+    (fan,) = {hw // (p * p) for _, hw, p in outputs}  # both reduce to 196 tokens, so they read one draw
+    reps = _post_scale_mc([rate for rate, _, _ in outputs], fan, samples=samples, seed=seed + 1, pool=pool)
+    for (rate, hw, p), rep in zip(outputs, reps):
         var_ok = 0.9 <= rep.variance <= 1.1
         rows.append(_case("scaling", {"role": "output", "rate": rate, "hw": hw, "p": p,
                                       "scale": output_scale(rate, hw, p)}, rep.as_dict(), var_ok))

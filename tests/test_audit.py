@@ -183,6 +183,24 @@ class TestAuditReport:
         assert rows[-1]["record"] == "totals"
         assert len(rows) == len(nano_report.rows) + 1
 
+    def test_count_only_trace_keeps_no_currents(self, calibrated, monkeypatch):
+        """audit_model's trace holds no layer's current, and counts the same as a trace that keeps them."""
+        model, images = calibrated
+        run_traced, traces = audit.run_traced, []
+
+        def keep_trace(*args):
+            traces.append(run_traced(*args))
+            return traces[-1]
+
+        monkeypatch.setattr(audit, "run_traced", keep_trace)
+        report = audit_model(model, images)
+        monkeypatch.setattr(audit, "run_traced", lambda m, x: keep_trace(m, x, AuditTrace(currents=True)))
+        kept = audit_model(model, images)
+        count_only, with_currents = traces
+        assert all(rec.current is None for rec in count_only.records)
+        assert all(rec.current is not None for rec in with_currents.records if rec.kind != "stem")
+        assert report.rows == kept.rows and report.sops_total == kept.sops_total > 0
+
 
 @pytest.fixture(scope="module")
 def calibrated():

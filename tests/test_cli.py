@@ -159,6 +159,27 @@ class TestVerify:
         assert exc.value.code == 2
         assert "need at least 16" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--fx", "1.5", "non-degenerate rate in (0, 1)"),
+        ("--fx", "0", "non-degenerate rate in (0, 1)"),
+        ("--fx", "nan", "non-degenerate rate in (0, 1)"),
+        ("--fx", "abc", "invalid float value"),
+        ("--m", "0", "m=0, need at least 1"),
+        ("--m", "-3", "m=-3, need at least 1"),
+    ])
+    def test_grid_overrides_checked_at_parse(self, capsys, flag, value, message):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "theorem1", flag, value])
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("suite", ["scaling", "sdsa", "conv-equiv", "gradcheck"])
+    @pytest.mark.parametrize("flag, value", [("--fx", "0.5"), ("--m", "100")])
+    def test_grid_overrides_need_theorem1(self, capsys, suite, flag, value):
+        code, out, err = run(capsys, "verify", suite, flag, value)
+        assert code == 2 and out == ""
+        assert "override the theorem1 grid" in err
+
     def test_suite_choice_enforced(self):
         with pytest.raises(SystemExit) as exc:
             main(["verify", "nonsense"])

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from dualspike import verification
-
+from dualspike.attention import attn_map_scale, dst_scale, output_scale
 from dualspike.layers import Linear
 from dualspike.tensor import ContractError, ShapeError, Tensor, mul, tensor_mean as tmean
 from dualspike.verification import (
@@ -328,3 +328,122 @@ class TestSuitePool:
             scale = scaled["case"]["scale"]
             assert scaled["samples"] == raw["samples"]
             assert scaled["variance"] == raw["variance"] * scale * scale
+
+
+# Reference oracle: the per-case samplers as they were before cases shared a draw. Each case drew its
+# own uniforms and normals from the case's seed streams, so the suites' rows must equal rows built
+# one case at a time from these.
+
+
+def _oracle_dst_chunk(rng, draws, f_x, m, p, q, transposed):
+    x = (rng.random((draws, p, m)) < f_x).astype(np.float64)
+    if transposed:
+        z = rng.standard_normal((draws, q, m))  # rows of f(Y); contraction against columns
+        cur = np.matmul(x, z.swapaxes(-1, -2))
+    else:
+        z = rng.standard_normal((draws, m, q))
+        cur = np.matmul(x, z)
+    return cur.ravel(), cur.mean(axis=(1, 2))
+
+
+def _oracle_scaled_chunk(rng, draws, rate, fan_in, p, q, scale):
+    x = (rng.random((draws, p, fan_in)) < rate).astype(np.float64)
+    z = rng.standard_normal((draws, fan_in, q))
+    cur = np.matmul(x, z) * scale
+    return cur.ravel(), cur.mean(axis=(1, 2))
+
+
+def _oracle_report(chunk, args, samples, seed, predicted_var, rtol):
+    draws = max(16, -(-samples // 16))  # at least one draw per stream; p·q = 16 entries per draw
+    seeds = np.random.SeedSequence(seed).spawn(16)
+    base, rem = divmod(draws, 16)
+    chunks = [chunk(np.random.default_rng(s), base + (i < rem), *args) for i, s in enumerate(seeds)]
+    entries = np.concatenate([c[0] for c in chunks])
+    draw_means = np.concatenate([c[1] for c in chunks])
+    return MCReport(samples=entries.size, mean=float(entries.mean()),
+                    mean_stderr=float(draw_means.std(ddof=1) / np.sqrt(draw_means.size)),
+                    variance=float(entries.var()), predicted_mean=0.0, predicted_variance=predicted_var,
+                    variance_rtol=rtol)
+
+
+def _oracle_theorem1_rows(samples, seed, fx_grid=(0.1, 0.3, 0.5), m_grid=(64, 256)):
+    rows = []
+    for f in fx_grid:
+        for m in m_grid:
+            for transposed in (False, True):
+                rep = _oracle_report(_oracle_dst_chunk, (f, m, 4, 4, transposed), samples, seed, f * m, 0.05)
+                rows.append(verification._case("theorem1", {"f_x": f, "m": m, "transposed": transposed},
+                                               rep.as_dict(), rep.passed))
+    return rows
+
+
+def _oracle_scaling_rows(samples, seed):
+    rows = []
+    for rate, d in ((0.15, 64), (0.3, 256)):
+        rep = _oracle_report(_oracle_scaled_chunk, (rate, d, 4, 4, dst_scale(rate, d)), samples, seed, 1.0, 0.1)
+        rows.append(verification._case("scaling", {"role": "attn_map", "rate": rate, "fan_in": d,
+                                                   "scale": attn_map_scale(rate, d)},
+                                       rep.as_dict(), 0.9 <= rep.variance <= 1.1))
+    for rate, hw, p in ((0.1, 784, 2), (0.25, 3136, 4)):
+        fan = hw // (p * p)
+        rep = _oracle_report(_oracle_scaled_chunk, (rate, fan, 4, 4, dst_scale(rate, fan)), samples, seed + 1, 1.0, 0.1)
+        rows.append(verification._case("scaling", {"role": "output", "rate": rate, "hw": hw, "p": p,
+                                                   "scale": output_scale(rate, hw, p)},
+                                       rep.as_dict(), 0.9 <= rep.variance <= 1.1))
+    return rows
+
+
+class TestSharedDraws:
+    SAMPLES = 3_200
+
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_theorem1_rows_equal_per_case_oracle(self, seed):
+        rows = run_suites(["theorem1"], samples=self.SAMPLES, seed=seed)
+        oracle = _oracle_theorem1_rows(self.SAMPLES, seed)
+        assert rows == oracle
+        assert repr(rows) == repr(oracle)
+
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_scaling_rows_equal_per_case_oracle(self, seed):
+        rows = run_suites(["scaling"], samples=self.SAMPLES, seed=seed)
+        oracle = _oracle_scaling_rows(self.SAMPLES, seed)
+        assert rows == oracle
+        assert repr(rows) == repr(oracle)
+
+    def test_override_rows_unchanged(self):
+        rows = run_suites(["theorem1"], samples=30_000, seed=0, fx=0.5, m=100)
+        oracle = _oracle_theorem1_rows(30_000, 0, fx_grid=(0.5,), m_grid=(100,))
+        assert len(rows) == 2
+        assert repr(rows) == repr(oracle)
+
+    def test_single_reading_samplers_equal_oracle(self):
+        assert dst_moments_mc(0.3, 64, samples=self.SAMPLES, seed=2, transposed=True) == _oracle_report(
+            _oracle_dst_chunk, (0.3, 64, 4, 4, True), self.SAMPLES, 2, 0.3 * 64, 0.05)
+        assert post_scale_variance(0.2, 96, samples=self.SAMPLES, seed=2) == _oracle_report(
+            _oracle_scaled_chunk, (0.2, 96, 4, 4, dst_scale(0.2, 96)), self.SAMPLES, 2, 1.0, 0.1)
+
+    @pytest.mark.parametrize("suite, passes", [("theorem1", 2), ("scaling", 3)])
+    def test_one_pass_per_shared_draw(self, monkeypatch, suite, passes):
+        """theorem1 draws once per fan-in (2, not 12 cases); scaling's two output cases share a draw (3, not 4)."""
+        chunk = verification._dst_chunk
+        calls = []
+
+        def counting(*args):
+            calls.append(args[1])
+            return chunk(*args)
+
+        monkeypatch.setattr(verification, "_dst_chunk", counting)
+        run_suites([suite], samples=self.SAMPLES, seed=0)
+        assert len(calls) == 16 * passes
+        assert sum(calls) == passes * self.SAMPLES // 16
+
+    def test_multi_reading_validates_every_rate(self):
+        with pytest.raises(ContractError, match="non-degenerate"):
+            run_suites(["theorem1"], samples=self.SAMPLES, fx=1.5)
+        with pytest.raises(ContractError, match="bad sampling plan: m=0"):
+            run_suites(["theorem1"], samples=self.SAMPLES, m=0)
+        for bad in (0.0, 1.0, float("nan")):
+            with pytest.raises(ContractError, match="non-degenerate"):
+                verification._moment_law_mc(64, [(0.3, False), (bad, True)], samples=self.SAMPLES, seed=0, pool=None)
+            with pytest.raises(ContractError, match="post-scale"):
+                verification._post_scale_mc([0.2, bad], 196, samples=self.SAMPLES, seed=0, pool=None)
