@@ -91,8 +91,7 @@ def _train_cfg(args, file_values) -> TrainConfig:
 
 def _dataset_for(args, cfg, split: str):
     if getattr(args, "dataset", None):
-        ds = load_dataset(args.dataset)
-        return ds
+        return load_dataset(args.dataset)
     spec = SyntheticSpec(
         classes=cfg.num_classes,
         channels=cfg.in_channels,
@@ -152,19 +151,7 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     model = load_checkpoint(args.checkpoint)
-    if args.dataset:
-        ds = load_dataset(args.dataset)
-    else:
-        cfg = model.config
-        spec = SyntheticSpec(
-            classes=cfg.num_classes,
-            channels=cfg.in_channels,
-            height=cfg.input_height,
-            width=cfg.input_width,
-            noise=args.noise,
-            seed=args.data_seed,
-        )
-        ds = generate_split(spec, args.test_count, "test")
+    ds = _dataset_for(args, model.config, "test")
     acc = evaluate(model, ds.images, ds.labels, batch_size=args.batch_size)
     _print_json({"count": len(ds), "eval_acc": acc})
     return 0

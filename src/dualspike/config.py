@@ -2,14 +2,16 @@
 
 The on-disk config format is plain text, one `key = value` per line, `#`
 comments allowed. Unknown keys are a hard error: a typo must never silently
-train the wrong model. The canonical serialization (sorted keys, normalized
-values) is what checkpoint digests are computed over.
+train the wrong model. One table, `_MODEL_FIELDS`, maps each model key to its
+`ModelConfig` field and type; `model_config_from_values` and the canonical
+serialization both read it. The canonical serialization (sorted keys,
+normalized values) is what checkpoint digests are computed over.
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 from .neuron import LIFParams, SurrogateSpec
 from .tensor import ConfigError
@@ -22,6 +24,13 @@ class StemSpec:
     padding: int = 3
     pool: bool = True  # 3x3 stride-2 max pool, padding 1
 
+    def __post_init__(self):
+        if self.kernel < 1 or self.stride < 1 or self.padding < 0:
+            raise ConfigError(
+                f"stem needs kernel >= 1, stride >= 1 and padding >= 0, got "
+                f"kernel={self.kernel}, stride={self.stride}, padding={self.padding}"
+            )
+
 
 @dataclass(frozen=True)
 class StageSpec:
@@ -33,10 +42,11 @@ class StageSpec:
     blocks: int = 1
 
     def __post_init__(self):
+        for f in fields(self):
+            if getattr(self, f.name) < 1:
+                raise ConfigError(f"stage {f.name} must be >= 1, got {getattr(self, f.name)}")
         if self.d % self.heads:
             raise ConfigError(f"stage width d={self.d} not divisible by heads={self.heads}")
-        if self.blocks < 1:
-            raise ConfigError(f"stage needs at least one block, got {self.blocks}")
         if (self.d * self.expansion) % self.group_width:
             raise ConfigError(
                 f"stage hidden width {self.d * self.expansion} not divisible by group width {self.group_width}"
@@ -124,24 +134,26 @@ def registry_config(arch: str) -> ModelConfig:
 
 # -- text schema --------------------------------------------------------------
 
-_MODEL_KEYS = {
-    "arch": str,
-    "input_height": int,
-    "input_width": int,
-    "in_channels": int,
-    "num_classes": int,
-    "time_steps": int,
-    "stem_kernel": int,
-    "stem_stride": int,
-    "stem_padding": int,
-    "stem_pool": bool,
-    "stages": str,  # semicolon-separated d:heads:p:expansion:group_width:blocks
-    "tau": float,
-    "threshold": float,
-    "rest": float,
-    "surrogate_kind": str,
-    "surrogate_width": float,
+# key -> (part of ModelConfig, or None for a top-level field; field; type)
+_MODEL_FIELDS = {
+    "input_height": (None, "input_height", int),
+    "input_width": (None, "input_width", int),
+    "in_channels": (None, "in_channels", int),
+    "num_classes": (None, "num_classes", int),
+    "time_steps": (None, "time_steps", int),
+    "stem_kernel": ("stem", "kernel", int),
+    "stem_stride": ("stem", "stride", int),
+    "stem_padding": ("stem", "padding", int),
+    "stem_pool": ("stem", "pool", bool),
+    "stages": (None, "stages", str),  # semicolon-separated d:heads:p:expansion:group_width:blocks
+    "tau": ("lif", "tau", float),
+    "threshold": ("lif", "u_th", float),
+    "rest": ("lif", "u_rest", float),
+    "surrogate_kind": ("surrogate", "kind", str),
+    "surrogate_width": ("surrogate", "width", float),
 }
+
+_MODEL_KEYS = {"arch": str, **{key: kind for key, (_, _, kind) in _MODEL_FIELDS.items()}}
 
 _TRAIN_KEYS = {
     "epochs": int,
@@ -189,16 +201,19 @@ def parse_config_text(text: str) -> dict:
 
 
 def _parse_stages(raw: str) -> tuple:
+    names = [f.name for f in fields(StageSpec)]
     stages = []
     for part in raw.split(";"):
         part = part.strip()
         if not part:
             continue
-        fields = part.split(":")
-        if len(fields) != 6:
-            raise ConfigError(f"stage spec {part!r} must be d:heads:p:expansion:group_width:blocks")
-        d, heads, p, r, g, blocks = (int(f) for f in fields)
-        stages.append(StageSpec(d=d, heads=heads, p=p, expansion=r, group_width=g, blocks=blocks))
+        try:
+            numbers = [int(f) for f in part.split(":")]
+        except ValueError:
+            numbers = []
+        if len(numbers) != len(names):
+            raise ConfigError(f"stage spec {part!r} must be {':'.join(names)} integers")
+        stages.append(StageSpec(*numbers))
     if not stages:
         raise ConfigError("stages key present but empty")
     return tuple(stages)
@@ -207,46 +222,21 @@ def _parse_stages(raw: str) -> tuple:
 def model_config_from_values(values: dict) -> ModelConfig:
     """Build a ModelConfig from parsed key/values; `arch` seeds registry defaults."""
     cfg = registry_config(values["arch"]) if "arch" in values else None
-    if cfg is None:
-        if "stages" not in values:
-            raise ConfigError("config must provide either 'arch' or an explicit 'stages' line")
-        cfg = ModelConfig(
-            name="custom",
-            stages=_parse_stages(values["stages"]),
-            stem=StemSpec(),
-        )
-    updates = {}
-    stem_updates = {}
-    lif_updates = {}
-    surr_updates = {}
+    updates, parts = {}, {}
     for key, val in values.items():
-        if key == "arch":
-            continue
-        elif key == "stages":
-            updates["stages"] = _parse_stages(val)
-        elif key.startswith("stem_"):
-            stem_updates[key.removeprefix("stem_")] = val
-        elif key == "tau":
-            lif_updates["tau"] = val
-        elif key == "threshold":
-            lif_updates["u_th"] = val
-        elif key == "rest":
-            lif_updates["u_rest"] = val
-        elif key == "surrogate_kind":
-            surr_updates["kind"] = val
-        elif key == "surrogate_width":
-            surr_updates["width"] = val
-        elif key in _MODEL_KEYS:
-            updates[key] = val
-    if stem_updates:
-        updates["stem"] = replace(cfg.stem, **stem_updates)
-    if lif_updates:
-        updates["lif"] = replace(cfg.lif, **lif_updates)
-    if surr_updates:
-        updates["surrogate"] = replace(cfg.surrogate, **surr_updates)
-    if updates:
-        cfg = replace(cfg, **updates)
-    return cfg
+        if key not in _MODEL_FIELDS:
+            continue  # `arch` and the training keys
+        part, name, _ = _MODEL_FIELDS[key]
+        if key == "stages":
+            val = _parse_stages(val)
+        (updates if part is None else parts.setdefault(part, {}))[name] = val
+    if cfg is None:
+        if "stages" not in updates:
+            raise ConfigError("config must provide either 'arch' or an explicit 'stages' line")
+        cfg = ModelConfig(name="custom", stages=updates["stages"])
+    for part, changes in parts.items():
+        updates[part] = replace(getattr(cfg, part), **changes)
+    return replace(cfg, **updates) if updates else cfg
 
 
 def train_config_from_values(values: dict) -> TrainConfig:
@@ -254,29 +244,21 @@ def train_config_from_values(values: dict) -> TrainConfig:
     return TrainConfig(**kwargs)
 
 
+def _text_value(key: str, kind, value) -> str:
+    if key == "stages":
+        return ";".join(":".join(str(getattr(s, f.name)) for f in fields(s)) for s in value)
+    if kind is bool:
+        return str(value).lower()
+    return repr(value) if kind is float else str(value)
+
+
 def canonical_model_text(cfg: ModelConfig) -> str:
     """Normalized, sorted serialization; the checkpoint digest is taken over this."""
-    stages = ";".join(
-        f"{s.d}:{s.heads}:{s.p}:{s.expansion}:{s.group_width}:{s.blocks}" for s in cfg.stages
-    )
-    pairs = {
-        "in_channels": cfg.in_channels,
-        "input_height": cfg.input_height,
-        "input_width": cfg.input_width,
-        "num_classes": cfg.num_classes,
-        "rest": repr(cfg.lif.u_rest),
-        "stages": stages,
-        "stem_kernel": cfg.stem.kernel,
-        "stem_padding": cfg.stem.padding,
-        "stem_pool": str(cfg.stem.pool).lower(),
-        "stem_stride": cfg.stem.stride,
-        "surrogate_kind": cfg.surrogate.kind,
-        "surrogate_width": repr(cfg.surrogate.width),
-        "tau": repr(cfg.lif.tau),
-        "threshold": repr(cfg.lif.u_th),
-        "time_steps": cfg.time_steps,
-    }
-    return "\n".join(f"{k} = {v}" for k, v in sorted(pairs.items())) + "\n"
+    lines = []
+    for key, (part, name, kind) in sorted(_MODEL_FIELDS.items()):
+        value = getattr(cfg if part is None else getattr(cfg, part), name)
+        lines.append(f"{key} = {_text_value(key, kind, value)}")
+    return "\n".join(lines) + "\n"
 
 
 def config_digest(cfg: ModelConfig) -> str:

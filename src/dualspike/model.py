@@ -31,6 +31,32 @@ from .tensor import (
 )
 
 
+def stage_sizes(cfg: ModelConfig) -> list:
+    """(height, width) of each stage's feature map: stem conv, optional 3x3/2 pool, 3x3/2 downsamples.
+
+    A stem or downsample that does not fit, or a p that does not divide the map, is a ConfigError naming the stage.
+    """
+
+    def shrink(hw, where, kernel, stride, padding):
+        try:
+            return tuple(conv_output_size(s, kernel, stride, padding) for s in hw)
+        except ShapeError as exc:
+            raise ConfigError(f"{where}: {exc}") from None
+
+    stem = cfg.stem
+    hw = shrink((cfg.input_height, cfg.input_width), "stage 1 stem", stem.kernel, stem.stride, stem.padding)
+    if stem.pool:
+        hw = shrink(hw, "stage 1 stem pool", 3, 2, 1)
+    sizes = []
+    for i, spec in enumerate(cfg.stages):
+        if i > 0:
+            hw = shrink(hw, f"stage {i + 1} downsample", 3, 2, 1)
+        if hw[0] % spec.p or hw[1] % spec.p:
+            raise ConfigError(f"stage {i + 1}: patch size p={spec.p} must divide the {hw[0]}x{hw[1]} feature map")
+        sizes.append(hw)
+    return sizes
+
+
 class Stem(Module):
     """Entry conv + BN (+ optional 3x3/2 max pool) on each step's real input."""
 
@@ -43,14 +69,6 @@ class Stem(Module):
         self.bn = ops.BatchNormState(f"{name}.bn", cfg.stages[0].d, dtype=dtype)
         self.pool = spec.pool
         self.name = name
-
-    def out_size(self, h: int, w: int):
-        spec_out = lambda s: conv_output_size(s, self.conv.weight.data.shape[-1], self.conv.stride, self.conv.padding)
-        h, w = spec_out(h), spec_out(w)
-        if self.pool:
-            h = conv_output_size(h, 3, 2, 1)
-            w = conv_output_size(w, 3, 2, 1)
-        return h, w
 
     def forward(self, x: Tensor, ctx: RunContext) -> Tensor:
         t, b = x.data.shape[:2]
@@ -122,21 +140,12 @@ class DualSpikeNet(Module):
         rng = np.random.default_rng(seed)
         neuron = NeuronSpec(lif=cfg.lif, surrogate=cfg.surrogate)
 
-        stem = Stem("stem", cfg, rng=rng, dtype=dtype)
-        h, w = stem.out_size(cfg.input_height, cfg.input_width)
-        self.stage_sizes = []
-        self.body = [stem]
-        for i, spec in enumerate(cfg.stages):
+        self.stage_sizes = stage_sizes(cfg)
+        self.body = [Stem("stem", cfg, rng=rng, dtype=dtype)]
+        for i, (spec, (h, w)) in enumerate(zip(cfg.stages, self.stage_sizes)):
             if i > 0:
                 prev = cfg.stages[i - 1]
                 self.body.append(Downsample(f"stage{i + 1}.down", prev.d, spec.d, neuron, rng=rng, dtype=dtype))
-                h = conv_output_size(h, 3, 2, 1)
-                w = conv_output_size(w, 3, 2, 1)
-            if h % spec.p or w % spec.p:
-                raise ConfigError(
-                    f"stage {i + 1}: patch size p={spec.p} must divide the {h}x{w} feature map"
-                )
-            self.stage_sizes.append((h, w))
             attn_cfg = DSSAConfig(d=spec.d, height=h, width=w, p=spec.p, heads=spec.heads)
             ffn_cfg = GWSFFNConfig(d=spec.d, expansion=spec.expansion, group_width=spec.group_width)
             self.body.extend(

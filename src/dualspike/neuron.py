@@ -43,6 +43,9 @@ class LIFParams:
     u_rest: float = 0.0
 
     def __post_init__(self):
+        for name in ("tau", "u_th", "u_rest"):
+            if not np.isfinite(getattr(self, name)):
+                raise ConfigError(f"LIF {name} must be finite, got {getattr(self, name)}")
         if self.tau < 1.0:
             raise ConfigError(f"membrane time constant must be >= 1, got {self.tau}")
         if not self.u_th > self.u_rest:
@@ -57,8 +60,8 @@ class SurrogateSpec:
     def __post_init__(self):
         if self.kind not in SURROGATE_KINDS:
             raise ConfigError(f"unknown surrogate kind {self.kind!r}; expected one of {SURROGATE_KINDS}")
-        if self.width <= 0:
-            raise ConfigError(f"surrogate width must be positive, got {self.width}")
+        if not (np.isfinite(self.width) and self.width > 0):
+            raise ConfigError(f"surrogate width must be positive and finite, got {self.width}")
 
 
 @dataclass

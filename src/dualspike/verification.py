@@ -34,7 +34,7 @@ from .attention import DSSAConfig, attn_map_scale, dst_scale, output_scale, sdsa
 from .config import REGISTRY
 from .ffn import GWSFFNConfig
 from .layers import RunContext
-from .model import DualSpikeBlock, NeuronSpec
+from .model import DualSpikeBlock, NeuronSpec, stage_sizes
 from .tensor import ContractError, ShapeError, Tensor, backward, mul, tensor_mean
 
 _N_STREAMS = 16  # fixed decomposition; --jobs never changes results
@@ -438,16 +438,9 @@ def suite_scaling(samples: int = 100_000, seed: int = 0, pool=None):
 
 def registry_patch_cases():
     """Unique (spatial, p, channels) combos across registry stage entries."""
-    cases = set()
-    for cfg in REGISTRY.values():
-        size = ops.conv_output_size(cfg.input_height, cfg.stem.kernel, cfg.stem.stride, cfg.stem.padding)
-        if cfg.stem.pool:
-            size = ops.conv_output_size(size, 3, 2, 1)
-        for i, st in enumerate(cfg.stages):
-            if i > 0:
-                size = ops.conv_output_size(size, 3, 2, 1)
-            cases.add((size, st.p, st.d))
-    return sorted(cases)
+    return sorted({
+        (size, st.p, st.d) for cfg in REGISTRY.values() for (size, _), st in zip(stage_sizes(cfg), cfg.stages)
+    })
 
 
 def suite_conv_equiv(seed: int = 0):
