@@ -11,6 +11,7 @@ normalized values) is what checkpoint digests are computed over.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, field, fields, replace
 
 from .neuron import LIFParams, SurrogateSpec
@@ -89,6 +90,10 @@ class TrainConfig:
     def __post_init__(self):
         if self.epochs < 1 or self.batch_size < 1:
             raise ConfigError("epochs and batch_size must be positive")
+        for name in ("lr", "lr_min", "weight_decay", "target_train_acc"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ConfigError(f"training {name} must be finite, got {value}")
         if self.lr <= 0 or self.lr_min < 0 or self.lr_min > self.lr:
             raise ConfigError(f"need 0 <= lr_min <= lr, got lr={self.lr}, lr_min={self.lr_min}")
         if self.weight_decay < 0:

@@ -71,6 +71,15 @@ class FiringRateEMA:
         return self.value
 
     def observe(self, batch_rate: float, training: bool) -> float:
+        """The rate to scale by: the updated EMA in training, the stored value at eval.
+
+        An uninitialized estimator at eval returns `batch_rate`, the rate observed
+        over the whole forward batch, so each image's output then depends on the
+        other images in it. `DualSpikeNet.predict` therefore forwards each caller
+        batch whole while any estimator is uninitialized: the fallback reads the
+        rate of the whole caller batch, not of a 2-3 image chunk, and the classes
+        do not depend on how the batch would be chunked.
+        """
         if training:
             return self.update(batch_rate)
         if self.initialized:

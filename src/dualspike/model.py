@@ -4,6 +4,20 @@ Feature maps flow between modules as real-valued currents shaped
 [T, B, C, H, W]; every module re-spikes its input through its own LIF layer.
 Images enter by direct encoding (the same frame repeated at every step) and
 leave as per-step logits averaged over the time axis.
+
+`predict` takes the caller's `batch_size` images at a time and forwards each
+such batch in near-equal chunks of 2-3 images (EVAL_CHUNK_IMAGES sets the
+count). At batch 64 the FFN's hidden activation in Nano's stage 1 is about
+134 MB, which glibc maps, faults in and unmaps afresh for every op; a
+chunk's activations stay in cache. In
+eval mode BN reads its running statistics and attention its rate EMAs, so an
+image's logits do not depend on the other images of its forward, and the
+chunks give the bits of one whole-batch forward. A batch of more than one
+image is never cut into one-image chunks: a one-image forward lands on
+OpenBLAS's small-matrix kernel, which rounds differently. While any rate EMA
+is uninitialized, eval attention scales by the rate observed over the batch
+it sees, which couples the images, so the caller batch is then forwarded
+whole.
 """
 
 from __future__ import annotations
@@ -29,6 +43,8 @@ from .tensor import (
     reshape,
     tensor_mean,
 )
+
+EVAL_CHUNK_IMAGES = 2  # images per chunk of a predict forward (2-3); keeps each activation in cache
 
 
 def stage_sizes(cfg: ModelConfig) -> list:
@@ -187,15 +203,28 @@ class DualSpikeNet(Module):
         return x
 
     def predict(self, images, batch_size: int = 64) -> np.ndarray:
-        """Class predictions without tape recording."""
+        """Class predictions without tape recording, `batch_size` images per caller batch.
+
+        Each caller batch of m images is forwarded in max(1, m // EVAL_CHUNK_IMAGES)
+        near-equal chunks, whose logits equal one forward of the batch bit for bit.
+        While a rate EMA is uninitialized, its eval fallback reads the observed rate of
+        the whole caller batch, so that batch is one chunk: chunking would change the
+        rate each image is scaled by.
+        """
         if batch_size < 1:
             raise ContractError(f"batch size must be at least 1, got {batch_size}")
         images = np.asarray(images)
+        independent = all(e.initialized for e in self.rate_emas())
         outs = []
         with no_grad():
             for i in range(0, images.shape[0], batch_size):
-                logits = self.forward(images[i : i + batch_size], RunContext(training=False))
-                outs.append(np.argmax(logits.data, axis=1))
+                batch = images[i : i + batch_size]
+                m = batch.shape[0]
+                chunks = max(1, m // EVAL_CHUNK_IMAGES) if independent else 1
+                bounds = [m * k // chunks for k in range(chunks + 1)]  # sizes differ by one image at most
+                for lo, hi in zip(bounds, bounds[1:]):
+                    logits = self.forward(batch[lo:hi], RunContext(training=False))
+                    outs.append(np.argmax(logits.data, axis=1))
         return np.concatenate(outs) if outs else np.empty(0, dtype=np.int64)
 
     # -- state -----------------------------------------------------------

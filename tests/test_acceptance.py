@@ -6,9 +6,11 @@ The training criterion builds and fits the Nano model from scratch and takes
 a few minutes of CPU time; everything else finishes in seconds.
 """
 
+import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 
@@ -151,10 +153,14 @@ def test_criterion_8_desk_scale_learning():
 
 
 def test_criterion_9_cli_determinism(tmp_path):
+    # the subprocess imports this checkout's package, whatever PYTHONPATH the test run inherited
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
     def run(args):
         proc = subprocess.run(
             [sys.executable, "-m", "dualspike.cli", *args],
-            capture_output=True, check=True,
+            capture_output=True, check=True, env=env,
         )
         return proc.stdout
 

@@ -15,6 +15,7 @@ from dualspike.config import (
     config_digest,
     model_config_from_values,
     parse_config_text,
+    train_config_from_values,
 )
 from dualspike.model import stage_sizes
 from dualspike.neuron import LIFParams, SurrogateSpec
@@ -166,3 +167,20 @@ def test_lif_params_reject_non_finite(name, value):
 def test_surrogate_width_rejects_non_finite(value):
     with pytest.raises(ConfigError, match="finite"):
         SurrogateSpec(width=value)
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("key", ["lr", "lr_min", "weight_decay", "target_train_acc"])
+def test_train_config_text_rejects_non_finite(key, value):
+    with pytest.raises(ConfigError, match=f"training {key} must be finite"):
+        train_config_from_values(parse_config_text(f"{key} = {value}\n"))
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("flag,key", [("--lr", "lr"), ("--target-acc", "target_train_acc")])
+def test_train_flags_reject_non_finite(capsys, flag, key, value):
+    # a tiny run, so that a value the check lets through costs one short epoch
+    code = main(["train", "--arch", "Nano", "--epochs=1", "--train-count=2", "--test-count=2", f"{flag}={value}"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("config error:") and f"training {key} must be finite" in err

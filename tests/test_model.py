@@ -5,8 +5,10 @@ import zlib
 
 import numpy as np
 import pytest
+from conftest import calibrated_nano
 
 from dualspike.config import REGISTRY, ModelConfig, StageSpec, StemSpec, registry_config
+from dualspike.data import SyntheticSpec, generate_split
 from dualspike.layers import RunContext
 from dualspike.model import (
     DualSpikeNet,
@@ -16,7 +18,7 @@ from dualspike.model import (
     save_checkpoint,
     serialize_checkpoint,
 )
-from dualspike.tensor import CheckpointError, ConfigError, ContractError, ShapeError
+from dualspike.tensor import CheckpointError, ConfigError, ContractError, ShapeError, no_grad
 
 
 def closed_form_params(cfg: ModelConfig) -> int:
@@ -144,6 +146,49 @@ class TestForwardSurface:
         imgs = rng.standard_normal((3, 2, 8, 8)).astype(np.float32)
         with pytest.raises(ContractError, match="batch size"):
             model.predict(imgs, batch_size=batch_size)
+
+
+def recorded_predict(model, images, batch_size):
+    """`predict`'s classes and the logits of each forward it made, in order."""
+    logits, forward = [], model.forward
+
+    def recording(x, ctx=None):
+        out = forward(x, ctx)
+        logits.append(out.data)
+        return out
+
+    model.forward = recording
+    try:
+        classes = model.predict(images, batch_size=batch_size)
+    finally:
+        del model.forward
+    return classes, logits
+
+
+class TestChunkedPredict:
+    """`predict` forwards each caller batch in chunks of 2-3 images; the bits must not move."""
+
+    def test_chunked_logits_equal_whole_batch_forward(self):
+        model = calibrated_nano(0)
+        images = generate_split(SyntheticSpec(seed=0, noise=0.3), 65, "test").images
+        with no_grad():
+            whole = model.forward(images, RunContext(training=False)).data
+        for batch in (2, 3, 5, 8, 16, 32, 64, 65):
+            classes, logits = recorded_predict(model, images[:batch], batch)
+            assert np.array_equal(np.concatenate(logits), whole[:batch]), batch
+            assert np.array_equal(classes, np.argmax(whole[:batch], axis=1)), batch
+            assert all(2 <= len(chunk) <= 3 for chunk in logits), (batch, [len(c) for c in logits])
+
+    def test_uninitialized_rate_ema_keeps_caller_batch_whole(self):
+        # eval attention scales by the observed rate of the batch it sees, so chunks would change classes
+        model = build("Nano", seed=3)
+        assert not any(e.initialized for e in model.rate_emas())
+        images = generate_split(SyntheticSpec(seed=3, noise=0.3), 64, "test").images[:16]
+        with no_grad():
+            whole = model.forward(images, RunContext(training=False)).data
+        classes, logits = recorded_predict(model, images, 16)
+        assert np.array_equal(classes, np.argmax(whole, axis=1))
+        assert len(logits) == 1
 
 
 def trained_tiny(rng, seed=2, dtype=np.float32):
