@@ -151,6 +151,12 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     model = load_checkpoint(args.checkpoint)
+    if not all(e.initialized for e in model.rate_emas()):
+        print(
+            "warning: the checkpoint's firing-rate EMAs are uninitialized (as `build --out` writes them); eval "
+            "attention then scales by the rate of each batch, so the accuracy depends on --batch-size",
+            file=sys.stderr,
+        )
     ds = _dataset_for(args, model.config, "test")
     acc = evaluate(model, ds.images, ds.labels, batch_size=args.batch_size)
     _print_json({"count": len(ds), "eval_acc": acc})

@@ -98,6 +98,8 @@ class TrainConfig:
             raise ConfigError(f"need 0 <= lr_min <= lr, got lr={self.lr}, lr_min={self.lr_min}")
         if self.weight_decay < 0:
             raise ConfigError(f"weight decay must be >= 0, got {self.weight_decay}")
+        if self.target_train_acc is not None and not 0.0 <= self.target_train_acc <= 1.0:
+            raise ConfigError(f"training target_train_acc must lie in [0, 1], got {self.target_train_acc}")
 
 
 _IMAGENET_STEM = StemSpec(kernel=7, stride=2, padding=3, pool=True)

@@ -18,11 +18,25 @@ OpenBLAS's small-matrix kernel, which rounds differently. While any rate EMA
 is uninitialized, eval attention scales by the rate observed over the batch
 it sees, which couples the images, so the caller batch is then forwarded
 whole.
+
+The chunks run on one thread per usable core, with the bundled OpenBLAS
+pinned to one thread meanwhile (`_openblas_threads`). NumPy's loops release
+the GIL, and with a chunk's arrays in cache the threads no longer serialise on
+the page faults of fresh large arrays. The logits are the same bits at one and
+at two OpenBLAS threads. Where that library cannot be pinned the chunks run in
+the calling thread: threads that each drive a multi-threaded BLAS were slower
+than one thread.
 """
 
 from __future__ import annotations
 
+import ctypes
+import functools
+import glob
+import os
 import struct
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -45,6 +59,48 @@ from .tensor import (
 )
 
 EVAL_CHUNK_IMAGES = 2  # images per chunk of a predict forward (2-3); keeps each activation in cache
+_BLAS_PIN = threading.Lock()  # held while OpenBLAS is pinned, so overlapping calls restore the right count
+
+
+@functools.cache
+def _openblas_threads():
+    """(get, set) of the thread count of NumPy's bundled OpenBLAS, or None where either is not found."""
+    libs = sorted(glob.glob(os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs", "libscipy_openblas*")))
+    try:
+        lib = ctypes.CDLL(libs[0])
+        get_threads, set_threads = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
+    except (IndexError, OSError, AttributeError):
+        return None
+    get_threads.argtypes, get_threads.restype = [], ctypes.c_int
+    set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+    return get_threads, set_threads
+
+
+def _usable_cores() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _map_chunks(fn, chunks: list, workers: int) -> list:
+    """[fn(c) for c in chunks], on `workers` threads with OpenBLAS pinned to one thread.
+
+    Runs in the calling thread for one worker or where OpenBLAS cannot be pinned.
+    The saved thread count is restored once every worker has stopped, also when `fn` raises.
+    """
+    blas = _openblas_threads() if workers > 1 else None
+    if blas is None:
+        return [fn(c) for c in chunks]
+    get_threads, set_threads = blas
+    with _BLAS_PIN:
+        saved = get_threads()
+        set_threads(1)
+        try:
+            with ThreadPoolExecutor(max_workers=workers) as pool:
+                return list(pool.map(fn, chunks))
+        finally:
+            set_threads(saved)
 
 
 def stage_sizes(cfg: ModelConfig) -> list:
@@ -209,23 +265,29 @@ class DualSpikeNet(Module):
         near-equal chunks, whose logits equal one forward of the batch bit for bit.
         While a rate EMA is uninitialized, its eval fallback reads the observed rate of
         the whole caller batch, so that batch is one chunk: chunking would change the
-        rate each image is scaled by.
+        rate each image is scaled by, and the batches run one after another. Otherwise
+        the chunks of all caller batches run on min(usable cores, chunks) threads with
+        OpenBLAS pinned to one thread (`_map_chunks`), or in the calling thread where
+        that pin is not available.
         """
         if batch_size < 1:
             raise ContractError(f"batch size must be at least 1, got {batch_size}")
         images = np.asarray(images)
         independent = all(e.initialized for e in self.rate_emas())
-        outs = []
-        with no_grad():
-            for i in range(0, images.shape[0], batch_size):
-                batch = images[i : i + batch_size]
-                m = batch.shape[0]
-                chunks = max(1, m // EVAL_CHUNK_IMAGES) if independent else 1
-                bounds = [m * k // chunks for k in range(chunks + 1)]  # sizes differ by one image at most
-                for lo, hi in zip(bounds, bounds[1:]):
-                    logits = self.forward(batch[lo:hi], RunContext(training=False))
-                    outs.append(np.argmax(logits.data, axis=1))
+        chunks = []
+        for i in range(0, images.shape[0], batch_size):
+            batch = images[i : i + batch_size]
+            m = batch.shape[0]
+            n = max(1, m // EVAL_CHUNK_IMAGES) if independent else 1
+            bounds = [m * k // n for k in range(n + 1)]  # sizes differ by one image at most
+            chunks.extend(batch[lo:hi] for lo, hi in zip(bounds, bounds[1:]))
+        workers = min(_usable_cores(), len(chunks)) if independent else 1
+        with no_grad():  # the flag is a module global: set here once, read by every worker
+            outs = _map_chunks(self._classify, chunks, workers)
         return np.concatenate(outs) if outs else np.empty(0, dtype=np.int64)
+
+    def _classify(self, images) -> np.ndarray:
+        return np.argmax(self.forward(images, RunContext(training=False)).data, axis=1)
 
     # -- state -----------------------------------------------------------
 

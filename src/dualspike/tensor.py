@@ -7,6 +7,7 @@ topological order, and accumulates gradients into reachable leaves.
 
 from __future__ import annotations
 
+import threading
 import warnings
 
 import numpy as np
@@ -36,20 +37,30 @@ class CheckpointError(EngineError):
 
 
 _grad_enabled = True
+_no_grad_depth = 0  # open no_grad blocks over all threads; recording resumes when the last one closes
+_no_grad_lock = threading.Lock()
 
 
 class no_grad:
-    """Context manager that suspends tape recording (inference mode)."""
+    """Context manager that suspends tape recording (inference mode).
+
+    The flag is process-wide, so threads that a caller starts inside the block
+    see it too. Blocks may overlap across threads: each one counts itself in and
+    out, so an exit never restores a state another thread saved.
+    """
 
     def __enter__(self):
-        global _grad_enabled
-        self._prev = _grad_enabled
-        _grad_enabled = False
+        global _grad_enabled, _no_grad_depth
+        with _no_grad_lock:
+            _no_grad_depth += 1
+            _grad_enabled = False
         return self
 
     def __exit__(self, *exc):
-        global _grad_enabled
-        _grad_enabled = self._prev
+        global _grad_enabled, _no_grad_depth
+        with _no_grad_lock:
+            _no_grad_depth -= 1
+            _grad_enabled = _no_grad_depth == 0
         return False
 
 

@@ -1,3 +1,6 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -61,3 +64,18 @@ def calibrated_nano(seed):
     for s in states:
         s.momentum = 0.1
     return model
+
+
+def race(target, threads=4):
+    """Run `target` on `threads` threads at once, switching between them every microsecond; all must finish."""
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        workers = [threading.Thread(target=target) for _ in range(threads)]
+        for w in workers:
+            w.start()
+        for w in workers:
+            w.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(w.is_alive() for w in workers)

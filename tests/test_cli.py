@@ -216,6 +216,24 @@ class TestTrainEvalAudit:
         assert code == 0
         assert json.loads(out)["count"] == 12
 
+    def test_eval_warns_when_rate_emas_uninitialized(self, capsys, tmp_path, tiny_config):
+        ckpt = str(tmp_path / "fresh.dskc")
+        code, _, _ = run(capsys, "build", "--config", tiny_config, "--out", ckpt)
+        assert code == 0
+        code, out, err = run(capsys, "eval", "--checkpoint", ckpt, "--test-count", "12")
+        assert code == 0
+        assert json.loads(out)["count"] == 12
+        assert err.count("warning:") == 1
+        assert "firing-rate EMAs are uninitialized" in err and "--batch-size" in err
+
+    def test_eval_of_trained_checkpoint_does_not_warn(self, capsys, tmp_path):
+        ckpt = str(tmp_path / "calibrated.dskc")
+        save_checkpoint(calibrated_nano(3), ckpt)
+        code, out, err = run(capsys, "eval", "--checkpoint", ckpt, "--test-count", "4")
+        assert code == 0
+        assert json.loads(out)["count"] == 4
+        assert err == ""
+
     def test_train_returns_one_when_target_missed(self, capsys, tiny_config):
         code, out, _ = run(
             capsys, "train", "--config", tiny_config, "--batch-size", "8",

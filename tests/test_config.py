@@ -184,3 +184,23 @@ def test_train_flags_reject_non_finite(capsys, flag, key, value):
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith("config error:") and f"training {key} must be finite" in err
+
+
+@pytest.mark.parametrize("value", ["1.5", "-2.0", "1.0001", "-0.0001"])
+def test_train_config_text_rejects_target_acc_out_of_range(value):
+    with pytest.raises(ConfigError, match=r"training target_train_acc must lie in \[0, 1\]"):
+        train_config_from_values(parse_config_text(f"target_train_acc = {value}\n"))
+
+
+@pytest.mark.parametrize("value", ["0", "0.5", "1"])
+def test_train_config_accepts_target_acc_in_range(value):
+    cfg = train_config_from_values(parse_config_text(f"target_train_acc = {value}\n"))
+    assert cfg.target_train_acc == float(value)
+
+
+@pytest.mark.parametrize("value", ["1.5", "-2.0"])
+def test_target_acc_flag_rejects_out_of_range(capsys, value):
+    code = main(["train", "--arch", "Nano", "--epochs=1", "--train-count=2", "--test-count=2", f"--target-acc={value}"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("config error:") and "training target_train_acc must lie in [0, 1]" in err

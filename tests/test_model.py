@@ -1,12 +1,15 @@
 """Network assembly: registry, parameter budget, spatial plan, checkpoints."""
 
 import struct
+import threading
+import time
 import zlib
 
 import numpy as np
 import pytest
-from conftest import calibrated_nano
+from conftest import calibrated_nano, race
 
+from dualspike import model as model_module
 from dualspike.config import REGISTRY, ModelConfig, StageSpec, StemSpec, registry_config
 from dualspike.data import SyntheticSpec, generate_split
 from dualspike.layers import RunContext
@@ -18,7 +21,7 @@ from dualspike.model import (
     save_checkpoint,
     serialize_checkpoint,
 )
-from dualspike.tensor import CheckpointError, ConfigError, ContractError, ShapeError, no_grad
+from dualspike.tensor import CheckpointError, ConfigError, ContractError, ShapeError, Tensor, no_grad
 
 
 def closed_form_params(cfg: ModelConfig) -> int:
@@ -149,12 +152,16 @@ class TestForwardSurface:
 
 
 def recorded_predict(model, images, batch_size):
-    """`predict`'s classes and the logits of each forward it made, in order."""
-    logits, forward = [], model.forward
+    """`predict`'s classes, the logits of each forward it made in image order, and the ids of the threads that ran them.
+
+    Workers may finish their chunks in any order, so each forward is placed by the row of `images` its input starts at.
+    """
+    forwards, forward = [], model.forward
 
     def recording(x, ctx=None):
         out = forward(x, ctx)
-        logits.append(out.data)
+        first = next(i for i in range(len(images)) if np.array_equal(images[i : i + len(x)], x))
+        forwards.append((first, out.data, threading.get_ident()))
         return out
 
     model.forward = recording
@@ -162,7 +169,13 @@ def recorded_predict(model, images, batch_size):
         classes = model.predict(images, batch_size=batch_size)
     finally:
         del model.forward
-    return classes, logits
+    forwards.sort(key=lambda f: f[0])
+    return classes, [logits for _, logits, _ in forwards], {thread for _, _, thread in forwards}
+
+
+def bundled_openblas():
+    """Whether NumPy was built against the scipy-openblas wheel, whose thread count `predict` pins."""
+    return np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"].startswith("scipy-openblas")
 
 
 class TestChunkedPredict:
@@ -174,7 +187,7 @@ class TestChunkedPredict:
         with no_grad():
             whole = model.forward(images, RunContext(training=False)).data
         for batch in (2, 3, 5, 8, 16, 32, 64, 65):
-            classes, logits = recorded_predict(model, images[:batch], batch)
+            classes, logits, _ = recorded_predict(model, images[:batch], batch)
             assert np.array_equal(np.concatenate(logits), whole[:batch]), batch
             assert np.array_equal(classes, np.argmax(whole[:batch], axis=1)), batch
             assert all(2 <= len(chunk) <= 3 for chunk in logits), (batch, [len(c) for c in logits])
@@ -186,9 +199,108 @@ class TestChunkedPredict:
         images = generate_split(SyntheticSpec(seed=3, noise=0.3), 64, "test").images[:16]
         with no_grad():
             whole = model.forward(images, RunContext(training=False)).data
-        classes, logits = recorded_predict(model, images, 16)
+        classes, logits, threads = recorded_predict(model, images, 16)
         assert np.array_equal(classes, np.argmax(whole, axis=1))
         assert len(logits) == 1
+        assert threads == {threading.get_ident()}
+
+
+@pytest.mark.skipif(not bundled_openblas(), reason="NumPy is not built against the bundled scipy-openblas")
+class TestThreadedPredict:
+    """The chunks run on one thread per core with OpenBLAS pinned to one thread, and the count comes back."""
+
+    IMAGES = generate_split(SyntheticSpec(seed=0, noise=0.3), 8, "test").images
+
+    @pytest.fixture
+    def two_cores(self, monkeypatch):
+        # the pinned path is taken on a one-core machine too
+        monkeypatch.setattr(model_module, "_usable_cores", lambda: 2)
+
+    def test_blas_thread_count_restored_after_return(self, two_cores):
+        get_threads, _ = model_module._openblas_threads()
+        before = get_threads()
+        model, seen = calibrated_nano(0), []
+        forward = model.forward
+
+        def pinned(x, ctx=None):
+            seen.append(get_threads())
+            return forward(x, ctx)
+
+        model.forward = pinned
+        model.predict(self.IMAGES, batch_size=8)
+        assert seen == [1] * 4
+        assert get_threads() == before
+
+    def test_blas_thread_count_restored_after_raise(self, two_cores):
+        get_threads, _ = model_module._openblas_threads()
+        before = get_threads()
+        model, calls = calibrated_nano(0), []
+        forward = model.forward
+
+        def failing(x, ctx=None):
+            calls.append(len(x))
+            if len(calls) == 2:
+                raise RuntimeError("forward failed")
+            return forward(x, ctx)
+
+        model.forward = failing
+        with pytest.raises(RuntimeError, match="forward failed"):
+            model.predict(self.IMAGES, batch_size=8)
+        assert get_threads() == before
+
+    def test_without_pin_chunks_run_in_calling_thread(self, two_cores, monkeypatch):
+        model = calibrated_nano(0)
+        threaded = model.predict(self.IMAGES, batch_size=8)
+        monkeypatch.setattr(model_module, "_openblas_threads", lambda: None)
+        classes, logits, threads = recorded_predict(model, self.IMAGES, 8)
+        assert threads == {threading.get_ident()}
+        assert len(logits) == 4
+        assert np.array_equal(classes, threaded)
+
+    @staticmethod
+    def indexing_model(slow_first=0.0):
+        """A tiny net with initialized rate EMAs whose stub forward gives each image its index as its class.
+
+        The chunk holding image 0 sleeps `slow_first` seconds first. Returns the net and 16 images.
+        """
+        model = DualSpikeNet(TINY, seed=1)
+        for e in model.rate_emas():
+            e.initialized = True
+
+        def indexed(x, ctx=None):
+            first = int(x[0, 0, 0, 0])
+            if first == 0:
+                time.sleep(slow_first)
+            return Tensor(np.eye(16)[first : first + len(x)])
+
+        model.forward = indexed
+        return model, np.broadcast_to(np.arange(16.0)[:, None, None, None], (16, 2, 8, 8))
+
+    def test_classes_in_image_order_whatever_order_chunks_finish(self, two_cores):
+        model, images = self.indexing_model(slow_first=0.2)  # the first chunk finishes last
+        assert np.array_equal(model.predict(images, batch_size=8), np.arange(16))
+
+    def test_concurrent_predict_calls_restore_blas_thread_count(self, two_cores):
+        # more callers than cores, switching threads often: an unguarded save/restore leaves the pin behind
+        get_threads, _ = model_module._openblas_threads()
+        before = get_threads()
+        model, images = self.indexing_model()
+        results = []
+
+        def caller():
+            for _ in range(20):
+                results.append(model.predict(images, batch_size=8))
+
+        race(caller)
+        assert len(results) == 80 and all(np.array_equal(r, np.arange(16)) for r in results)
+        assert get_threads() == before
+
+    @pytest.mark.skipif(model_module._usable_cores() < 2, reason="needs two usable cores")
+    def test_chunks_run_on_several_threads(self):
+        # a silent fall-back to the calling thread fails here
+        _, logits, threads = recorded_predict(calibrated_nano(0), self.IMAGES, 8)
+        assert len(logits) == 4
+        assert len(threads) >= 2 and threading.get_ident() not in threads
 
 
 def trained_tiny(rng, seed=2, dtype=np.float32):

@@ -1,5 +1,7 @@
 """Tape engine: forward values, reverse-mode gradients, error contracts."""
 
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -26,7 +28,7 @@ from dualspike.tensor import (
     transpose,
 )
 
-from conftest import assert_grads_close
+from conftest import assert_grads_close, race
 
 
 def t(data, rg=True):
@@ -178,6 +180,17 @@ class TestErrorsAndModes:
         with no_grad():
             out = mul(a, a)
         assert out._parents == ()
+
+    def test_overlapping_no_grad_blocks_across_threads_resume_recording(self):
+        # a closing block must not restore a flag another thread set: recording resumes once all have closed
+        def blocks():
+            for _ in range(200):
+                with no_grad():
+                    time.sleep(0)  # lets another thread enter or leave its block meanwhile
+
+        race(blocks)
+        a = t([1.0, 2.0])
+        assert mul(a, a)._parents != ()
 
     def test_take_step_range_error(self):
         a = t(np.zeros((2, 3)))
