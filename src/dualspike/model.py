@@ -25,7 +25,10 @@ the GIL, and with a chunk's arrays in cache the threads no longer serialise on
 the page faults of fresh large arrays. The logits are the same bits at one and
 at two OpenBLAS threads. Where that library cannot be pinned the chunks run in
 the calling thread: threads that each drive a multi-threaded BLAS were slower
-than one thread.
+than one thread. They also run there while `DualSpikeNet.forward` is wrapped
+on the class, as a tracer or profiler does for every instance at once: such a
+wrapper usually keeps one stack of open calls per process, which overlapping
+forwards would corrupt.
 """
 
 from __future__ import annotations
@@ -87,7 +90,9 @@ def _map_chunks(fn, chunks: list, workers: int) -> list:
     """[fn(c) for c in chunks], on `workers` threads with OpenBLAS pinned to one thread.
 
     Runs in the calling thread for one worker or where OpenBLAS cannot be pinned.
-    The saved thread count is restored once every worker has stopped, also when `fn` raises.
+    The pin is process-wide for the length of the call: any other thread's BLAS
+    work meanwhile also runs on one thread. The saved thread count is restored once
+    every worker has stopped, also when `fn` raises.
     """
     blas = _openblas_threads() if workers > 1 else None
     if blas is None:
@@ -267,8 +272,10 @@ class DualSpikeNet(Module):
         the whole caller batch, so that batch is one chunk: chunking would change the
         rate each image is scaled by, and the batches run one after another. Otherwise
         the chunks of all caller batches run on min(usable cores, chunks) threads with
-        OpenBLAS pinned to one thread (`_map_chunks`), or in the calling thread where
-        that pin is not available.
+        OpenBLAS pinned to one thread, process-wide for the length of the call
+        (`_map_chunks`). They run in the calling thread where that pin is not available
+        or while `forward` is wrapped on the class (a tracer's wrapper keeps one stack of
+        open calls, which overlapping forwards would corrupt).
         """
         if batch_size < 1:
             raise ContractError(f"batch size must be at least 1, got {batch_size}")
@@ -281,7 +288,8 @@ class DualSpikeNet(Module):
             n = max(1, m // EVAL_CHUNK_IMAGES) if independent else 1
             bounds = [m * k // n for k in range(n + 1)]  # sizes differ by one image at most
             chunks.extend(batch[lo:hi] for lo, hi in zip(bounds, bounds[1:]))
-        workers = min(_usable_cores(), len(chunks)) if independent else 1
+        own_forward = type(self).forward is _FORWARD
+        workers = min(_usable_cores(), len(chunks)) if independent and own_forward else 1
         with no_grad():  # the flag is a module global: set here once, read by every worker
             outs = _map_chunks(self._classify, chunks, workers)
         return np.concatenate(outs) if outs else np.empty(0, dtype=np.int64)
@@ -330,6 +338,9 @@ class DualSpikeNet(Module):
             est = model_emas[name]
             est.initialized = bool(initialized)
             est.value = float(value)
+
+
+_FORWARD = DualSpikeNet.forward  # the package's own forward; `predict` runs a class-level wrapper serially
 
 
 def build(cfg_or_arch, *, dtype=np.float32, seed: int = 0) -> DualSpikeNet:

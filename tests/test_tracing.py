@@ -5,6 +5,7 @@ in the package must fail here, not in the next traced benchmark run.
 """
 
 import importlib.util
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -111,3 +112,38 @@ def test_tracer_install_times_a_step_and_uninstall_restores():
         "layer:stage1.block0.ffn.gwl",
         "layer:classifier",
     } <= names
+
+
+def test_traced_predict_forwards_its_chunks_one_after_another(monkeypatch):
+    # the tracer keeps one stack of open spans per process, so overlapping chunk forwards would corrupt it
+    monkeypatch.setattr(model, "_usable_cores", lambda: 2)  # threads would be used on a one-core machine too
+    spans = _load_spans()
+    net = DualSpikeNet(TWO_STAGE, seed=0)
+    images = np.random.default_rng(1).standard_normal((8, 2, 8, 8)).astype(np.float32)
+    with tensor.no_grad():
+        net.forward(images, RunContext(training=True))  # initializes the rate EMAs, so predict cuts chunks
+    assert all(e.initialized for e in net.rate_emas())
+    expected = net.predict(images, batch_size=8)
+
+    tracer = spans.Tracer()
+    tracer.op = 0
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # threads, if any, would interleave inside the forwards
+    try:
+        tracer.install()
+        classes = net.predict(images, batch_size=8)
+    finally:
+        tracer.uninstall()
+        sys.setswitchinterval(interval)
+
+    np.testing.assert_array_equal(classes, expected)
+    forwards = sorted((s for s in tracer.spans if s[1] == "model.forward"), key=lambda s: s[2])
+    assert len(forwards) == 4
+    assert all(s[4] is None for s in forwards)
+    assert all(a[3] <= b[2] for a, b in zip(forwards, forwards[1:]))  # no two forwards overlap
+    for sid, name, start, end, parent, op, creator in tracer.spans:
+        if parent is not None:
+            assert tracer.spans[parent][2] <= start <= end <= tracer.spans[parent][3], name
+    for attn in (s for s in tracer.spans if s[1] == "attention"):
+        layers_in = [s[1] for s in tracer.spans if s[4] == attn[0] and s[1].startswith(spans.LAYER)]
+        assert [n.rsplit(".", 1)[1] for n in layers_in] == ["attn", "value", "proj"]
