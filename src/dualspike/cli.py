@@ -44,14 +44,23 @@ def _checked(check, convert=int):
     return parse
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
-    return value
+def _int_at_least(low: int, what: str):
+    """An argparse type for an integer of at least `low`; anything else exits 2."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = low - 1
+        if value < low:
+            raise argparse.ArgumentTypeError(f"expected {what}, got {text!r}")
+        return value
+
+    return parse
+
+
+_positive_int = _int_at_least(1, "a positive integer")
+_seed = _int_at_least(0, "a non-negative seed")
 
 
 def _print_json(obj):
@@ -222,7 +231,7 @@ def _add_model_flags(p, with_seed=True):
     p.add_argument("--config", help="config file (key = value lines)")
     p.add_argument("--time-steps", type=_positive_int, dest="time_steps")
     if with_seed:
-        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--seed", type=_seed, default=0)
 
 
 def _add_data_flags(p):
@@ -230,7 +239,7 @@ def _add_data_flags(p):
     p.add_argument("--train-count", type=_positive_int, default=320, dest="train_count")
     p.add_argument("--test-count", type=_positive_int, default=160, dest="test_count")
     p.add_argument("--noise", type=float, default=0.3)
-    p.add_argument("--data-seed", type=int, default=0, dest="data_seed")
+    p.add_argument("--data-seed", type=_seed, default=0, dest="data_seed")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -259,7 +268,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dataset")
     p.add_argument("--test-count", type=_positive_int, default=160, dest="test_count")
     p.add_argument("--noise", type=float, default=0.3)
-    p.add_argument("--data-seed", type=int, default=0, dest="data_seed")
+    p.add_argument("--data-seed", type=_seed, default=0, dest="data_seed")
     p.add_argument("--batch-size", type=_positive_int, default=64, dest="batch_size")
     p.set_defaults(func=cmd_eval)
 
@@ -276,7 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("suite", choices=sorted(SUITES) + ["all"])
     p.add_argument("--samples", type=_checked(check_samples), default=100_000,
                    help="Monte Carlo draws per case (at least 16)")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--jobs", type=_checked(check_jobs), default=1,
                    help="worker processes for the Monte Carlo suites (1-16)")
     p.add_argument("--fx", type=_checked(check_rate, float), help="override the firing-rate grid, in (0, 1) (theorem1)")
@@ -288,7 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--count", type=_positive_int, required=True)
     p.add_argument("--split", choices=("train", "test"), default="train")
     p.add_argument("--noise", type=float, default=0.3)
-    p.add_argument("--data-seed", type=int, default=0, dest="data_seed")
+    p.add_argument("--data-seed", type=_seed, default=0, dest="data_seed")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_dataset)
     return parser

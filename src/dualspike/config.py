@@ -90,6 +90,8 @@ class TrainConfig:
     def __post_init__(self):
         if self.epochs < 1 or self.batch_size < 1:
             raise ConfigError("epochs and batch_size must be positive")
+        if self.seed < 0:
+            raise ConfigError(f"training seed must be non-negative, got {self.seed}")
         for name in ("lr", "lr_min", "weight_decay", "target_train_acc"):
             value = getattr(self, name)
             if value is not None and not math.isfinite(value):
@@ -273,5 +275,9 @@ def config_digest(cfg: ModelConfig) -> str:
 
 
 def load_config_file(path) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_config_text(fh.read())
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except OSError as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc.strerror}") from None
+    return parse_config_text(text)

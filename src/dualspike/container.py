@@ -3,8 +3,8 @@
     magic (4 bytes) | version (<I) | payload | crc32 of everything before it (<I)
 
 `read` verifies magic, CRC and version before handing out a bounds-checked
-`Reader` over the payload, so a short or malformed file raises
-CheckpointError rather than a struct or NumPy error.
+`Reader` over the payload, so an unreadable, short or malformed file raises
+CheckpointError rather than an OS, struct or NumPy error.
 """
 
 from __future__ import annotations
@@ -57,8 +57,11 @@ class Reader:
 
 def read(path, magic: bytes, version: int, what: str) -> Reader:
     """Open a container file and check its framing; returns a reader over the payload."""
-    with open(path, "rb") as fh:
-        blob = fh.read()
+    try:
+        with open(path, "rb") as fh:
+            blob = fh.read()
+    except OSError as exc:
+        raise CheckpointError(f"cannot read {what}: {exc.strerror}") from None
     if len(blob) < len(magic) + 2 * _U32.size:
         raise CheckpointError(f"{what} truncated")
     if blob[: len(magic)] != magic:

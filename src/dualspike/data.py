@@ -38,8 +38,10 @@ class SyntheticSpec:
             raise ConfigError(
                 f"coarse grid {self.coarse} must divide {self.height}x{self.width}"
             )
-        if self.noise < 0:
-            raise ConfigError(f"noise must be non-negative, got {self.noise}")
+        if not (np.isfinite(self.noise) and self.noise >= 0):
+            raise ConfigError(f"noise must be finite and non-negative, got {self.noise}")
+        if self.seed < 0:
+            raise ConfigError(f"data seed must be non-negative, got {self.seed}")
 
 
 @dataclass

@@ -400,7 +400,7 @@ def _read_name(r: container.Reader) -> str:
 
 def read_checkpoint(path):
     """Returns (config_text, tensors dict, emas dict). Verifies integrity."""
-    r = container.read(path, _MAGIC, _VERSION, "checkpoint")
+    r = container.read(path, _MAGIC, _VERSION, f"checkpoint {path}")
     cfg_text = r.take(r.u32()).decode("utf-8")
     tensors = {}
     for _ in range(r.u32()):

@@ -18,19 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import (
-    ConfigError,
-    ShapeError,
-    SpikeTensor,
-    Tensor,
-    add,
-    detach,
-    make_node,
-    mul,
-    stack_steps,
-    sub,
-    take_step,
-)
+from .tensor import ConfigError, ShapeError, SpikeTensor, Tensor, make_node
 
 SURROGATE_KINDS = ("triangular", "sigmoid-derivative")
 BLOCK_NEURONS = 1 << 16  # neurons per block of the sn_forward time loops; keeps a block's state in L2
@@ -64,13 +52,6 @@ class SurrogateSpec:
             raise ConfigError(f"surrogate width must be positive and finite, got {self.width}")
 
 
-@dataclass
-class NeuronState:
-    """Membrane potential carried between steps."""
-
-    u: Tensor
-
-
 def _sigmoid(z: np.ndarray) -> np.ndarray:
     out = np.empty_like(z)
     pos = z >= 0
@@ -100,48 +81,6 @@ def smooth_step(v, params: LIFParams, spec: SurrogateSpec) -> np.ndarray:
     return _sigmoid(z)
 
 
-def spike(v: Tensor, params: LIFParams, spec: SurrogateSpec, smooth: bool = False) -> Tensor:
-    """Thresholding with surrogate backward. Binary unless smooth."""
-    if smooth:
-        data = smooth_step(v.data, params, spec)
-        cls = Tensor
-    else:
-        data = (v.data >= params.u_th).astype(v.data.dtype)
-        cls = SpikeTensor
-    vd = v.data
-
-    def bw(g):
-        return (g * surrogate_grad(vd, params, spec),)
-
-    return make_node(data, (v,), bw, cls=cls)
-
-
-def lif_step(
-    state: NeuronState,
-    current: Tensor,
-    params: LIFParams = LIFParams(),
-    spec: SurrogateSpec = SurrogateSpec(),
-    smooth: bool = False,
-):
-    """One charge/fire/reset step. Returns (v, spikes, next_state).
-
-    Reference oracle for sn_forward, composed over time by
-    sn_forward_stepwise; the model itself runs only the fused sn_forward.
-    """
-    u = state.u
-    if u.data.shape != current.data.shape:
-        raise ShapeError(f"membrane shape {u.data.shape} does not match current shape {current.data.shape}")
-    v = add(u, mul(add(sub(current, u), params.u_rest), 1.0 / params.tau))
-    s = spike(v, params, spec, smooth=smooth)
-    gate = s if smooth else detach(s)
-    u_next = add(mul(gate, params.u_rest), mul(sub(1.0, gate), v))
-    return v, s, NeuronState(u_next)
-
-
-def initial_state(shape, dtype, params: LIFParams = LIFParams()) -> NeuronState:
-    return NeuronState(Tensor(np.full(shape, params.u_rest, dtype=dtype)))
-
-
 def sn_forward(
     current: Tensor,
     params: LIFParams = LIFParams(),
@@ -154,9 +93,8 @@ def sn_forward(
     outputs S, and the backward runs truncated-in-space BPTT. Both run the
     neurons in blocks of BLOCK_NEURONS, each block through all T steps in
     reused buffers, with the same expressions in the same order as the
-    whole-array loop, so blocking changes no bits. The forward matches the
-    per-step composition of lif_step exactly, and the backward matches the
-    whole-array BPTT exactly (tests/test_neuron.py).
+    whole-array loop, so blocking changes no bits: forward and backward match
+    the whole-array oracle tests/test_neuron.py::bptt_oracle exactly.
     """
     if current.data.ndim < 1 or current.data.shape[0] == 0:
         raise ShapeError(f"sn_forward needs a non-empty leading time axis, got shape {current.data.shape}")
@@ -172,7 +110,8 @@ def sn_forward(
     tmp_buf = np.empty(block, dtype=xd.dtype)
     # Each cache-sized block of neurons runs all T steps before the next
     # block starts. In place, but the same expressions in the same order as
-    # lif_step: v = u + ((x - u) + u_rest) * inv_tau, u = s * u_rest + (1 - s) * v.
+    # tests/test_neuron.py::bptt_oracle: v = ((x - u) + u_rest) * inv_tau + u,
+    # u = s * u_rest + (1 - s) * v.
     for b0 in range(0, size, block):
         b1 = min(size, b0 + block)
         u, tmp = u_buf[: b1 - b0], tmp_buf[: b1 - b0]
@@ -222,24 +161,3 @@ def sn_forward(
 
     return make_node(s_out, (current,), bw, cls=Tensor if smooth else SpikeTensor)
 
-
-def sn_forward_stepwise(
-    current: Tensor,
-    params: LIFParams = LIFParams(),
-    spec: SurrogateSpec = SurrogateSpec(),
-    smooth: bool = False,
-) -> Tensor:
-    """Reference oracle for sn_forward: compose lif_step over the time axis on the tape.
-
-    Same contract as sn_forward but not used by the model; it is the second
-    route for equivalence checks (fused vs. step-composed must agree
-    bit-for-bit in forward and to rounding in backward).
-    """
-    if current.data.ndim < 1 or current.data.shape[0] == 0:
-        raise ShapeError(f"sn_forward needs a non-empty leading time axis, got shape {current.data.shape}")
-    state = initial_state(current.data.shape[1:], current.data.dtype, params)
-    outs = []
-    for t in range(current.data.shape[0]):
-        _, s, state = lif_step(state, take_step(current, t), params, spec, smooth=smooth)
-        outs.append(s)
-    return stack_steps(outs)

@@ -344,14 +344,11 @@ def batchnorm(x: Tensor, state: BatchNormState, training: bool) -> Tensor:
     return make_node(out, (x, gamma, beta), bw_eval)
 
 
-def fold_bn(weight: np.ndarray, state: BatchNormState, training: bool = False):
-    """Fold eval-mode batch norm into the preceding conv kernel.
+def fold_bn(weight: np.ndarray, state: BatchNormState):
+    """Fold eval-mode batch norm (its running statistics) into the preceding conv kernel.
 
-    Returns (folded_kernel, folded_bias). Folding is only defined against
-    frozen statistics; a train-mode request violates the contract.
+    Returns (folded_kernel, folded_bias).
     """
-    if training:
-        raise ContractError("fold_bn requires eval-mode (frozen) statistics")
     w = np.asarray(weight)
     if w.ndim != 4 or w.shape[0] != state.channels:
         raise ShapeError(f"fold_bn expects kernel [O={state.channels},C,kh,kw], got {w.shape}")

@@ -81,24 +81,6 @@ class Tensor:
         self._parents = ()
         self._backward = None
 
-    # -- introspection -------------------------------------------------
-
-    @property
-    def shape(self):
-        return self.data.shape
-
-    @property
-    def ndim(self):
-        return self.data.ndim
-
-    @property
-    def size(self):
-        return self.data.size
-
-    @property
-    def dtype(self):
-        return self.data.dtype
-
     def item(self) -> float:
         if self.data.size != 1:
             raise ShapeError(f"item() requires a single element, got shape {self.data.shape}")
@@ -107,52 +89,6 @@ class Tensor:
     def __repr__(self):
         tag = type(self).__name__
         return f"{tag}(shape={self.data.shape}, dtype={self.data.dtype}, requires_grad={self.requires_grad})"
-
-    # -- operators -----------------------------------------------------
-
-    def __add__(self, other):
-        return add(self, other)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __neg__(self):
-        return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def reshape(self, *shape):
-        return reshape(self, shape[0] if len(shape) == 1 and isinstance(shape[0], (tuple, list)) else shape)
-
-    def transpose(self, axes):
-        return transpose(self, axes)
-
-    def sum(self, axis=None, keepdims=False):
-        return tensor_sum(self, axis=axis, keepdims=keepdims)
-
-    def mean(self, axis=None, keepdims=False):
-        return tensor_mean(self, axis=axis, keepdims=keepdims)
-
-    def detach(self) -> "Tensor":
-        return Tensor(self.data, requires_grad=False)
-
-    def zero_grad(self):
-        if self.grad is not None:
-            self.grad[...] = 0.0
 
 
 class SpikeTensor(Tensor):
@@ -246,16 +182,6 @@ def add(a, b):
     return make_node(data, (a, b), bw)
 
 
-def sub(a, b):
-    a, b = _coerce(a, b)
-    data = a.data - b.data
-
-    def bw(g):
-        return (_unbroadcast(g, a.data.shape), _unbroadcast(-g, b.data.shape))
-
-    return make_node(data, (a, b), bw)
-
-
 def mul(a, b):
     a, b = _coerce(a, b)
     data = a.data * b.data
@@ -265,28 +191,6 @@ def mul(a, b):
         return (_unbroadcast(g * bd, ad.shape), _unbroadcast(g * ad, bd.shape))
 
     return make_node(data, (a, b), bw)
-
-
-def div(a, b):
-    a, b = _coerce(a, b)
-    data = a.data / b.data
-    ad, bd = a.data, b.data
-
-    def bw(g):
-        return (_unbroadcast(g / bd, ad.shape), _unbroadcast(-g * ad / (bd * bd), bd.shape))
-
-    return make_node(data, (a, b), bw)
-
-
-def neg(a):
-    def bw(g):
-        return (-g,)
-
-    return make_node(-a.data, (a,), bw)
-
-
-def detach(a: Tensor) -> Tensor:
-    return _leaf(a.data)
 
 
 # -- matmul ----------------------------------------------------------------
@@ -333,35 +237,6 @@ def transpose(a: Tensor, axes):
         return (g.transpose(inv),)
 
     return make_node(data, (a,), bw, cls=type(a) if isinstance(a, SpikeTensor) else Tensor)
-
-
-def take_step(a: Tensor, t: int):
-    """Select index `t` along the leading axis."""
-    if not 0 <= t < a.data.shape[0]:
-        raise ShapeError(f"step {t} out of range for leading axis of shape {a.data.shape}")
-    data = a.data[t]
-    full = a.data.shape
-
-    def bw(g):
-        out = np.zeros(full, dtype=g.dtype)
-        out[t] = g
-        return (out,)
-
-    return make_node(data, (a,), bw, cls=type(a) if isinstance(a, SpikeTensor) else Tensor)
-
-
-def stack_steps(parts):
-    """Stack tensors along a new leading axis."""
-    parts = tuple(parts)
-    if not parts:
-        raise ShapeError("stack_steps requires at least one tensor")
-    data = np.stack([p.data for p in parts])
-    cls = SpikeTensor if all(isinstance(p, SpikeTensor) for p in parts) else Tensor
-
-    def bw(g):
-        return tuple(g[i] for i in range(len(parts)))
-
-    return make_node(data, parts, bw, cls=cls)
 
 
 # -- reductions --------------------------------------------------------------

@@ -37,7 +37,7 @@ def fd_grad(fn, arrays, eps=1e-6):
 def engine_grads(build_loss, leaves):
     """Run backward on build_loss() and return grads in leaf order."""
     for leaf in leaves:
-        leaf.zero_grad()
+        leaf.grad = None
     loss = build_loss()
     backward(loss)
     return [leaf.grad.copy() for leaf in leaves]

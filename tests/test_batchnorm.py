@@ -160,11 +160,6 @@ class TestFolding:
         direct = conv2d(Tensor(x), Tensor(folded), stride=1, padding=1).data + bias[None, :, None, None]
         assert np.abs(through - direct).max() <= 1e-5
 
-    def test_fold_rejects_training_mode(self, rng):
-        st = BatchNormState("bn", 2)
-        with pytest.raises(ContractError):
-            fold_bn(rng.standard_normal((2, 1, 1, 1)), st, training=True)
-
     def test_fold_shape_contract(self, rng):
         st = BatchNormState("bn", 2)
         with pytest.raises(ShapeError):

@@ -119,6 +119,48 @@ class TestCountFlags:
         assert load_checkpoint(ckpt).config.time_steps == 1
 
 
+class TestBadInputs:
+    @pytest.mark.parametrize("argv", [
+        ["build", "--arch", "Nano", "--seed", "-1"],
+        ["verify", "conv-equiv", "--seed", "-1"],
+        ["train", "--arch", "Nano", "--seed", "-1"],
+        ["train", "--arch", "Nano", "--data-seed", "-1"],
+        ["eval", "--checkpoint", "m.dskc", "--data-seed", "-1"],
+        ["audit", "--arch", "Nano", "--seed", "-1"],
+        ["audit", "--arch", "Nano", "--data-seed", "-1"],
+        ["dataset", "--count", "2", "--out", "d.dsds", "--data-seed", "-1"],
+    ])
+    def test_negative_seed_exits_two(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "expected a non-negative seed, got '-1'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("noise", ["nan", "inf", "-0.5"])
+    @pytest.mark.parametrize("command", ["train", "audit", "dataset"])
+    def test_bad_noise_exits_two(self, capsys, tmp_path, tiny_config, command, noise):
+        dest = tmp_path / "d.dsds"
+        source = ["--count", "2", "--out", str(dest)] if command == "dataset" else ["--config", tiny_config]
+        code, out, err = run(capsys, command, *source, f"--noise={noise}")
+        assert (code, out) == (2, "")
+        assert err.startswith("config error:") and f"noise must be finite and non-negative, got {noise}" in err
+        assert not dest.exists()
+
+    @pytest.mark.parametrize("kind", ["missing", "directory"])
+    @pytest.mark.parametrize("argv, code, message", [
+        (["eval", "--checkpoint", "{path}"], 1, "error: cannot read checkpoint"),
+        (["audit", "--config", "{cfg}", "--dataset", "{path}"], 1, "error: cannot read dataset file"),
+        (["build", "--config", "{path}"], 2, "config error: cannot read config file"),
+    ], ids=["checkpoint", "dataset", "config"])
+    def test_unreadable_input_file_is_one_line_error(self, capsys, tmp_path, tiny_config, kind, argv, code, message):
+        path = tmp_path / "input"
+        if kind == "directory":
+            path.mkdir()
+        got, out, err = run(capsys, *(a.format(path=path, cfg=tiny_config) for a in argv))
+        assert (got, out) == (code, "")
+        assert err.startswith(f"{message} {path}: ") and err.count("\n") == 1
+
+
 class TestVerify:
     def test_theorem1_overrides(self, capsys):
         code, out, _ = run(capsys, "verify", "theorem1", "--fx", "0.5", "--m", "100",

@@ -186,6 +186,11 @@ def test_train_flags_reject_non_finite(capsys, flag, key, value):
     assert err.startswith("config error:") and f"training {key} must be finite" in err
 
 
+def test_train_config_text_rejects_negative_seed():
+    with pytest.raises(ConfigError, match="training seed must be non-negative, got -1"):
+        train_config_from_values(parse_config_text("seed = -1\n"))
+
+
 @pytest.mark.parametrize("value", ["1.5", "-2.0", "1.0001", "-0.0001"])
 def test_train_config_text_rejects_target_acc_out_of_range(value):
     with pytest.raises(ConfigError, match=r"training target_train_acc must lie in \[0, 1\]"):

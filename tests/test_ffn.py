@@ -6,7 +6,7 @@ import pytest
 from dualspike.ffn import GroupWiseFeedForward, GWSFFNConfig
 from dualspike.layers import NeuronSpec, RunContext
 from dualspike.neuron import sn_forward
-from dualspike.tensor import ConfigError, ShapeError, Tensor, backward, no_grad
+from dualspike.tensor import ConfigError, ShapeError, Tensor, backward, mul, no_grad, tensor_mean
 
 
 def build_ffn(cfg, seed=0):
@@ -103,7 +103,7 @@ class TestForward:
         ffn = build_ffn(cfg)
         x = Tensor(rng.standard_normal((2, 2, 8, 3, 3)) * 2)
         out = ffn.forward(x, RunContext(training=True, smooth=True))
-        backward((out * out).mean())
+        backward(tensor_mean(mul(out, out)))
         for p in ffn.parameters():
             assert p.grad is not None, p.name
             assert np.isfinite(p.grad).all(), p.name

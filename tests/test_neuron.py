@@ -1,4 +1,4 @@
-"""LIF dynamics, surrogate gradients, fused vs step-composed equivalence."""
+"""LIF dynamics, surrogate gradients, the fused LIF layer against a step-by-step oracle."""
 
 import numpy as np
 import pytest
@@ -10,12 +10,8 @@ from dualspike.neuron import (
     SURROGATE_KINDS,
     LIFParams,
     SurrogateSpec,
-    initial_state,
-    lif_step,
     smooth_step,
     sn_forward,
-    sn_forward_stepwise,
-    spike,
     surrogate_grad,
 )
 from dualspike.tensor import (
@@ -31,55 +27,12 @@ from dualspike.tensor import (
 from conftest import assert_grads_close
 
 
-class TestSingleStep:
-    def test_threshold_crossing_fires_and_resets(self):
-        # tau=2 from rest: v = 0 + (2 - 0)/2 = 1.0 == threshold, fires, resets to rest
-        state = initial_state((1,), np.float64)
-        v, s, nxt = lif_step(state, Tensor(np.array([2.0])))
-        assert v.data[0] == 1.0
-        assert s.data[0] == 1.0
-        assert nxt.u.data[0] == 0.0
-
-    def test_exact_threshold_fires(self):
-        # boundary convention: v == threshold counts as a spike
-        params = LIFParams()
-        state = initial_state((1,), np.float64, params)
-        v, s, _ = lif_step(state, Tensor(np.array([params.tau * params.u_th])))
-        assert v.data[0] == params.u_th
-        assert s.data[0] == 1.0
-
-    def test_subthreshold_integrates(self):
-        params = LIFParams(tau=1.0)
-        state = initial_state((1,), np.float64, params)
-        v, s, nxt = lif_step(state, Tensor(np.array([0.5])), params)
-        assert v.data[0] == 0.5
-        assert s.data[0] == 0.0
-        assert nxt.u.data[0] == 0.5
-
-    def test_leak_pulls_toward_rest(self):
-        params = LIFParams(tau=2.0, u_rest=-1.0, u_th=1.0)
-        state = initial_state((1,), np.float64, params)
-        # zero current: v = u + (0 - (u - u_rest))/tau stays at rest
-        v, s, _ = lif_step(state, Tensor(np.array([0.0])), params)
-        assert v.data[0] == -1.0
-        assert s.data[0] == 0.0
-
-    def test_output_is_spike_tensor(self):
-        state = initial_state((3,), np.float64)
-        _, s, _ = lif_step(state, Tensor(np.zeros(3)))
-        assert isinstance(s, SpikeTensor)
-
-    def test_shape_mismatch(self):
-        state = initial_state((2,), np.float64)
-        with pytest.raises(ShapeError):
-            lif_step(state, Tensor(np.zeros(3)))
-
-
 def bptt_oracle(current, g, params, spec, smooth):
     """Reference oracle: the whole-array LIF forward and BPTT loop, one time step per iteration.
 
-    Same expressions in the same order as the blocked `sn_forward`; the
-    blocked backward must reproduce its d_current bit for bit.
+    Returns (spikes, membrane values v, d_current for upstream gradient g).
+    Same expressions in the same order as the blocked `sn_forward`, which
+    must reproduce all three bit for bit.
     """
     inv_tau = 1.0 / params.tau
     u = np.full(current.shape[1:], params.u_rest, dtype=current.dtype)
@@ -100,7 +53,49 @@ def bptt_oracle(current, g, params, spec, smooth):
             dv = g[t] * sg + du * (1.0 - s)
         d_current[t] = dv * inv_tau
         du = dv * (1.0 - inv_tau)
-    return d_current
+    return s_out, v_hist, d_current
+
+
+def run_lif(current, params=LIFParams()):
+    """Spikes of sn_forward and the oracle's (spikes, membrane values) for a [T, 1] current list."""
+    cur = np.array(current, dtype=np.float64).reshape(-1, 1)
+    spikes, v, _ = bptt_oracle(cur, np.zeros_like(cur), params, SurrogateSpec(), smooth=False)
+    out = sn_forward(Tensor(cur), params)
+    assert np.array_equal(out.data, spikes)
+    return out.data[:, 0], v[:, 0]
+
+
+class TestSingleStep:
+    def test_threshold_crossing_fires_and_resets(self):
+        # tau=2 from rest: v0 = (2 - 0)/2 = 1.0 == threshold, fires, resets to rest;
+        # then v1 = (1 - 0)/2 = 0.5 stays below (without the reset v1 = 1 + (1 - 1)/2 would fire)
+        s, v = run_lif([2.0, 1.0])
+        np.testing.assert_array_equal(v, [1.0, 0.5])
+        np.testing.assert_array_equal(s, [1.0, 0.0])
+
+    def test_exact_threshold_fires(self):
+        # boundary convention: v == threshold counts as a spike
+        params = LIFParams()
+        s, v = run_lif([params.tau * params.u_th], params)
+        assert v[0] == params.u_th
+        assert s[0] == 1.0
+
+    def test_subthreshold_integrates(self):
+        # tau=2: v0 = 0.5/2 = 0.25 carries over, v1 = 0.25 + (0.5 - 0.25)/2 = 0.375
+        s, v = run_lif([0.5, 0.5])
+        np.testing.assert_array_equal(v, [0.25, 0.375])
+        np.testing.assert_array_equal(s, [0.0, 0.0])
+
+    def test_leak_pulls_toward_rest(self):
+        # u_rest=-1, tau=2 from rest: v0 = -1 + (2 - 0)/2 = 0.0 stays below threshold;
+        # zero current then leaks half the way back to rest: v1 = 0 + (0 - (0 + 1))/2 = -0.5
+        params = LIFParams(tau=2.0, u_rest=-1.0, u_th=1.0)
+        s, v = run_lif([2.0, 0.0], params)
+        np.testing.assert_array_equal(v, [0.0, -0.5])
+        np.testing.assert_array_equal(s, [0.0, 0.0])
+
+    def test_output_is_spike_tensor(self):
+        assert isinstance(sn_forward(Tensor(np.zeros((1, 3)))), SpikeTensor)
 
 
 class TestSequences:
@@ -122,40 +117,39 @@ class TestSequences:
     def test_empty_time_axis_rejected(self):
         with pytest.raises(ShapeError):
             sn_forward(Tensor(np.zeros((0, 3))))
+        with pytest.raises(ShapeError):
+            sn_forward(Tensor(np.float64(1.0)))
 
     def test_fused_matches_stepwise_forward(self, rng):
-        cur = Tensor(rng.standard_normal((5, 4, 3)) * 2)
-        fused = sn_forward(cur)
-        stepped = sn_forward_stepwise(cur)
-        np.testing.assert_array_equal(fused.data, stepped.data)
+        cur = rng.standard_normal((5, 4, 3)) * 2
+        spikes, _, _ = bptt_oracle(cur, np.zeros_like(cur), LIFParams(), SurrogateSpec(), smooth=False)
+        assert np.array_equal(sn_forward(Tensor(cur)).data, spikes)
 
     @pytest.mark.parametrize("smooth", [False, True])
     def test_fused_matches_stepwise_backward(self, rng, smooth):
         cur_data = rng.standard_normal((4, 3, 2)) * 2
-        proj = Tensor(rng.standard_normal((4, 3, 2)))
-        grads = []
-        for fn in (sn_forward, sn_forward_stepwise):
-            cur = Tensor(cur_data.copy(), requires_grad=True)
-            backward(tensor_sum(mul(fn(cur, smooth=smooth), proj)))
-            grads.append(cur.grad.copy())
-        np.testing.assert_allclose(grads[0], grads[1], atol=1e-12)
+        g = rng.standard_normal((4, 3, 2))
+        cur = Tensor(cur_data.copy(), requires_grad=True)
+        backward(tensor_sum(mul(sn_forward(cur, smooth=smooth), Tensor(g))))
+        _, _, expect = bptt_oracle(cur_data, g, LIFParams(), SurrogateSpec(), smooth)
+        assert np.array_equal(cur.grad, expect)
 
     @pytest.mark.parametrize("smooth", [False, True])
     def test_neuron_blocks_match_one_block_and_stepwise(self, rng, monkeypatch, smooth):
         params = LIFParams(tau=3.0, u_th=1.0, u_rest=-0.25)
         cur_data = (rng.standard_normal((5, 4, 3)) * 2).astype(np.float32)
-        proj = Tensor(rng.standard_normal((5, 4, 3)).astype(np.float32))
+        g = rng.standard_normal((5, 4, 3)).astype(np.float32)
         runs = []
         for block in (neuron.BLOCK_NEURONS, 5):  # 12 neurons: one block, then blocks of 5, 5 and 2
             monkeypatch.setattr(neuron, "BLOCK_NEURONS", block)
             cur = Tensor(cur_data.copy(), requires_grad=True)
             out = sn_forward(cur, params, smooth=smooth)
-            backward(tensor_sum(mul(out, proj)))
+            backward(tensor_sum(mul(out, Tensor(g))))
             runs.append((out.data, cur.grad))
-        stepped = sn_forward_stepwise(Tensor(cur_data), params, smooth=smooth)
+        spikes, _, expect = bptt_oracle(cur_data, g, params, SurrogateSpec(), smooth)
         for out, grad in runs:
-            assert out.dtype == np.float32 and np.array_equal(out, stepped.data)
-        assert np.array_equal(runs[0][1], runs[1][1])
+            assert out.dtype == np.float32 and np.array_equal(out, spikes)
+            assert np.array_equal(grad, expect)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("kind", SURROGATE_KINDS)
@@ -167,8 +161,10 @@ class TestSequences:
         cur_data = (rng.standard_normal((5, 4, 3)) * 2).astype(dtype)
         g = rng.standard_normal((5, 4, 3)).astype(dtype)
         cur = Tensor(cur_data.copy(), requires_grad=True)
-        backward(tensor_sum(mul(sn_forward(cur, params, spec, smooth=smooth), Tensor(g))))
-        expect = bptt_oracle(cur_data, g, params, spec, smooth)
+        out = sn_forward(cur, params, spec, smooth=smooth)
+        backward(tensor_sum(mul(out, Tensor(g))))
+        spikes, _, expect = bptt_oracle(cur_data, g, params, spec, smooth)
+        assert np.array_equal(out.data, spikes)
         assert cur.grad.dtype == dtype and np.array_equal(cur.grad, expect)
 
     @given(st.integers(1, 6), st.integers(0, 2**31 - 1))
@@ -180,14 +176,14 @@ class TestSequences:
         assert isinstance(out, SpikeTensor)
         assert np.isin(out.data, (0.0, 1.0)).all()
 
-    @given(st.floats(-2, 4), st.floats(0.01, 2.0))
+    @given(st.integers(1, 2), st.floats(-2, 4), st.floats(0.01, 2.0))
     @settings(max_examples=40, deadline=None)
-    def test_single_step_monotone_in_current(self, base, bump):
-        state_a = initial_state((1,), np.float64)
-        state_b = initial_state((1,), np.float64)
-        _, sa, _ = lif_step(state_a, Tensor(np.array([base])))
-        _, sb, _ = lif_step(state_b, Tensor(np.array([base + bump])))
-        assert sb.data[0] >= sa.data[0]
+    def test_single_step_monotone_in_current(self, t_steps, base, bump):
+        # before its first spike a neuron's v rises with a constant drive, so the
+        # stronger drive has fired by every step at which the weaker one has
+        out = sn_forward(Tensor(np.array([[base, base + bump]] * t_steps)))
+        fired = np.maximum.accumulate(out.data, axis=0)
+        assert (fired[:, 1] >= fired[:, 0]).all()
 
 
 class TestSurrogates:
@@ -291,6 +287,6 @@ class TestParamValidation:
             LIFParams(u_th=0.0, u_rest=0.0)
 
     def test_spike_class_by_mode(self):
-        v = Tensor(np.array([1.5]))
-        assert isinstance(spike(v, LIFParams(), SurrogateSpec()), SpikeTensor)
-        assert not isinstance(spike(v, LIFParams(), SurrogateSpec(), smooth=True), SpikeTensor)
+        cur = Tensor(np.array([[3.0]]))
+        assert isinstance(sn_forward(cur), SpikeTensor)
+        assert not isinstance(sn_forward(cur, smooth=True), SpikeTensor)

@@ -14,15 +14,10 @@ from dualspike.tensor import (
     Tensor,
     add,
     backward,
-    detach,
-    div,
     matmul,
     mul,
     no_grad,
     reshape,
-    stack_steps,
-    sub,
-    take_step,
     tensor_mean,
     tensor_sum,
     transpose,
@@ -51,12 +46,10 @@ class TestForwardValues:
 
     def test_scalar_arithmetic(self):
         a = t([1.0, 2.0])
-        np.testing.assert_array_equal((a + 1).data, [2, 3])
-        np.testing.assert_array_equal((a - 1).data, [0, 1])
-        np.testing.assert_array_equal((1 - a).data, [0, -1])
-        np.testing.assert_array_equal((a * 3).data, [3, 6])
-        np.testing.assert_array_equal((a / 2).data, [0.5, 1])
-        np.testing.assert_array_equal((-a).data, [-1, -2])
+        np.testing.assert_array_equal(add(a, 1).data, [2, 3])
+        np.testing.assert_array_equal(add(-1, a).data, [0, 1])
+        np.testing.assert_array_equal(mul(a, 3).data, [3, 6])
+        np.testing.assert_array_equal(mul(-1, a).data, [-1, -2])
 
     def test_reductions(self):
         a = t([[1.0, 2.0], [3.0, 4.0]])
@@ -88,11 +81,6 @@ class TestGradients:
         b = t(rng.standard_normal((2, 3, 2)))
         assert_grads_close(lambda: tensor_sum(matmul(a, b)), [a, b])
 
-    def test_div_fd(self, rng):
-        a = t(rng.standard_normal((5,)))
-        b = t(rng.standard_normal((5,)) + 3.0)
-        assert_grads_close(lambda: tensor_sum(div(a, b)), [a, b])
-
     def test_broadcast_add_backward(self):
         a = t(np.zeros((2, 3)))
         b = t(np.zeros((3,)))
@@ -122,17 +110,6 @@ class TestGradients:
         first = a.grad.copy()
         backward(tensor_sum(mul(a, a)))
         np.testing.assert_allclose(a.grad, 2 * first)
-
-    def test_zero_grad_resets(self):
-        a = t([1.0])
-        backward(tensor_sum(a))
-        a.zero_grad()
-        assert a.grad is None or not a.grad.any()
-
-    def test_detach_blocks_flow(self):
-        a = t([2.0, 3.0])
-        backward(tensor_sum(mul(detach(a), a)))
-        np.testing.assert_array_equal(a.grad, [2, 3])  # only the live branch
 
     def test_free_graph_releases(self):
         a = t([1.0, 2.0])
@@ -192,11 +169,6 @@ class TestErrorsAndModes:
         a = t([1.0, 2.0])
         assert mul(a, a)._parents != ()
 
-    def test_take_step_range_error(self):
-        a = t(np.zeros((2, 3)))
-        with pytest.raises(ShapeError):
-            take_step(a, 2)
-
 
 class TestSpikeTensor:
     def test_binarity_enforced(self):
@@ -204,28 +176,12 @@ class TestSpikeTensor:
         with pytest.raises(ContractError):
             SpikeTensor(np.array([0.5]))
 
-    def test_take_step_preserves_class(self):
+    def test_shape_ops_preserve_class(self):
         s = SpikeTensor(np.array([[[0.0, 1.0]], [[1.0, 1.0]]]))
-        step = take_step(s, 1)
-        assert isinstance(step, SpikeTensor)
-        np.testing.assert_array_equal(step.data, [[1, 1]])
+        for out in (reshape(s, (2, 2)), transpose(s, (2, 0, 1))):
+            assert isinstance(out, SpikeTensor)
 
-    def test_stack_steps_round_trip(self):
-        s = SpikeTensor(np.array([[0.0, 1.0], [1.0, 0.0]]))
-        parts = [take_step(s, 0), take_step(s, 1)]
-        stacked = stack_steps(parts)
-        assert isinstance(stacked, SpikeTensor)
-        np.testing.assert_array_equal(stacked.data, s.data)
-
-    def test_stack_steps_routes_grads(self):
-        a = t([1.0, 2.0])
-        b = t([3.0, 4.0])
-        stacked = stack_steps([a, b])
-        backward(tensor_sum(mul(stacked, stacked)))
-        np.testing.assert_allclose(a.grad, [2, 4])
-        np.testing.assert_allclose(b.grad, [6, 8])
-
-    def test_sub_keeps_plain_tensor(self):
+    def test_arithmetic_keeps_plain_tensor(self):
         s = SpikeTensor(np.array([0.0, 1.0]))
-        out = sub(s, 0.5)
-        assert type(out) is Tensor
+        for out in (add(s, 0.5), mul(s, 2.0)):
+            assert type(out) is Tensor

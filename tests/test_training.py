@@ -76,6 +76,15 @@ class TestSyntheticData:
         with pytest.raises(ConfigError):
             SyntheticSpec(noise=-0.1)
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("noise", float("nan"), "noise must be finite"),
+        ("noise", float("inf"), "noise must be finite"),
+        ("seed", -1, "data seed must be non-negative"),
+    ])
+    def test_spec_rejects_non_finite_noise_and_negative_seed(self, field, value, message):
+        with pytest.raises(ConfigError, match=message):
+            SyntheticSpec(**{field: value})
+
     def test_split_name_contract(self):
         with pytest.raises(ContractError):
             generate_split(SyntheticSpec(), 8, "validation")
