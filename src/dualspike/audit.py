@@ -312,12 +312,6 @@ class EquivalenceReport:
     tolerance: float
     rows: list
 
-    def to_jsonl(self) -> str:
-        lines = [json.dumps(row, sort_keys=True) for row in self.rows]
-        lines.append(json.dumps({"record": "summary", "passed": self.passed, "tolerance": self.tolerance},
-                                sort_keys=True))
-        return "\n".join(lines) + "\n"
-
 
 def verify_spike_driven(model, images, tolerance: float = 1e-6) -> EquivalenceReport:
     """Replay every audited synaptic layer event-driven against the current the forward computed,

@@ -69,45 +69,41 @@ def _print_json(obj):
 
 def _model_cfg(args):
     """Model config plus any train keys found in a config file."""
-    if getattr(args, "config", None):
+    if args.config:
         values = load_config_file(args.config)
         cfg = model_config_from_values(values)
-    elif getattr(args, "arch", None):
+    elif args.arch:
         values = {}
         cfg = registry_config(args.arch)
     else:
         raise ConfigError("provide --arch or --config")
-    if getattr(args, "time_steps", None) is not None:
+    if args.time_steps is not None:
         cfg = dataclasses.replace(cfg, time_steps=args.time_steps)
     return cfg, values
 
 
 def _train_cfg(args, file_values) -> TrainConfig:
     cfg = train_config_from_values(file_values)
-    overrides = {}
-    for flag, fieldname in (
-        ("epochs", "epochs"),
-        ("batch_size", "batch_size"),
-        ("lr", "lr"),
-        ("seed", "seed"),
-        ("target_acc", "target_train_acc"),
-    ):
-        val = getattr(args, flag, None)
-        if val is not None:
-            overrides[fieldname] = val
-    return dataclasses.replace(cfg, **overrides) if overrides else cfg
+    flags = {
+        "epochs": args.epochs,
+        "batch_size": args.batch_size,
+        "lr": args.lr,
+        "seed": args.seed,
+        "target_train_acc": args.target_acc,
+    }
+    return dataclasses.replace(cfg, **{field: val for field, val in flags.items() if val is not None})
 
 
 def _dataset_for(args, cfg, split: str):
-    if getattr(args, "dataset", None):
+    if args.dataset:
         return load_dataset(args.dataset)
     spec = SyntheticSpec(
         classes=cfg.num_classes,
         channels=cfg.in_channels,
         height=cfg.input_height,
         width=cfg.input_width,
-        noise=getattr(args, "noise", 0.3),
-        seed=getattr(args, "data_seed", 0),
+        noise=args.noise,
+        seed=args.data_seed,
     )
     count = args.train_count if split == "train" else args.test_count
     return generate_split(spec, count, split)
@@ -226,12 +222,11 @@ def cmd_dataset(args) -> int:
     return 0
 
 
-def _add_model_flags(p, with_seed=True):
+def _add_model_flags(p):
     p.add_argument("--arch", choices=_ARCHES, help="registry architecture")
     p.add_argument("--config", help="config file (key = value lines)")
     p.add_argument("--time-steps", type=_positive_int, dest="time_steps")
-    if with_seed:
-        p.add_argument("--seed", type=_seed, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
 
 
 def _add_data_flags(p):

@@ -79,10 +79,10 @@ def generate_split(spec: SyntheticSpec, count: int, split: str) -> Dataset:
     return Dataset(spec=spec, images=images.astype(np.float32), labels=labels)
 
 
-def iter_batches(images: np.ndarray, labels: np.ndarray, batch_size: int, rng: np.random.Generator | None = None):
-    """Yield (images, labels) minibatches; shuffled when an rng is given."""
+def iter_batches(images: np.ndarray, labels: np.ndarray, batch_size: int, rng: np.random.Generator):
+    """Yield (images, labels) minibatches in an order that `rng` shuffles."""
     n = images.shape[0]
-    order = rng.permutation(n) if rng is not None else np.arange(n)
+    order = rng.permutation(n)
     for start in range(0, n, batch_size):
         idx = order[start : start + batch_size]
         yield images[idx], labels[idx]

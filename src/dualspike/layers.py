@@ -47,16 +47,15 @@ class FiringRateEMA:
     """Slow exponential moving average of an observed firing rate.
 
     The first observation seeds the value directly; afterwards
-    value <- momentum * value + (1 - momentum) * batch_rate. Eval-time
+    value <- MOMENTUM * value + (1 - MOMENTUM) * batch_rate. Eval-time
     observations never update; an uninitialized estimator at eval falls back
     to the observed batch rate so untrained models still scale sensibly.
     """
 
-    def __init__(self, name: str, momentum: float = 0.999):
-        if not 0.0 <= momentum < 1.0:
-            raise ConfigError(f"EMA momentum must lie in [0, 1), got {momentum}")
+    MOMENTUM = 0.999
+
+    def __init__(self, name: str):
         self.name = name
-        self.momentum = momentum
         self.value = 0.0
         self.initialized = False
 
@@ -67,7 +66,7 @@ class FiringRateEMA:
             self.value = float(batch_rate)
             self.initialized = True
         else:
-            self.value = self.momentum * self.value + (1.0 - self.momentum) * float(batch_rate)
+            self.value = self.MOMENTUM * self.value + (1.0 - self.MOMENTUM) * float(batch_rate)
         return self.value
 
     def observe(self, batch_rate: float, training: bool) -> float:

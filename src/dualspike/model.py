@@ -45,7 +45,7 @@ import numpy as np
 
 from . import container, ops
 from .attention import DSSAConfig, MultiHeadDualSpikeAttention
-from .config import ModelConfig, canonical_model_text, registry_config
+from .config import ModelConfig, canonical_model_text, model_config_from_values, parse_config_text, registry_config
 from .ffn import GroupWiseFeedForward, GWSFFNConfig
 from .layers import Conv2d, Linear, Module, NeuronSpec, RunContext, SpikingNeuron
 from .ops import conv_output_size
@@ -420,21 +420,12 @@ def read_checkpoint(path):
     return cfg_text, tensors, emas
 
 
-def load_checkpoint(path, cfg: ModelConfig | None = None) -> DualSpikeNet:
-    """Rebuild a model, in the checkpoint's float dtype; `cfg`, when given, must match the echo."""
+def load_checkpoint(path) -> DualSpikeNet:
+    """Rebuild a model from the checkpoint's config echo, in its float dtype."""
     cfg_text, tensors, emas = read_checkpoint(path)
     dtypes = sorted({str(arr.dtype) for arr in tensors.values()})
     if len(dtypes) != 1:
         raise CheckpointError(f"checkpoint must hold one tensor dtype, found {dtypes}")
-    if cfg is not None:
-        expected = canonical_model_text(cfg)
-        if cfg_text != expected:
-            raise CheckpointError("checkpoint config echo does not match the requested build")
-        target = cfg
-    else:
-        from .config import model_config_from_values, parse_config_text
-
-        target = model_config_from_values(parse_config_text(cfg_text))
-    model = DualSpikeNet(target, dtype=dtypes[0], seed=0)
+    model = DualSpikeNet(model_config_from_values(parse_config_text(cfg_text)), dtype=dtypes[0], seed=0)
     model.load_state(tensors, emas)
     return model

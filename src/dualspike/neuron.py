@@ -61,20 +61,18 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     return out
 
 
-def surrogate_grad(v, params: LIFParams, spec: SurrogateSpec) -> np.ndarray:
-    """Pseudo-derivative of the firing nonlinearity at membrane value v."""
-    vd = v.data if isinstance(v, Tensor) else np.asarray(v)
-    z = (vd - params.u_th) / spec.width
+def surrogate_grad(v: np.ndarray, params: LIFParams, spec: SurrogateSpec) -> np.ndarray:
+    """Pseudo-derivative of the firing nonlinearity at membrane values v."""
+    z = (v - params.u_th) / spec.width
     if spec.kind == "triangular":
         return np.maximum(0.0, 1.0 - np.abs(z)) / spec.width
     s = _sigmoid(z)
     return s * (1.0 - s) / spec.width
 
 
-def smooth_step(v, params: LIFParams, spec: SurrogateSpec) -> np.ndarray:
+def smooth_step(v: np.ndarray, params: LIFParams, spec: SurrogateSpec) -> np.ndarray:
     """Antiderivative of surrogate_grad: the smoothed stand-in for the Heaviside."""
-    vd = v.data if isinstance(v, Tensor) else np.asarray(v)
-    z = (vd - params.u_th) / spec.width
+    z = (v - params.u_th) / spec.width
     if spec.kind == "triangular":
         zc = np.clip(z, -1.0, 1.0)
         return np.where(zc < 0.0, 0.5 * (1.0 + zc) ** 2, 1.0 - 0.5 * (1.0 - zc) ** 2)

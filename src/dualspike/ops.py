@@ -54,18 +54,13 @@ def _im2col(x: np.ndarray, k: int, groups: int):
     [n, groups, (C/g)*k*k, Ho*Wo], a pure reshape/transpose."""
     n, c, h, w = x.shape
     ho, wo = h // k, w // k
-    cg = c // groups
-    if k == 1:
-        return x.reshape(n, groups, cg, ho * wo)
     cols = x.reshape(n, c, ho, k, wo, k)
-    return cols.transpose(0, 1, 3, 5, 2, 4).reshape(n, groups, cg * k * k, ho * wo)
+    return cols.transpose(0, 1, 3, 5, 2, 4).reshape(n, groups, c // groups * k * k, ho * wo)
 
 
 def _col2im(cols: np.ndarray, xshape, k: int):
     """Adjoint of _im2col: columns back to [n,C,H,W]."""
     n, c, h, w = xshape
-    if k == 1:
-        return cols.reshape(n, c, h, w)
     six = cols.reshape(n, c, k, k, h // k, w // k)
     return six.transpose(0, 1, 4, 2, 5, 3).reshape(n, c, h, w)
 
@@ -271,13 +266,13 @@ class BatchNormState:
     other axis. Running stats use the biased batch variance, momentum-mixed.
     """
 
-    def __init__(self, name: str, channels: int, dtype=np.float64, eps: float = 1e-5, momentum: float = 0.1):
+    def __init__(self, name: str, channels: int, dtype=np.float64):
         if channels < 1:
             raise ConfigError(f"batch norm needs at least one channel, got {channels}")
         self.name = name
         self.channels = channels
-        self.eps = float(eps)
-        self.momentum = float(momentum)
+        self.eps = 1e-5
+        self.momentum = 0.1
         self.gamma = Parameter(f"{name}.gamma", np.ones(channels), dtype=dtype)
         self.beta = Parameter(f"{name}.beta", np.zeros(channels), dtype=dtype)
         self.running_mean = np.zeros(channels, dtype=dtype)

@@ -242,23 +242,21 @@ def transpose(a: Tensor, axes):
 # -- reductions --------------------------------------------------------------
 
 
-def tensor_sum(a: Tensor, axis=None, keepdims=False):
-    data = a.data.sum(axis=axis, keepdims=keepdims)
+def tensor_sum(a: Tensor, axis=None):
+    data = a.data.sum(axis=axis)
     shape = a.data.shape
 
     def bw(g):
         if axis is None:
             return (np.broadcast_to(g, shape).astype(g.dtype, copy=False),)
-        if not keepdims:
-            ax = axis if isinstance(axis, tuple) else (axis,)
-            ax = tuple(a_ % len(shape) for a_ in ax)
-            g = np.expand_dims(g, tuple(sorted(ax)))
+        ax = axis if isinstance(axis, tuple) else (axis,)
+        g = np.expand_dims(g, tuple(sorted(a_ % len(shape) for a_ in ax)))
         return (np.broadcast_to(g, shape),)
 
     return make_node(data, (a,), bw)
 
 
-def tensor_mean(a: Tensor, axis=None, keepdims=False):
+def tensor_mean(a: Tensor, axis=None):
     if axis is None:
         count = a.data.size
     else:
@@ -266,7 +264,7 @@ def tensor_mean(a: Tensor, axis=None, keepdims=False):
         count = 1
         for d in ax:
             count *= a.data.shape[d]
-    s = tensor_sum(a, axis=axis, keepdims=keepdims)
+    s = tensor_sum(a, axis=axis)
     return mul(s, 1.0 / count)
 
 

@@ -23,13 +23,13 @@ from .tensor import ContractError, backward
 
 
 class AdamW:
-    def __init__(self, params, lr: float = 1e-3, betas=(0.9, 0.999), eps: float = 1e-8, weight_decay: float = 0.01):
+    def __init__(self, params, lr: float = 1e-3, weight_decay: float = 0.01):
         if not params:
             raise ContractError("optimizer needs at least one parameter")
         self.params = list(params)
         self.lr = lr
-        self.beta1, self.beta2 = betas
-        self.eps = eps
+        self.beta1, self.beta2 = 0.9, 0.999
+        self.eps = 1e-8
         self.weight_decay = weight_decay
         self.t = 0
         self._m = [np.zeros_like(p.data) for p in self.params]

@@ -38,6 +38,7 @@ from .model import DualSpikeBlock, NeuronSpec, stage_sizes
 from .tensor import ContractError, ShapeError, Tensor, backward, mul, tensor_mean
 
 _N_STREAMS = 16  # fixed decomposition; --jobs never changes results
+_Q = 4  # rows of spikes and columns of weights in each sampled [q, m] x [m, q] product
 
 
 @dataclass
@@ -162,8 +163,8 @@ def _mc_moments(chunk, args, *, draws, seed, pool, predicted) -> list[MCReport]:
 # -- moment law for dual-spike currents ----------------------------------------
 
 
-def _dst_chunk(rng, draws, m, q, readings):
-    """Draw spikes' uniforms [draws, q, m] and normals [draws, m, q] once; read them once per reading.
+def _dst_chunk(rng, draws, m, readings):
+    """Draw spikes' uniforms [draws, q, m] and normals [draws, m, q] once (q = _Q); read them once per reading.
 
     A reading (rate, transposed, scale) spikes where the uniforms fall below
     `rate` and multiplies by the normals, or, transposed, by the same normals
@@ -171,9 +172,9 @@ def _dst_chunk(rng, draws, m, q, readings):
     columns; the current is then times `scale`. Cases that share a seed and a
     shape always drew these same numbers, so reading one draw changes no bit.
     """
-    u = rng.random((draws, q, m))
-    z = rng.standard_normal((draws, m, q))
-    zt = z.reshape(draws, q, m).swapaxes(-1, -2)
+    u = rng.random((draws, _Q, m))
+    z = rng.standard_normal((draws, m, _Q))
+    zt = z.reshape(draws, _Q, m).swapaxes(-1, -2)
     out = []
     for rate, transposed, scale in readings:
         cur = np.matmul((u < rate).astype(np.float64), zt if transposed else z) * scale
@@ -181,31 +182,29 @@ def _dst_chunk(rng, draws, m, q, readings):
     return out
 
 
-def _dst_mc(m, readings, predicted, *, q=4, samples, seed, pool) -> list[MCReport]:
+def _dst_mc(m, readings, predicted, *, samples, seed, pool) -> list[MCReport]:
     """One report per (rate, transposed, scale) reading of the [q, m] x [m, q] products of one draw."""
     return _mc_moments(
-        _dst_chunk, (m, q, readings), draws=max(_N_STREAMS, math.ceil(samples / (q * q))),
+        _dst_chunk, (m, readings), draws=max(_N_STREAMS, math.ceil(samples / (_Q * _Q))),
         seed=seed, pool=pool, predicted=predicted,
     )
 
 
-def _moment_law_mc(m, forms, *, q=4, samples, seed, pool) -> list[MCReport]:
+def _moment_law_mc(m, forms, *, samples, seed, pool) -> list[MCReport]:
     """dst_moments_mc for each (f_x, transposed) form at fan-in m, in order, all read from one draw."""
     for f_x, _ in forms:
         check_rate(f_x)
     check_fan_in(m)
-    if q < 1:
-        raise ContractError(f"bad sampling plan: q={q}, need at least 1")
     check_samples(samples)
     return _dst_mc(m, [(f_x, transposed, 1.0) for f_x, transposed in forms], [(0.0, f_x * m, 0.05) for f_x, _ in forms],
-                   q=q, samples=samples, seed=seed, pool=pool)
+                   samples=samples, seed=seed, pool=pool)
 
 
 def dst_moments_mc(
-    f_x: float, m: int, q: int = 4, samples: int = 100_000, seed: int = 0, pool=None, transposed: bool = False
+    f_x: float, m: int, samples: int = 100_000, seed: int = 0, pool=None, transposed: bool = False
 ) -> MCReport:
     """Sample dual-spike currents and compare moments to (0, f_x * m)."""
-    return _moment_law_mc(m, [(f_x, transposed)], q=q, samples=samples, seed=seed, pool=pool)[0]
+    return _moment_law_mc(m, [(f_x, transposed)], samples=samples, seed=seed, pool=pool)[0]
 
 
 def _post_scale_mc(rates, fan_in, *, samples, seed, pool) -> list[MCReport]:
@@ -321,7 +320,11 @@ class GradcheckReport:
         }
 
 
-def gradcheck(loss_fn, params, coords: int = 120, step: float = 1e-3, tol: float = 1e-3, seed: int = 0) -> GradcheckReport:
+_FD_STEP = 1e-3  # central-difference step of gradcheck
+_FD_TOL = 1e-3  # largest relative error gradcheck passes
+
+
+def gradcheck(loss_fn, params, coords: int = 120, seed: int = 0) -> GradcheckReport:
     """Compare backward-pass gradients against central finite differences.
 
     loss_fn runs a fresh forward and returns a scalar Tensor; it must be
@@ -350,12 +353,12 @@ def gradcheck(loss_fn, params, coords: int = 120, step: float = 1e-3, tol: float
         p = params[pi]
         flat = p.data.reshape(-1)
         orig = flat[local]
-        flat[local] = orig + step
+        flat[local] = orig + _FD_STEP
         f_plus = loss_fn().item()
-        flat[local] = orig - step
+        flat[local] = orig - _FD_STEP
         f_minus = loss_fn().item()
         flat[local] = orig
-        fd = (f_plus - f_minus) / (2.0 * step)
+        fd = (f_plus - f_minus) / (2.0 * _FD_STEP)
         an = float(analytic[id(p)].reshape(-1)[local])
         if not (np.isfinite(fd) and np.isfinite(an)):
             failures.append({"param": p.name, "index": local, "fd": fd, "analytic": an, "rel_err": float("inf")})
@@ -365,13 +368,13 @@ def gradcheck(loss_fn, params, coords: int = 120, step: float = 1e-3, tol: float
             continue
         rel = abs(fd - an) / scale
         worst = max(worst, rel)
-        if rel > tol:
+        if rel > _FD_TOL:
             failures.append({"param": p.name, "index": local, "fd": fd, "analytic": an, "rel_err": rel})
-    return GradcheckReport(coords=len(flat_idx), worst_rel_err=worst, tolerance=tol, failures=failures)
+    return GradcheckReport(coords=len(flat_idx), worst_rel_err=worst, tolerance=_FD_TOL, failures=failures)
 
 
-def build_block_fragment(seed: int = 0, time_steps: int = 2, batch: int = 2):
-    """Small attention + FFN block fragment for gradient checking.
+def build_block_fragment(seed: int = 0):
+    """Small attention + FFN block fragment (T = 2 steps of 2 images) for gradient checking.
 
     Returns (loss_fn, params). Scales and BN statistics are frozen (eval
     mode, pre-seeded EMAs) so the loss is smooth in the parameters; spiking
@@ -381,7 +384,7 @@ def build_block_fragment(seed: int = 0, time_steps: int = 2, batch: int = 2):
     cfg = DSSAConfig(d=16, height=8, width=8, p=2, heads=2)
     ffn_cfg = GWSFFNConfig(d=16, expansion=2, group_width=16)
     block = DualSpikeBlock("fragment", cfg, ffn_cfg, NeuronSpec(), rng=rng, dtype=np.float64)
-    x = rng.standard_normal((time_steps, batch, cfg.d, cfg.height, cfg.width))
+    x = rng.standard_normal((2, 2, cfg.d, cfg.height, cfg.width))
 
     # warm up statistics with a hard-spike training pass, then freeze
     block.forward(Tensor(x), RunContext(training=True))

@@ -88,10 +88,6 @@ class TestFiringRateEMA:
         with pytest.raises(ContractError):
             ema.update(-0.1)
 
-    def test_momentum_validation(self):
-        with pytest.raises(ConfigError):
-            FiringRateEMA("e", momentum=1.0)
-
 
 def identity_attention(d, tokens, gain_map=1.0, gain_val=1.0):
     """Single-head, p=1 module over a column of tokens whose embeddings are f(Y) = gain * Y exactly."""

@@ -24,7 +24,7 @@ from dualspike.verification import registry_patch_cases
 
 from test_tracing import TWO_STAGE
 
-# Checkpoints echo the canonical text and `load_checkpoint(path, cfg)` compares it,
+# Checkpoints echo the canonical text and `load_checkpoint` rebuilds the model from it,
 # so these digests may change only together with the checkpoint format.
 DIGESTS = {
     "Nano": "b920022adc2f11aca4ae80ba39449905be4efa91b8db4de6748b428acd5bb9a8",

@@ -200,6 +200,63 @@ class TestConvBitExact:
         assert np.array_equal(dx, expect_dx) and np.array_equal(dw, expect_dw)
 
 
+def cols_oracle(x, w, g, k, groups):
+    """Reference oracle: the non-overlapping (kernel == stride, no padding) lowering, spelled out.
+
+    The columns [groups, (C/g)*k*k, N*Ho*Wo] are filled one kernel offset at a
+    time from strided slices of x, in (channel, offset) row order and (image,
+    position) column order. Per group, one GEMM gives the output, one gives dW
+    (K = N*Ho*Wo) and one gives the dX columns, which each offset's slice of dX
+    takes back. Returns (out, dx, dW); `ops._conv2d_cols` must reproduce all
+    three bit for bit.
+    """
+    n, c, h, w_in = x.shape
+    o, cg = w.shape[:2]
+    og, ho, wo = o // groups, h // k, w_in // k
+    cols = np.empty((groups, cg, k, k, n, ho, wo), dtype=x.dtype)
+    for di in range(k):
+        for dj in range(k):
+            cols[:, :, di, dj] = x[:, :, di::k, dj::k].reshape(n, groups, cg, ho, wo).transpose(1, 2, 0, 3, 4)
+    cols = cols.reshape(groups, cg * k * k, n * ho * wo)
+    wg = w.reshape(groups, og, cg * k * k)
+    gt = np.ascontiguousarray(g.transpose(1, 0, 2, 3)).reshape(groups, og, n * ho * wo)
+    out = np.stack([np.matmul(wg[gi], cols[gi]) for gi in range(groups)])
+    dw = np.stack([np.matmul(gt[gi], cols[gi].T) for gi in range(groups)])
+    dcols = np.stack([np.matmul(wg[gi].T, gt[gi]) for gi in range(groups)])
+    dcols = dcols.reshape(groups, cg, k, k, n, ho, wo)
+    dx = np.empty_like(x)
+    for di in range(k):
+        for dj in range(k):
+            dx[:, :, di::k, dj::k] = dcols[:, :, di, dj].transpose(2, 0, 1, 3, 4).reshape(n, c, ho, wo)
+    out = np.ascontiguousarray(out.reshape(o, n, ho, wo).transpose(1, 0, 2, 3))
+    return out, dx, dw.reshape(w.shape)
+
+
+class TestConvColsBitExact:
+    """1x1 and patchify convs (the `_conv2d_cols` path) equal the spelled-out lowering bit for bit."""
+
+    @pytest.mark.parametrize(
+        "c,o,h,k,groups",
+        [
+            pytest.param(64, 128, 16, 1, 1, id="1x1"),
+            pytest.param(128, 128, 16, 1, 2, id="1x1-grouped"),
+            pytest.param(32, 64, 16, 2, 1, id="patchify-2"),
+            pytest.param(64, 64, 16, 4, 1, id="patchify-4"),
+        ],
+    )
+    def test_forward_and_backward(self, rng, c, o, h, k, groups):
+        n = 4
+        x = (rng.random((n, c, h, h)) < 0.25).astype(np.float32)
+        w = rng.standard_normal((o, c // groups, k, k)).astype(np.float32)
+        g = rng.standard_normal((n, o, h // k, h // k)).astype(np.float32)
+        out = conv2d(Tensor(x), Tensor(w), stride=k, groups=groups).data
+        dx, dw = conv_grads(x, w, g, k, 0, groups)
+        expect_out, expect_dx, expect_dw = cols_oracle(x, w, g, k, groups)
+        assert out.dtype == dx.dtype == dw.dtype == np.float32
+        assert np.array_equal(out, expect_out)
+        assert np.array_equal(dx, expect_dx) and np.array_equal(dw, expect_dw)
+
+
 class TestConvBackward:
     @pytest.mark.parametrize(
         "n,c,h,w,o,k,s,p,g",

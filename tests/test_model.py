@@ -10,7 +10,7 @@ import pytest
 from conftest import calibrated_nano, race
 
 from dualspike import model as model_module
-from dualspike.config import REGISTRY, ModelConfig, StageSpec, StemSpec, registry_config
+from dualspike.config import REGISTRY, ModelConfig, StageSpec, StemSpec, canonical_model_text, registry_config
 from dualspike.data import SyntheticSpec, generate_split
 from dualspike.layers import RunContext
 from dualspike.model import (
@@ -354,15 +354,8 @@ class TestCheckpoint:
         save_checkpoint(model, path)
         cfg_text, _, emas = read_checkpoint(path)
         assert "stages = 8:2:2:8:64:1" in cfg_text
-        assert load_checkpoint(path, cfg=TINY).config == TINY
+        assert canonical_model_text(load_checkpoint(path).config) == canonical_model_text(TINY) == cfg_text
         assert len(emas) == 2
-
-    def test_echo_mismatch_rejected(self, rng, tmp_path):
-        model, _ = trained_tiny(rng)
-        path = tmp_path / "m.dskc"
-        save_checkpoint(model, path)
-        with pytest.raises(CheckpointError, match="echo"):
-            load_checkpoint(path, cfg=REGISTRY["Nano"])
 
     def test_bad_magic(self, rng, tmp_path):
         model, _ = trained_tiny(rng)

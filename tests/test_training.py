@@ -98,12 +98,6 @@ class TestSyntheticData:
             seen.extend(bl.tolist())
         assert sorted(seen) == list(range(10))
 
-    def test_iter_batches_ordered_without_rng(self):
-        images = np.zeros((5, 1, 1, 1), dtype=np.float32)
-        labels = np.arange(5)
-        batches = list(iter_batches(images, labels, 2))
-        np.testing.assert_array_equal(np.concatenate([b for _, b in batches]), labels)
-
 
 class TestDatasetContainer:
     def test_round_trip(self, tmp_path):
