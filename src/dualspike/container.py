@@ -25,7 +25,7 @@ def pack(magic: bytes, version: int, payload: bytes) -> bytes:
 
 
 class Reader:
-    """Cursor over a container payload; a read past its end raises CheckpointError."""
+    """Cursor over a container payload; a read past its end, or text that is not UTF-8, raises CheckpointError."""
 
     def __init__(self, blob: bytes, start: int, end: int, what: str):
         self.blob = blob
@@ -42,6 +42,12 @@ class Reader:
 
     def unpack(self, fmt: str) -> tuple:
         return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
+
+    def text(self, n: int) -> str:
+        try:
+            return self.take(n).decode("utf-8")
+        except UnicodeDecodeError:
+            raise CheckpointError(f"{self.what}: text is not valid UTF-8") from None
 
     def u32(self) -> int:
         return self.unpack("<I")[0]

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import container
-from .tensor import ConfigError, ContractError
+from .tensor import CheckpointError, ConfigError, ContractError
 
 _MAGIC = b"DSDS"
 _VERSION = 1
@@ -34,6 +34,9 @@ class SyntheticSpec:
     def __post_init__(self):
         if self.classes < 2:
             raise ConfigError(f"need at least 2 classes, got {self.classes}")
+        for name in ("channels", "height", "width", "coarse"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be at least 1, got {getattr(self, name)}")
         if self.height % self.coarse or self.width % self.coarse:
             raise ConfigError(
                 f"coarse grid {self.coarse} must divide {self.height}x{self.width}"
@@ -118,11 +121,15 @@ def save_dataset(path, ds: Dataset) -> None:
 
 
 def load_dataset(path) -> Dataset:
+    """Read a dataset container; a header that fails a SyntheticSpec check is a CheckpointError naming the file."""
     r = container.read(path, _MAGIC, _VERSION, f"dataset file {path}")
     count, classes, channels, height, width, coarse, noise, seed = r.unpack(_HEADER)
-    spec = SyntheticSpec(
-        classes=classes, channels=channels, height=height, width=width, coarse=coarse, noise=noise, seed=seed
-    )
+    try:
+        spec = SyntheticSpec(
+            classes=classes, channels=channels, height=height, width=width, coarse=coarse, noise=noise, seed=seed
+        )
+    except ConfigError as exc:
+        raise CheckpointError(f"dataset file {path}: header fails a check: {exc}") from None
     labels = r.array("<i8", count).astype(np.int64)
     images = r.array("<f4", count * channels * height * width)
     r.finish()

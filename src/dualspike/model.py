@@ -395,13 +395,13 @@ def save_checkpoint(model: DualSpikeNet, path):
 
 def _read_name(r: container.Reader) -> str:
     (n,) = r.unpack("<H")
-    return r.take(n).decode("utf-8")
+    return r.text(n)
 
 
 def read_checkpoint(path):
     """Returns (config_text, tensors dict, emas dict). Verifies integrity."""
     r = container.read(path, _MAGIC, _VERSION, f"checkpoint {path}")
-    cfg_text = r.take(r.u32()).decode("utf-8")
+    cfg_text = r.text(r.u32())
     tensors = {}
     for _ in range(r.u32()):
         name = _read_name(r)
@@ -421,11 +421,17 @@ def read_checkpoint(path):
 
 
 def load_checkpoint(path) -> DualSpikeNet:
-    """Rebuild a model from the checkpoint's config echo, in its float dtype."""
+    """Rebuild a model from the checkpoint's config echo, in its float dtype.
+
+    An echo that fails a config check is a CheckpointError naming the file, as a corrupt frame is.
+    """
     cfg_text, tensors, emas = read_checkpoint(path)
     dtypes = sorted({str(arr.dtype) for arr in tensors.values()})
     if len(dtypes) != 1:
-        raise CheckpointError(f"checkpoint must hold one tensor dtype, found {dtypes}")
-    model = DualSpikeNet(model_config_from_values(parse_config_text(cfg_text)), dtype=dtypes[0], seed=0)
+        raise CheckpointError(f"checkpoint {path} must hold one tensor dtype, found {dtypes}")
+    try:
+        model = DualSpikeNet(model_config_from_values(parse_config_text(cfg_text)), dtype=dtypes[0], seed=0)
+    except ConfigError as exc:
+        raise CheckpointError(f"checkpoint {path}: config echo fails a check: {exc}") from None
     model.load_state(tensors, emas)
     return model

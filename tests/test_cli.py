@@ -1,15 +1,16 @@
 """Command line behavior: output shape, exit codes, determinism."""
 
 import json
+import struct
 
 import numpy as np
 import pytest
 
-from dualspike import layers
+from dualspike import container, data, layers, model
 from dualspike.cli import main
-from dualspike.config import REGISTRY, canonical_model_text, config_digest
+from dualspike.config import REGISTRY, canonical_model_text, config_digest, model_config_from_values, parse_config_text
 from dualspike.data import SyntheticSpec, generate_split, load_dataset
-from dualspike.model import load_checkpoint, save_checkpoint
+from dualspike.model import build, load_checkpoint, save_checkpoint, serialize_checkpoint
 from dualspike.tensor import mul
 
 from conftest import calibrated_nano
@@ -119,6 +120,22 @@ class TestCountFlags:
         assert load_checkpoint(ckpt).config.time_steps == 1
 
 
+def write_dataset(path, **header):
+    """A dataset container of two 2x8x8 images whose header holds `header` over valid values."""
+    fields = {"count": 2, "classes": 3, "channels": 2, "height": 8, "width": 8, "coarse": 4, "noise": 0.3, "seed": 0}
+    fields.update(header)
+    arrays = np.zeros(2, "<i8").tobytes() + np.zeros(2 * 2 * 8 * 8, "<f4").tobytes()
+    path.write_bytes(container.pack(data._MAGIC, data._VERSION, struct.pack(data._HEADER, *fields.values()) + arrays))
+
+
+def write_checkpoint(path, edit):
+    """A checkpoint of the TINY_TEXT model whose (config echo, rest of payload) bytes pass through `edit`."""
+    payload = serialize_checkpoint(build(model_config_from_values(parse_config_text(TINY_TEXT))))[8:-4]
+    (n,) = struct.unpack_from("<I", payload)
+    echo, rest = edit(payload[4 : 4 + n], payload[4 + n :])
+    path.write_bytes(container.pack(model._MAGIC, model._VERSION, struct.pack("<I", len(echo)) + echo + rest))
+
+
 class TestBadInputs:
     @pytest.mark.parametrize("argv", [
         ["build", "--arch", "Nano", "--seed", "-1"],
@@ -159,6 +176,35 @@ class TestBadInputs:
         got, out, err = run(capsys, *(a.format(path=path, cfg=tiny_config) for a in argv))
         assert (got, out) == (code, "")
         assert err.startswith(f"{message} {path}: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("header, message", [
+        ({"noise": float("nan")}, "noise must be finite and non-negative, got nan"),
+        ({"classes": 1}, "need at least 2 classes, got 1"),
+        ({"seed": -1}, "data seed must be non-negative, got -1"),
+        ({"coarse": 0}, "coarse must be at least 1, got 0"),
+        ({"channels": 0}, "channels must be at least 1, got 0"),
+    ], ids=["nan-noise", "one-class", "negative-seed", "coarse-0", "channels-0"])
+    def test_dataset_header_failing_a_check_exits_one(self, capsys, tmp_path, tiny_config, header, message):
+        path = tmp_path / "bad.dsds"
+        write_dataset(path, **header)
+        code, out, err = run(capsys, "audit", "--config", tiny_config, "--dataset", str(path))
+        assert (code, out) == (1, "")
+        assert err == f"error: dataset file {path}: header fails a check: {message}\n"
+
+    @pytest.mark.parametrize("command", ["eval", "audit"])
+    @pytest.mark.parametrize("edit, message", [
+        (lambda echo, rest: (echo.replace(b"tau = 2.0", b"tau = nan"), rest),
+         "config echo fails a check: LIF tau must be finite, got nan"),
+        (lambda echo, rest: (b"\xff" + echo, rest), "text is not valid UTF-8"),
+        (lambda echo, rest: (echo, rest.replace(b"stem.conv.weight", b"\xfftem.conv.weight", 1)),
+         "text is not valid UTF-8"),
+    ], ids=["nan-tau-echo", "non-utf8-echo", "non-utf8-tensor-name"])
+    def test_checkpoint_failing_a_check_exits_one(self, capsys, tmp_path, command, edit, message):
+        path = tmp_path / "bad.dskc"
+        write_checkpoint(path, edit)
+        code, out, err = run(capsys, command, "--checkpoint", str(path))
+        assert (code, out) == (1, "")
+        assert err == f"error: checkpoint {path}: {message}\n"
 
 
 class TestVerify:
@@ -322,11 +368,25 @@ class TestTrainEvalAudit:
         assert file_rows[-1]["record"] == "totals"
         assert sum(r.get("sops", 0) for r in file_rows[:-1]) == totals["sops_total"]
 
+    @pytest.mark.parametrize("source", ["arch", "checkpoint"])
+    def test_audit_warns_when_rate_emas_uninitialized(self, capsys, tmp_path, source):
+        argv = ["--arch", "Nano"]
+        if source == "checkpoint":
+            ckpt = str(tmp_path / "fresh.dskc")
+            assert run(capsys, "build", "--arch", "Nano", "--out", ckpt)[0] == 0
+            argv = ["--checkpoint", ckpt]
+        code, out, err = run(capsys, "audit", *argv, "--batch", "1", "--test-count", "1")
+        assert code == 0
+        assert json.loads(out)["record"] == "totals"
+        assert err.count("warning:") == 1
+        assert "firing-rate EMAs are uninitialized" in err and "the SOP count depends on --batch\n" in err
+
     def test_audit_calibrated_checkpoint_has_no_silent_layers(self, capsys, tmp_path):
         ckpt = str(tmp_path / "calibrated.dskc")
         save_checkpoint(calibrated_nano(3), ckpt)
-        code, out, _ = run(capsys, "audit", "--checkpoint", ckpt, "--batch", "2", "--check-equivalence")
+        code, out, err = run(capsys, "audit", "--checkpoint", ckpt, "--batch", "2", "--check-equivalence")
         assert code == 0
+        assert err == ""  # trained rate EMAs: no warning
         equiv = json.loads(out.strip().splitlines()[-1])
         assert equiv["equivalence_passed"] is True
         assert equiv["silent_layers"] == []

@@ -85,6 +85,11 @@ class TestSyntheticData:
         with pytest.raises(ConfigError, match=message):
             SyntheticSpec(**{field: value})
 
+    @pytest.mark.parametrize("field", ["channels", "height", "width", "coarse"])
+    def test_spec_rejects_sizes_below_one(self, field):
+        with pytest.raises(ConfigError, match=f"{field} must be at least 1, got 0"):
+            SyntheticSpec(**{field: 0})
+
     def test_split_name_contract(self):
         with pytest.raises(ContractError):
             generate_split(SyntheticSpec(), 8, "validation")
