@@ -280,4 +280,6 @@ def load_config_file(path) -> dict:
             text = fh.read()
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc.strerror}") from None
+    except UnicodeDecodeError:
+        raise ConfigError(f"config file {path}: text is not valid UTF-8") from None
     return parse_config_text(text)

@@ -59,16 +59,6 @@ class FiringRateEMA:
         self.value = 0.0
         self.initialized = False
 
-    def update(self, batch_rate: float) -> float:
-        if not 0.0 <= batch_rate <= 1.0:
-            raise ContractError(f"firing rate must lie in [0, 1], got {batch_rate}")
-        if not self.initialized:
-            self.value = float(batch_rate)
-            self.initialized = True
-        else:
-            self.value = self.MOMENTUM * self.value + (1.0 - self.MOMENTUM) * float(batch_rate)
-        return self.value
-
     def observe(self, batch_rate: float, training: bool) -> float:
         """The rate to scale by: the updated EMA in training, the stored value at eval.
 
@@ -79,13 +69,15 @@ class FiringRateEMA:
         rate of the whole caller batch, not of a 2-3 image chunk, and the classes
         do not depend on how the batch would be chunked.
         """
-        if training:
-            return self.update(batch_rate)
-        if self.initialized:
-            return self.value
         if not 0.0 <= batch_rate <= 1.0:
             raise ContractError(f"firing rate must lie in [0, 1], got {batch_rate}")
-        return float(batch_rate)
+        if training:
+            if self.initialized:
+                self.value = self.MOMENTUM * self.value + (1.0 - self.MOMENTUM) * float(batch_rate)
+            else:
+                self.value = float(batch_rate)
+                self.initialized = True
+        return self.value if self.initialized else float(batch_rate)
 
 
 def _walk(value):

@@ -423,7 +423,8 @@ def read_checkpoint(path):
 def load_checkpoint(path) -> DualSpikeNet:
     """Rebuild a model from the checkpoint's config echo, in its float dtype.
 
-    An echo that fails a config check is a CheckpointError naming the file, as a corrupt frame is.
+    An echo that fails a config check, or a state that does not fit the model
+    the echo builds, is a CheckpointError naming the file, as a corrupt frame is.
     """
     cfg_text, tensors, emas = read_checkpoint(path)
     dtypes = sorted({str(arr.dtype) for arr in tensors.values()})
@@ -433,5 +434,8 @@ def load_checkpoint(path) -> DualSpikeNet:
         model = DualSpikeNet(model_config_from_values(parse_config_text(cfg_text)), dtype=dtypes[0], seed=0)
     except ConfigError as exc:
         raise CheckpointError(f"checkpoint {path}: config echo fails a check: {exc}") from None
-    model.load_state(tensors, emas)
+    try:
+        model.load_state(tensors, emas)
+    except CheckpointError as exc:
+        raise CheckpointError(f"checkpoint {path}: {exc}") from None
     return model

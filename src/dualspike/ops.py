@@ -1,9 +1,10 @@
 """Structured ops on the tape: convolution, pooling, batch norm, losses.
 
 Convolution lowers to grouped GEMM. Non-overlapping kernels (1x1 and the
-kernel==stride patchify used by token embeddings) go through an im2col that
-is a pure reshape. Overlapping kernels run one GEMM per (kernel offset,
-group) with K = C/g, over near-equal chunks of the batch of about
+kernel==stride patchify used by token embeddings) regroup the input into the
+GEMM columns with one reshape-and-transpose copy, and dcols into dX with one
+copy back (`_conv2d_cols`). Overlapping kernels run one GEMM per (kernel
+offset, group) with K = C/g, over near-equal chunks of the batch of about
 CHUNK_ELEMENTS activations, adding the offsets up in a fixed order; their
 backward chunks dX the same way and keeps dW whole-batch. That avoids the
 kh*kw column blowup and keeps each chunk's operands in cache. The offsets
@@ -49,22 +50,6 @@ def _pad_hw(x: np.ndarray, padding: int, value: float = 0.0) -> np.ndarray:
     return np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)), constant_values=value)
 
 
-def _im2col(x: np.ndarray, k: int, groups: int):
-    """Non-overlapping k x k patches (stride k, no padding): [n,C,H,W] -> columns
-    [n, groups, (C/g)*k*k, Ho*Wo], a pure reshape/transpose."""
-    n, c, h, w = x.shape
-    ho, wo = h // k, w // k
-    cols = x.reshape(n, c, ho, k, wo, k)
-    return cols.transpose(0, 1, 3, 5, 2, 4).reshape(n, groups, c // groups * k * k, ho * wo)
-
-
-def _col2im(cols: np.ndarray, xshape, k: int):
-    """Adjoint of _im2col: columns back to [n,C,H,W]."""
-    n, c, h, w = xshape
-    six = cols.reshape(n, c, k, k, h // k, w // k)
-    return six.transpose(0, 1, 4, 2, 5, 3).reshape(n, c, h, w)
-
-
 def conv2d(x: Tensor, weight: Tensor, stride: int = 1, padding: int = 0, groups: int = 1) -> Tensor:
     """Grouped 2-D convolution, no bias. x: [N,Cin,H,W], weight: [Cout,Cin/g,kh,kw]."""
     if x.data.ndim != 4:
@@ -85,34 +70,31 @@ def conv2d(x: Tensor, weight: Tensor, stride: int = 1, padding: int = 0, groups:
 
 
 def _conv2d_cols(x: Tensor, weight: Tensor, stride, padding, groups, ho, wo) -> Tensor:
-    """Patchify path (kernel == stride, no padding): im2col is a reshape.
+    """Patchify path (kernel == stride, no padding): the columns are the input, regrouped.
 
-    Columns are flipped to [g, ck2, n*L] so each group runs one wide GEMM;
-    group-count-batched GEMMs keep the BLAS kernel saturated on one core.
+    One reshape-and-transpose copy lays the input out as columns
+    [g, (C/g)*kh*kw, N*Ho*Wo], so each group runs one wide GEMM;
+    group-count-batched GEMMs keep the BLAS kernel saturated on one core. The
+    backward regroups dcols into dX with one copy the other way.
     """
     n, c, h, w = x.data.shape
     o, cg, kh, kw = weight.data.shape
     og = o // groups
-    l = ho * wo
     xd, wd = x.data, weight.data
     wg = wd.reshape(groups, og, cg * kh * kw)
 
-    def col_t(src):
-        cols = _im2col(src, kh, groups)
-        return np.ascontiguousarray(cols.transpose(1, 2, 0, 3)).reshape(groups, cg * kh * kw, n * l)
+    def cols(src):  # [n, g, cg, ho, kh, wo, kw] -> [g, cg*kh*kw, n*ho*wo]
+        six = src.reshape(n, groups, cg, ho, kh, wo, kw).transpose(1, 2, 4, 6, 0, 3, 5)
+        return six.reshape(groups, cg * kh * kw, n * ho * wo)
 
-    ct = col_t(xd)
-    out = np.ascontiguousarray(np.matmul(wg, ct).reshape(o, n, ho, wo).transpose(1, 0, 2, 3))
+    out = np.ascontiguousarray(np.matmul(wg, cols(xd)).reshape(o, n, ho, wo).transpose(1, 0, 2, 3))
 
     def bw(g):
-        gt = np.ascontiguousarray(g.transpose(1, 0, 2, 3)).reshape(groups, og, n * l)
-        ct_b = col_t(xd)
-        dw = np.matmul(gt, ct_b.swapaxes(-1, -2))
-        dcols = np.matmul(wg.swapaxes(-1, -2), gt)  # [g, ck2, n*L]
-        dcols = np.ascontiguousarray(
-            dcols.reshape(groups, cg * kh * kw, n, l).transpose(2, 0, 1, 3)
-        )
-        dx = _col2im(dcols, (n, c, h, w), kh)
+        gt = np.ascontiguousarray(g.transpose(1, 0, 2, 3)).reshape(groups, og, n * ho * wo)
+        dw = np.matmul(gt, cols(xd).swapaxes(-1, -2))
+        dcols = np.matmul(wg.swapaxes(-1, -2), gt).reshape(groups, cg, kh, kw, n, ho, wo)
+        dx = dcols.transpose(4, 0, 1, 5, 2, 6, 3).reshape(n, c, h, w)
+        dx = np.ascontiguousarray(dx)  # a copy already, except at k = 1, where the reshape is a strided view
         return (dx, dw.reshape(wd.shape))
 
     return make_node(out, (x, weight), bw)
@@ -279,6 +261,12 @@ class BatchNormState:
         self.running_var = np.ones(channels, dtype=dtype)
 
 
+def _eval_affine(state: BatchNormState):
+    """Eval-mode batch norm as the per-channel affine x * scale + shift: (1/std, scale, shift)."""
+    inv = 1.0 / np.sqrt(state.running_var + state.eps)
+    return inv, state.gamma.data * inv, state.beta.data - state.gamma.data * state.running_mean * inv
+
+
 def batchnorm(x: Tensor, state: BatchNormState, training: bool) -> Tensor:
     """Batch normalization with the fused backward formula."""
     if x.data.ndim < 2:
@@ -322,11 +310,10 @@ def batchnorm(x: Tensor, state: BatchNormState, training: bool) -> Tensor:
 
         return make_node(out, (x, gamma, beta), bw)
 
-    inv = 1.0 / np.sqrt(state.running_var + state.eps)
-    scale = (gamma.data * inv).reshape(bshape)
-    shift = (beta.data - gamma.data * state.running_mean * inv).reshape(bshape)
+    inv, scale, shift = _eval_affine(state)
+    scale = scale.reshape(bshape)
     out = np.multiply(x.data, scale)
-    out += shift
+    out += shift.reshape(bshape)
     xhat_scale = inv.reshape(bshape)
     rm = state.running_mean.reshape(bshape)
 
@@ -347,11 +334,8 @@ def fold_bn(weight: np.ndarray, state: BatchNormState):
     w = np.asarray(weight)
     if w.ndim != 4 or w.shape[0] != state.channels:
         raise ShapeError(f"fold_bn expects kernel [O={state.channels},C,kh,kw], got {w.shape}")
-    inv = 1.0 / np.sqrt(state.running_var + state.eps)
-    scale = state.gamma.data * inv
-    folded = w * scale[:, None, None, None]
-    bias = state.beta.data - state.gamma.data * state.running_mean * inv
-    return folded, bias
+    _, scale, bias = _eval_affine(state)
+    return w * scale[:, None, None, None], bias
 
 
 def cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:

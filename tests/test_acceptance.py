@@ -20,11 +20,11 @@ from dualspike.data import SyntheticSpec, generate_split
 from dualspike.model import build
 from dualspike.training import evaluate, train
 from dualspike.verification import (
-    dst_moments_mc,
     suite_conv_equiv,
     suite_gradcheck,
     suite_scaling,
     suite_sdsa,
+    suite_theorem1,
 )
 
 
@@ -58,13 +58,15 @@ def test_criterion_2_energy_model():
 def test_criterion_3_moment_law_monte_carlo():
     start = time.time()
     worst = 0.0
-    for f_x in (0.1, 0.3, 0.5):
-        for m in (64, 256):
-            for transposed in (False, True):
-                rep = dst_moments_mc(f_x, m, samples=100_000, seed=0, transposed=transposed)
-                assert rep.mean_ok, (f_x, m, transposed, rep.as_dict())
-                assert rep.variance_ok, (f_x, m, transposed, rep.as_dict())
-                worst = max(worst, abs(rep.variance - f_x * m) / (f_x * m))
+    rows = suite_theorem1(samples=100_000, seed=0)
+    cases = [(r["case"]["f_x"], r["case"]["m"], r["case"]["transposed"]) for r in rows]
+    assert cases == [(f_x, m, t) for f_x in (0.1, 0.3, 0.5) for m in (64, 256) for t in (False, True)]
+    for row in rows:
+        f_x, m = row["case"]["f_x"], row["case"]["m"]
+        assert row["predicted_variance"] == f_x * m, row
+        assert row["mean_ok"], row
+        assert row["variance_ok"], row
+        worst = max(worst, abs(row["variance"] - f_x * m) / (f_x * m))
     elapsed = time.time() - start
     assert elapsed < 60.0
     print(

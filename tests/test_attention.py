@@ -62,17 +62,17 @@ class TestScales:
 class TestFiringRateEMA:
     def test_first_observation_seeds(self):
         ema = FiringRateEMA("e")
-        assert ema.update(0.5) == 0.5
+        assert ema.observe(0.5, training=True) == 0.5
         assert ema.initialized
 
     def test_momentum_mix(self):
         ema = FiringRateEMA("e")
-        ema.update(0.5)
-        np.testing.assert_allclose(ema.update(0.3), 0.999 * 0.5 + 0.001 * 0.3)
+        ema.observe(0.5, training=True)
+        np.testing.assert_allclose(ema.observe(0.3, training=True), 0.999 * 0.5 + 0.001 * 0.3)
 
     def test_eval_returns_stored_without_update(self):
         ema = FiringRateEMA("e")
-        ema.update(0.4)
+        ema.observe(0.4, training=True)
         assert ema.observe(0.9, training=False) == 0.4
         assert ema.value == 0.4
 
@@ -84,9 +84,16 @@ class TestFiringRateEMA:
     def test_rate_range_contract(self):
         ema = FiringRateEMA("e")
         with pytest.raises(ContractError):
-            ema.update(1.5)
+            ema.observe(1.5, training=True)
         with pytest.raises(ContractError):
-            ema.update(-0.1)
+            ema.observe(-0.1, training=True)
+        assert not ema.initialized
+        with pytest.raises(ContractError):
+            ema.observe(float("nan"), training=False)
+        ema.observe(0.4, training=True)
+        with pytest.raises(ContractError):  # an initialized estimator checks the rate at eval too
+            ema.observe(1.5, training=False)
+        assert ema.value == 0.4
 
 
 def identity_attention(d, tokens, gain_map=1.0, gain_val=1.0):

@@ -177,6 +177,13 @@ class TestBadInputs:
         assert (got, out) == (code, "")
         assert err.startswith(f"{message} {path}: ") and err.count("\n") == 1
 
+    def test_config_file_not_utf8_exits_two(self, capsys, tmp_path):
+        path = tmp_path / "bad.cfg"
+        path.write_bytes(TINY_TEXT.encode() + b"# \xff\n")
+        code, out, err = run(capsys, "build", "--config", str(path))
+        assert (code, out) == (2, "")
+        assert err == f"config error: config file {path}: text is not valid UTF-8\n"
+
     @pytest.mark.parametrize("header, message", [
         ({"noise": float("nan")}, "noise must be finite and non-negative, got nan"),
         ({"classes": 1}, "need at least 2 classes, got 1"),
@@ -198,7 +205,14 @@ class TestBadInputs:
         (lambda echo, rest: (b"\xff" + echo, rest), "text is not valid UTF-8"),
         (lambda echo, rest: (echo, rest.replace(b"stem.conv.weight", b"\xfftem.conv.weight", 1)),
          "text is not valid UTF-8"),
-    ], ids=["nan-tau-echo", "non-utf8-echo", "non-utf8-tensor-name"])
+        (lambda echo, rest: (echo.replace(b"num_classes = 3", b"num_classes = 7"), rest),
+         "tensor classifier.fc.weight: shape (8, 3) != expected (8, 7)"),
+        (lambda echo, rest: (echo, rest.replace(b"stem.conv.weight", b"stem.conv.weighx", 1)),
+         "state name mismatch: missing=['stem.conv.weight'], unexpected=['stem.conv.weighx']"),
+        (lambda echo, rest: (echo, rest.replace(b"attn.rate_x", b"attn.rate_y", 1)),
+         "checkpoint lacks firing-rate EMA entries: ['stage1.block0.attn.rate_x']"),
+    ], ids=["nan-tau-echo", "non-utf8-echo", "non-utf8-tensor-name", "num-classes-7-echo", "renamed-tensor",
+            "renamed-ema"])
     def test_checkpoint_failing_a_check_exits_one(self, capsys, tmp_path, command, edit, message):
         path = tmp_path / "bad.dskc"
         write_checkpoint(path, edit)

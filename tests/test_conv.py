@@ -242,6 +242,7 @@ class TestConvColsBitExact:
             pytest.param(128, 128, 16, 1, 2, id="1x1-grouped"),
             pytest.param(32, 64, 16, 2, 1, id="patchify-2"),
             pytest.param(64, 64, 16, 4, 1, id="patchify-4"),
+            pytest.param(64, 64, 16, 2, 2, id="patchify-2-grouped"),
         ],
     )
     def test_forward_and_backward(self, rng, c, o, h, k, groups):

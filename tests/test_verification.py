@@ -12,11 +12,10 @@ from dualspike.layers import Linear
 from dualspike.tensor import ContractError, ShapeError, Tensor, mul, tensor_mean as tmean
 from dualspike.verification import (
     MCReport,
+    _dst_mc,
     build_block_fragment,
     conv_equiv,
-    dst_moments_mc,
     gradcheck,
-    post_scale_variance,
     registry_patch_cases,
     run_suites,
     sdsa_moments_mc,
@@ -46,35 +45,45 @@ class TestMCReportGates:
         assert self.base(variance=1.09, variance_rtol=0.1).variance_ok
 
 
+def law(f_x, m, transposed=False):
+    """The moment-law reading of `_dst_mc`: rate f_x, scale 1, predicted variance f_x * m within 5%."""
+    return (f_x, transposed, 1.0, f_x * m, 0.05)
+
+
+def post_scale(rate, fan_in):
+    """The post-scale reading of `_dst_mc`: scaled by dst_scale, predicted variance 1 within 10%."""
+    return (rate, False, dst_scale(rate, fan_in), 1.0, 0.1)
+
+
 class TestMomentLaw:
     def test_standard_form(self):
-        rep = dst_moments_mc(0.3, 256, samples=80_000, seed=0)
+        (rep,) = _dst_mc(256, [law(0.3, 256)], samples=80_000, seed=0, pool=None)
         assert rep.predicted_mean == 0.0
         assert rep.predicted_variance == pytest.approx(76.8)
         assert rep.passed, rep.as_dict()
 
     def test_transposed_form(self):
-        rep = dst_moments_mc(0.3, 256, samples=80_000, seed=1, transposed=True)
+        (rep,) = _dst_mc(256, [law(0.3, 256, transposed=True)], samples=80_000, seed=1, pool=None)
         assert rep.passed, rep.as_dict()
 
     def test_degenerate_rate_rejected(self):
         for bad in (0.0, 1.0, -0.2):
             with pytest.raises(ContractError):
-                dst_moments_mc(bad, 64)
+                _dst_mc(64, [law(bad, 64)], samples=100_000, seed=0, pool=None)
 
     def test_bad_plan_rejected(self):
         with pytest.raises(ContractError):
-            dst_moments_mc(0.5, 64, samples=4)
+            _dst_mc(64, [law(0.5, 64)], samples=4, seed=0, pool=None)
 
     def test_jobs_do_not_change_results(self):
-        a = dst_moments_mc(0.2, 64, samples=40_000, seed=3)
+        (a,) = _dst_mc(64, [law(0.2, 64)], samples=40_000, seed=3, pool=None)
         with ProcessPoolExecutor(max_workers=4) as pool:
-            b = dst_moments_mc(0.2, 64, samples=40_000, seed=3, pool=pool)
+            (b,) = _dst_mc(64, [law(0.2, 64)], samples=40_000, seed=3, pool=pool)
         assert (a.mean, a.variance, a.mean_stderr) == (b.mean, b.variance, b.mean_stderr)
 
     def test_seed_changes_samples(self):
-        a = dst_moments_mc(0.2, 64, samples=40_000, seed=3)
-        b = dst_moments_mc(0.2, 64, samples=40_000, seed=4)
+        (a,) = _dst_mc(64, [law(0.2, 64)], samples=40_000, seed=3, pool=None)
+        (b,) = _dst_mc(64, [law(0.2, 64)], samples=40_000, seed=4, pool=None)
         assert a.mean != b.mean
 
 
@@ -101,8 +110,8 @@ class TestSamplesContract:
     @pytest.mark.parametrize("samples", [0, 15])
     def test_too_few_rejected(self, samples):
         for sample in (
-            lambda: dst_moments_mc(0.2, 64, samples=samples),
-            lambda: post_scale_variance(0.2, 64, samples=samples),
+            lambda: _dst_mc(64, [law(0.2, 64)], samples=samples, seed=0, pool=None),
+            lambda: _dst_mc(64, [post_scale(0.2, 64)], samples=samples, seed=0, pool=None),
             lambda: sdsa_moments_mc(0.2, 0.4, 49, samples=samples),
         ):
             with pytest.raises(ContractError, match="bad sampling plan"):
@@ -110,20 +119,29 @@ class TestSamplesContract:
 
     def test_floor_accepted(self):
         assert verification.check_samples(16) == 16
-        assert post_scale_variance(0.2, 64, samples=16).samples >= 16
+        assert _dst_mc(64, [post_scale(0.2, 64)], samples=16, seed=0, pool=None)[0].samples >= 16
         assert sdsa_moments_mc(0.2, 0.4, 49, samples=16).samples == 16
 
 
 class TestScaledVariance:
     def test_attention_scale_normalizes(self):
-        rep = post_scale_variance(0.25, 128, samples=80_000, seed=0)
+        (rep,) = _dst_mc(128, [post_scale(0.25, 128)], samples=80_000, seed=0, pool=None)
         assert rep.predicted_variance == 1.0
         assert 0.9 <= rep.variance <= 1.1
         assert rep.passed
 
     def test_rate_contract(self):
-        with pytest.raises(ContractError):
-            post_scale_variance(1.0, 128)
+        with pytest.raises(ContractError, match="non-degenerate"):
+            _dst_mc(128, [(1.0, False, 1.0, 1.0, 0.1)], samples=100_000, seed=0, pool=None)
+
+    @pytest.mark.parametrize("verdict", [False, True])
+    def test_scaled_rows_pass_on_variance_ok(self, monkeypatch, verdict):
+        """A scaled row's verdict is its report's variance_ok, whatever the variance and the mean read."""
+        monkeypatch.setattr(MCReport, "variance_ok", property(lambda self: verdict))
+        rows = run_suites(["scaling", "sdsa"], samples=3_200)
+        scaled = [r for r in rows if r["suite"] == "scaling" or r["case"]["scaled"]]
+        assert len(scaled) == 6 and all(r["predicted_variance"] == 1.0 for r in scaled)
+        assert all(r["passed"] is r["variance_ok"] is verdict for r in scaled)
 
 
 class TestSpikeProductAttention:
@@ -383,13 +401,13 @@ def _oracle_scaling_rows(samples, seed):
         rep = _oracle_report(_oracle_scaled_chunk, (rate, d, 4, 4, dst_scale(rate, d)), samples, seed, 1.0, 0.1)
         rows.append(verification._case("scaling", {"role": "attn_map", "rate": rate, "fan_in": d,
                                                    "scale": attn_map_scale(rate, d)},
-                                       rep.as_dict(), 0.9 <= rep.variance <= 1.1))
+                                       rep.as_dict(), rep.variance_ok))
     for rate, hw, p in ((0.1, 784, 2), (0.25, 3136, 4)):
         fan = hw // (p * p)
         rep = _oracle_report(_oracle_scaled_chunk, (rate, fan, 4, 4, dst_scale(rate, fan)), samples, seed + 1, 1.0, 0.1)
         rows.append(verification._case("scaling", {"role": "output", "rate": rate, "hw": hw, "p": p,
                                                    "scale": output_scale(rate, hw, p)},
-                                       rep.as_dict(), 0.9 <= rep.variance <= 1.1))
+                                       rep.as_dict(), rep.variance_ok))
     return rows
 
 
@@ -417,10 +435,10 @@ class TestSharedDraws:
         assert repr(rows) == repr(oracle)
 
     def test_single_reading_samplers_equal_oracle(self):
-        assert dst_moments_mc(0.3, 64, samples=self.SAMPLES, seed=2, transposed=True) == _oracle_report(
-            _oracle_dst_chunk, (0.3, 64, 4, 4, True), self.SAMPLES, 2, 0.3 * 64, 0.05)
-        assert post_scale_variance(0.2, 96, samples=self.SAMPLES, seed=2) == _oracle_report(
-            _oracle_scaled_chunk, (0.2, 96, 4, 4, dst_scale(0.2, 96)), self.SAMPLES, 2, 1.0, 0.1)
+        assert _dst_mc(64, [law(0.3, 64, transposed=True)], samples=self.SAMPLES, seed=2, pool=None) == [_oracle_report(
+            _oracle_dst_chunk, (0.3, 64, 4, 4, True), self.SAMPLES, 2, 0.3 * 64, 0.05)]
+        assert _dst_mc(96, [post_scale(0.2, 96)], samples=self.SAMPLES, seed=2, pool=None) == [_oracle_report(
+            _oracle_scaled_chunk, (0.2, 96, 4, 4, dst_scale(0.2, 96)), self.SAMPLES, 2, 1.0, 0.1)]
 
     @pytest.mark.parametrize("suite, passes", [("theorem1", 2), ("scaling", 3)])
     def test_one_pass_per_shared_draw(self, monkeypatch, suite, passes):
@@ -444,6 +462,7 @@ class TestSharedDraws:
             run_suites(["theorem1"], samples=self.SAMPLES, m=0)
         for bad in (0.0, 1.0, float("nan")):
             with pytest.raises(ContractError, match="non-degenerate"):
-                verification._moment_law_mc(64, [(0.3, False), (bad, True)], samples=self.SAMPLES, seed=0, pool=None)
-            with pytest.raises(ContractError, match="post-scale"):
-                verification._post_scale_mc([0.2, bad], 196, samples=self.SAMPLES, seed=0, pool=None)
+                _dst_mc(64, [law(0.3, 64), law(bad, 64, transposed=True)], samples=self.SAMPLES, seed=0, pool=None)
+            with pytest.raises(ContractError, match="non-degenerate"):
+                _dst_mc(196, [post_scale(0.2, 196), (bad, False, 1.0, 1.0, 0.1)], samples=self.SAMPLES, seed=0,
+                        pool=None)
