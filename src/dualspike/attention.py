@@ -9,7 +9,9 @@ map f (conv + batch norm, foldable to one matrix) in both directions:
 With X Bernoulli(rate) and f(Y) entries mean-0/var-1, the resulting current
 has mean 0 and variance rate * fan_in, so dividing by sqrt(rate * fan_in)
 restores unit variance before the next firing stage. Firing rates are not
-known at eval time, so they are tracked with a slow EMA during training.
+known at eval time, so they are tracked with a slow EMA during training and
+read at eval. Before an EMA has seen a training batch, eval scales each image
+by its own rate, so an image's output never depends on its batch.
 """
 
 from __future__ import annotations
@@ -56,21 +58,19 @@ class DSSAConfig:
 # -- scales -----------------------------------------------------------------
 
 
-def dst_scale(rate: float, fan_in: int) -> float:
-    """1 / sqrt(rate * fan_in), with the rate floored to keep the scale finite."""
+def dst_scale(rate, fan_in: int):
+    """1 / sqrt(rate * fan_in), with the rate floored to keep the scale finite.
+
+    `rate` is a float or an array of rates (one per image at eval), and the scale has its shape.
+    """
     if fan_in < 1:
         raise ConfigError(f"fan_in must be positive, got {fan_in}")
-    if not 0.0 <= rate <= 1.0:
+    if not np.all((0.0 <= rate) & (rate <= 1.0)):
         raise ContractError(f"firing rate must lie in [0, 1], got {rate}")
-    return 1.0 / np.sqrt(max(rate, RATE_FLOOR) * fan_in)
+    return 1.0 / np.sqrt(np.maximum(rate, RATE_FLOOR) * fan_in)
 
 
-def attn_map_scale(rate_x: float, d: int) -> float:
-    """Scale for the attention-map transformation (fan-in = feature width d)."""
-    return dst_scale(rate_x, d)
-
-
-def output_scale(rate_attn: float, hw: int, p: int) -> float:
+def output_scale(rate_attn, hw: int, p: int):
     """Scale for the output transformation (fan-in = HW / p^2 reduced tokens)."""
     if p < 1 or hw % (p * p):
         raise ConfigError(f"p={p} must satisfy p^2 | HW (HW={hw})")
@@ -130,14 +130,14 @@ class MultiHeadDualSpikeAttention(Module):
         t, b = x.data.shape[:2]
 
         s_in = self._fire(x, ctx)
-        rate_in = self.rate_x.observe(float(s_in.data.mean()), ctx.training)
+        rate_in = self.rate_x.observe(s_in.data, ctx.training)
 
         s4 = reshape(s_in, (t * b, cfg.d, cfg.height, cfg.width))
         # head-split token view of the input spikes: [T,B,h,HW,dh]
         xh = transpose(reshape(s_in, (t, b, cfg.heads, cfg.d_head, cfg.hw)), (0, 1, 2, 4, 3))
 
         z_map = self._embed_tokens(s4, self.conv_map, self.bn_map, ctx, (t, b))  # [T,B,h,dh,np]
-        c1 = attn_map_scale(rate_in, cfg.d_head)
+        c1 = dst_scale(rate_in, cfg.d_head)
         # each product goes to the trace as it is made, so no local keeps it alive
         amap = self._fire(  # [T,B,h,HW,np] binary
             mul(ctx.record(f"{self.name}.attn", "dst_t", s_in, matmul(xh, z_map),
@@ -145,7 +145,7 @@ class MultiHeadDualSpikeAttention(Module):
             ctx,
         )
 
-        rate_a = self.rate_attn.observe(float(amap.data.mean()), ctx.training)
+        rate_a = self.rate_attn.observe(amap.data, ctx.training)
         z_val = transpose(self._embed_tokens(s4, self.conv_val, self.bn_val, ctx, (t, b)), (0, 1, 2, 4, 3))
         c2 = output_scale(rate_a, cfg.hw, cfg.p)
         s_out = self._fire(  # [T,B,h,HW,dh] binary

@@ -94,16 +94,6 @@ def _train_cfg(args, file_values) -> TrainConfig:
     return dataclasses.replace(cfg, **{field: val for field, val in flags.items() if val is not None})
 
 
-def _warn_if_rates_uninitialized(model, result: str, flag: str):
-    """Say on stderr that eval attention scales by each batch's own rate, so `result` depends on `flag`."""
-    if not all(e.initialized for e in model.rate_emas()):
-        print(
-            "warning: the model's firing-rate EMAs are uninitialized (as `build --out` writes them); eval "
-            f"attention then scales by the rate of each batch, so {result} depends on {flag}",
-            file=sys.stderr,
-        )
-
-
 def _dataset_for(args, cfg, split: str):
     if args.dataset:
         return load_dataset(args.dataset)
@@ -167,7 +157,6 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     model = load_checkpoint(args.checkpoint)
     ds = _dataset_for(args, model.config, "test")
-    _warn_if_rates_uninitialized(model, "the accuracy", "--batch-size")
     acc = evaluate(model, ds.images, ds.labels, batch_size=args.batch_size)
     _print_json({"count": len(ds), "eval_acc": acc})
     return 0
@@ -175,6 +164,9 @@ def cmd_eval(args) -> int:
 
 def cmd_audit(args) -> int:
     if args.checkpoint:
+        for flag, value in (("--arch", args.arch), ("--config", args.config), ("--time-steps", args.time_steps)):
+            if value is not None:
+                raise ConfigError(f"{flag} does not apply with --checkpoint, which holds the model's config")
         model = load_checkpoint(args.checkpoint)
         cfg = model.config
     else:
@@ -183,7 +175,6 @@ def cmd_audit(args) -> int:
     ds = _dataset_for(args, cfg, "test")
     if args.batch > len(ds):
         raise ConfigError(f"--batch {args.batch} exceeds the {len(ds)} test images")
-    _warn_if_rates_uninitialized(model, "the SOP count", "--batch")
     images = ds.images[: args.batch]
     report = audit_model(model, images)
     if args.out:

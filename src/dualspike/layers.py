@@ -49,7 +49,8 @@ class FiringRateEMA:
     The first observation seeds the value directly; afterwards
     value <- MOMENTUM * value + (1 - MOMENTUM) * batch_rate. Eval-time
     observations never update; an uninitialized estimator at eval falls back
-    to the observed batch rate so untrained models still scale sensibly.
+    to each image's own rate, so untrained models still scale sensibly and an
+    image's output never depends on the other images of its batch.
     """
 
     MOMENTUM = 0.999
@@ -59,25 +60,23 @@ class FiringRateEMA:
         self.value = 0.0
         self.initialized = False
 
-    def observe(self, batch_rate: float, training: bool) -> float:
-        """The rate to scale by: the updated EMA in training, the stored value at eval.
+    def observe(self, spikes: np.ndarray, training: bool):
+        """The rate to scale by for spikes [T, B, x, y, z]: the updated EMA in training, the stored value at eval.
 
-        An uninitialized estimator at eval returns `batch_rate`, the rate observed
-        over the whole forward batch, so each image's output then depends on the
-        other images in it. `DualSpikeNet.predict` therefore forwards each caller
-        batch whole while any estimator is uninitialized: the fallback reads the
-        rate of the whole caller batch, not of a 2-3 image chunk, and the classes
-        do not depend on how the batch would be chunked.
+        Training folds in the rate of the whole batch. An uninitialized estimator at
+        eval returns each image's own rate over its T steps and neurons, shaped
+        [1, B, 1, 1, 1] to broadcast over the spikes' axes, and stores nothing.
         """
-        if not 0.0 <= batch_rate <= 1.0:
-            raise ContractError(f"firing rate must lie in [0, 1], got {batch_rate}")
+        if training or self.initialized:
+            rate = float(spikes.mean())
+        else:
+            rate = spikes.mean(axis=(0, 2, 3, 4), dtype=np.float64, keepdims=True)
+        if not np.all((0.0 <= rate) & (rate <= 1.0)):
+            raise ContractError(f"firing rate must lie in [0, 1], got {rate}")
         if training:
-            if self.initialized:
-                self.value = self.MOMENTUM * self.value + (1.0 - self.MOMENTUM) * float(batch_rate)
-            else:
-                self.value = float(batch_rate)
-                self.initialized = True
-        return self.value if self.initialized else float(batch_rate)
+            self.value = self.MOMENTUM * self.value + (1.0 - self.MOMENTUM) * rate if self.initialized else rate
+            self.initialized = True
+        return self.value if self.initialized else rate
 
 
 def _walk(value):

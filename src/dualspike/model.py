@@ -9,15 +9,12 @@ leave as per-step logits averaged over the time axis.
 such batch in near-equal chunks of 2-3 images (EVAL_CHUNK_IMAGES sets the
 count). At batch 64 the FFN's hidden activation in Nano's stage 1 is about
 134 MB, which glibc maps, faults in and unmaps afresh for every op; a
-chunk's activations stay in cache. In
-eval mode BN reads its running statistics and attention its rate EMAs, so an
-image's logits do not depend on the other images of its forward, and the
-chunks give the bits of one whole-batch forward. A batch of more than one
-image is never cut into one-image chunks: a one-image forward lands on
-OpenBLAS's small-matrix kernel, which rounds differently. While any rate EMA
-is uninitialized, eval attention scales by the rate observed over the batch
-it sees, which couples the images, so the caller batch is then forwarded
-whole.
+chunk's activations stay in cache. In eval mode BN reads its running
+statistics and attention its rate EMAs, or each image's own rate while an EMA
+is uninitialized, so an image's logits do not depend on the other images of
+its forward, and the chunks give the bits of one whole-batch forward. A batch
+of more than one image is never cut into one-image chunks: a one-image
+forward lands on OpenBLAS's small-matrix kernel, which rounds differently.
 
 The chunks run on one thread per usable core, with the bundled OpenBLAS
 pinned to one thread meanwhile (`_openblas_threads`). NumPy's loops release
@@ -267,11 +264,8 @@ class DualSpikeNet(Module):
         """Class predictions without tape recording, `batch_size` images per caller batch.
 
         Each caller batch of m images is forwarded in max(1, m // EVAL_CHUNK_IMAGES)
-        near-equal chunks, whose logits equal one forward of the batch bit for bit.
-        While a rate EMA is uninitialized, its eval fallback reads the observed rate of
-        the whole caller batch, so that batch is one chunk: chunking would change the
-        rate each image is scaled by, and the batches run one after another. Otherwise
-        the chunks of all caller batches run on min(usable cores, chunks) threads with
+        near-equal chunks, whose logits equal one forward of the batch bit for bit. The
+        chunks of all caller batches run on min(usable cores, chunks) threads with
         OpenBLAS pinned to one thread, process-wide for the length of the call
         (`_map_chunks`). They run in the calling thread where that pin is not available
         or while `forward` is wrapped on the class (a tracer's wrapper keeps one stack of
@@ -280,16 +274,14 @@ class DualSpikeNet(Module):
         if batch_size < 1:
             raise ContractError(f"batch size must be at least 1, got {batch_size}")
         images = np.asarray(images)
-        independent = all(e.initialized for e in self.rate_emas())
         chunks = []
         for i in range(0, images.shape[0], batch_size):
             batch = images[i : i + batch_size]
             m = batch.shape[0]
-            n = max(1, m // EVAL_CHUNK_IMAGES) if independent else 1
+            n = max(1, m // EVAL_CHUNK_IMAGES)
             bounds = [m * k // n for k in range(n + 1)]  # sizes differ by one image at most
             chunks.extend(batch[lo:hi] for lo, hi in zip(bounds, bounds[1:]))
-        own_forward = type(self).forward is _FORWARD
-        workers = min(_usable_cores(), len(chunks)) if independent and own_forward else 1
+        workers = min(_usable_cores(), len(chunks)) if type(self).forward is _FORWARD else 1
         with no_grad():  # the flag is a module global: set here once, read by every worker
             outs = _map_chunks(self._classify, chunks, workers)
         return np.concatenate(outs) if outs else np.empty(0, dtype=np.int64)
@@ -316,24 +308,28 @@ class DualSpikeNet(Module):
         return tensors, emas
 
     def load_state(self, tensors: dict, emas: dict):
-        own = {name: arr for name, arr in self.state_tensors()}
+        """Replace every parameter, BN statistic and rate EMA, or raise CheckpointError having changed nothing.
+
+        Every name, shape and EMA entry is checked before the first write.
+        """
+        own = dict(self.state_tensors())
         if set(own) != set(tensors):
             missing = sorted(set(own) - set(tensors))
             extra = sorted(set(tensors) - set(own))
             raise CheckpointError(f"state name mismatch: missing={missing[:4]}, unexpected={extra[:4]}")
-        for p in self.parameters():
-            src = tensors[p.name]
-            if src.shape != p.data.shape:
-                raise CheckpointError(f"tensor {p.name}: shape {src.shape} != expected {p.data.shape}")
-            p.data = src.astype(self.dtype, copy=True)
-            p.grad = np.zeros_like(p.data)
-        for s in self.bn_states():
-            s.running_mean = tensors[f"{s.name}.running_mean"].astype(s.running_mean.dtype, copy=True)
-            s.running_var = tensors[f"{s.name}.running_var"].astype(s.running_var.dtype, copy=True)
+        for name, arr in own.items():
+            if tensors[name].shape != arr.shape:
+                raise CheckpointError(f"tensor {name}: shape {tensors[name].shape} != expected {arr.shape}")
         model_emas = {e.name: e for e in self.rate_emas()}
         if set(model_emas) != set(emas):
             missing = sorted(set(model_emas) - set(emas))
             raise CheckpointError(f"checkpoint lacks firing-rate EMA entries: {missing[:6]}")
+        for p in self.parameters():
+            p.data = tensors[p.name].astype(self.dtype, copy=True)
+            p.grad = np.zeros_like(p.data)
+        for s in self.bn_states():
+            s.running_mean = tensors[f"{s.name}.running_mean"].astype(s.running_mean.dtype, copy=True)
+            s.running_var = tensors[f"{s.name}.running_var"].astype(s.running_var.dtype, copy=True)
         for name, (initialized, value) in emas.items():
             est = model_emas[name]
             est.initialized = bool(initialized)

@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import ops
-from .attention import DSSAConfig, attn_map_scale, dst_scale, output_scale, sdsa_scale
+from .attention import DSSAConfig, dst_scale, output_scale, sdsa_scale
 from .config import REGISTRY
 from .ffn import GWSFFNConfig
 from .layers import RunContext
@@ -405,9 +405,10 @@ def suite_theorem1(samples: int = 100_000, seed: int = 0, pool=None, fx=None, m=
 def suite_scaling(samples: int = 100_000, seed: int = 0, pool=None):
     rows = []
     for rate, d in ((0.15, 64), (0.3, 256)):
-        (rep,) = _dst_mc(d, [(rate, False, dst_scale(rate, d), 1.0, 0.1)], samples=samples, seed=seed, pool=pool)
+        scale = dst_scale(rate, d)
+        (rep,) = _dst_mc(d, [(rate, False, scale, 1.0, 0.1)], samples=samples, seed=seed, pool=pool)
         rows.append(_case("scaling", {"role": "attn_map", "rate": rate, "fan_in": d,
-                                      "scale": attn_map_scale(rate, d)}, rep.as_dict(), rep.variance_ok))
+                                      "scale": scale}, rep.as_dict(), rep.variance_ok))
     outputs = ((0.1, 784, 2), (0.25, 3136, 4))
     (fan,) = {hw // (p * p) for _, hw, p in outputs}  # both reduce to 196 tokens, so they read one draw
     readings = [(rate, False, dst_scale(rate, fan), 1.0, 0.1) for rate, _, _ in outputs]

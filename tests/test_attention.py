@@ -8,7 +8,6 @@ from dualspike.attention import (
     DSSAConfig,
     FiringRateEMA,
     MultiHeadDualSpikeAttention,
-    attn_map_scale,
     dst_scale,
     output_scale,
     sdsa_scale,
@@ -36,8 +35,15 @@ class TestScales:
         np.testing.assert_allclose(dst_scale(1e-6, 100), 10.0)
         np.testing.assert_allclose(dst_scale(0.0, 100), 10.0)
 
-    def test_attn_map_scale_is_feature_fan_in(self):
-        assert attn_map_scale(0.25, 64) == dst_scale(0.25, 64)
+    def test_dst_scale_per_image_rates(self):
+        # one rate per image at eval: each scale has the bits of the float call, and any bad entry is rejected
+        rates = np.array([0.25, 0.5, 0.0, 1e-6]).reshape(1, 4, 1, 1, 1)
+        scales = dst_scale(rates, 64)
+        assert scales.shape == rates.shape
+        assert scales.ravel().tolist() == [dst_scale(float(r), 64) for r in rates.ravel()]
+        for bad in (1.5, -0.1, np.nan):
+            with pytest.raises(ContractError):
+                dst_scale(np.array([0.25, bad]), 64)
 
     def test_output_scale_uses_reduced_tokens(self):
         np.testing.assert_allclose(output_scale(0.5, 196, 1), 1 / np.sqrt(98))
@@ -59,40 +65,56 @@ class TestScales:
             sdsa_scale(1.5, 0.5, 4)
 
 
+def spike_array(*rates, n=10):
+    """Binary spikes [2, B, 1, 1, n/2]: image b has round(rates[b] * n) ones among its n entries."""
+    flat = np.zeros((len(rates), n))
+    for b, rate in enumerate(rates):
+        flat[b, : round(rate * n)] = 1.0
+    return flat.reshape(len(rates), 2, 1, 1, n // 2).swapaxes(0, 1)
+
+
 class TestFiringRateEMA:
     def test_first_observation_seeds(self):
         ema = FiringRateEMA("e")
-        assert ema.observe(0.5, training=True) == 0.5
+        assert ema.observe(spike_array(0.5), training=True) == 0.5
         assert ema.initialized
+
+    def test_training_reads_whole_batch_rate(self):
+        ema = FiringRateEMA("e")
+        assert ema.observe(spike_array(0.2, 0.6), training=True) == 0.4
 
     def test_momentum_mix(self):
         ema = FiringRateEMA("e")
-        ema.observe(0.5, training=True)
-        np.testing.assert_allclose(ema.observe(0.3, training=True), 0.999 * 0.5 + 0.001 * 0.3)
+        ema.observe(spike_array(0.5), training=True)
+        np.testing.assert_allclose(ema.observe(spike_array(0.3), training=True), 0.999 * 0.5 + 0.001 * 0.3)
 
     def test_eval_returns_stored_without_update(self):
         ema = FiringRateEMA("e")
-        ema.observe(0.4, training=True)
-        assert ema.observe(0.9, training=False) == 0.4
+        ema.observe(spike_array(0.4), training=True)
+        assert ema.observe(spike_array(0.9, 0.1), training=False) == 0.4
         assert ema.value == 0.4
 
-    def test_uninitialized_eval_falls_back_to_batch(self):
+    def test_uninitialized_eval_falls_back_to_each_images_rate(self):
         ema = FiringRateEMA("e")
-        assert ema.observe(0.7, training=False) == 0.7
-        assert not ema.initialized
+        rates = ema.observe(spike_array(0.7, 0.2, 0.0).astype(np.float32), training=False)
+        assert rates.shape == (1, 3, 1, 1, 1) and rates.dtype == np.float64
+        np.testing.assert_allclose(rates.ravel(), [0.7, 0.2, 0.0], rtol=1e-15)
+        # an image's rate does not depend on the other images of its batch
+        assert ema.observe(spike_array(0.7).astype(np.float32), training=False).item() == rates[0, 0].item()
+        assert not ema.initialized and ema.value == 0.0
 
     def test_rate_range_contract(self):
         ema = FiringRateEMA("e")
         with pytest.raises(ContractError):
-            ema.observe(1.5, training=True)
+            ema.observe(np.full((2, 1, 1, 1, 5), 1.5), training=True)
         with pytest.raises(ContractError):
-            ema.observe(-0.1, training=True)
+            ema.observe(np.full((2, 1, 1, 1, 5), -0.1), training=True)
         assert not ema.initialized
-        with pytest.raises(ContractError):
-            ema.observe(float("nan"), training=False)
-        ema.observe(0.4, training=True)
+        with pytest.raises(ContractError):  # the per-image fallback checks each image's rate
+            ema.observe(np.stack([spike_array(0.4)[:, 0], np.full((2, 1, 1, 5), np.nan)], axis=1), training=False)
+        ema.observe(spike_array(0.4), training=True)
         with pytest.raises(ContractError):  # an initialized estimator checks the rate at eval too
-            ema.observe(1.5, training=False)
+            ema.observe(np.full((2, 1, 1, 1, 5), 1.5), training=False)
         assert ema.value == 0.4
 
 
@@ -134,7 +156,7 @@ class TestDualSpikeTransforms:
         mod = identity_attention(3, 3)
         (_, s_in), (cur, _), _ = lif_traffic(monkeypatch, mod, token_input(self.TOKENS))
         np.testing.assert_array_equal(s_in.data[0, 0, :, :, 0].T, self.TOKENS)
-        c1 = attn_map_scale(5 / 9, 3)
+        c1 = dst_scale(5 / 9, 3)
         np.testing.assert_allclose(cur[0, 0, 0], c1 * np.array([[2, 1, 1], [1, 2, 0], [1, 0, 1]]), rtol=1e-12)
 
     def test_dst_hand_oracle(self, monkeypatch):
@@ -238,7 +260,7 @@ class TestMultiHeadModule:
         z_val = embed(mod.conv_val, mod.bn_val)
 
         dh, hw = cfg.d_head, cfg.hw
-        c1 = attn_map_scale(rate_in, dh)
+        c1 = dst_scale(rate_in, dh)
         scores = np.zeros((2, 1, cfg.heads, hw, hw))
         for h in range(cfg.heads):
             for q in range(hw):

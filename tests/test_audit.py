@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from dualspike import attention, audit, layers, tensor
 from dualspike.attention import DSSAConfig
+from dualspike.data import SyntheticSpec, generate_split
 from dualspike.audit import (
     ENERGY_PER_SOP_PJ,
     AuditTrace,
@@ -182,6 +183,15 @@ class TestAuditReport:
         rows = [json.loads(line) for line in lines]
         assert rows[-1]["record"] == "totals"
         assert len(rows) == len(nano_report.rows) + 1
+
+    def test_fresh_model_sops_add_over_image_splits(self):
+        # uninitialized rate EMAs: eval attention scales each image by its own rate, so no image's
+        # spikes depend on the others audited with it
+        model = build("Nano", seed=0)
+        assert not any(e.initialized for e in model.rate_emas())
+        images = generate_split(SyntheticSpec(seed=0, noise=0.3), 4, "test").images
+        halves = [audit_model(model, images[i : i + 2]).sops_total for i in (0, 2)]
+        assert audit_model(model, images).sops_total == sum(halves)
 
     def test_count_only_trace_keeps_no_currents(self, calibrated, monkeypatch):
         """audit_model's trace holds no layer's current, and counts the same as a trace that keeps them."""

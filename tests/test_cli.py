@@ -318,16 +318,6 @@ class TestTrainEvalAudit:
         assert code == 0
         assert json.loads(out)["count"] == 12
 
-    def test_eval_warns_when_rate_emas_uninitialized(self, capsys, tmp_path, tiny_config):
-        ckpt = str(tmp_path / "fresh.dskc")
-        code, _, _ = run(capsys, "build", "--config", tiny_config, "--out", ckpt)
-        assert code == 0
-        code, out, err = run(capsys, "eval", "--checkpoint", ckpt, "--test-count", "12")
-        assert code == 0
-        assert json.loads(out)["count"] == 12
-        assert err.count("warning:") == 1
-        assert "firing-rate EMAs are uninitialized" in err and "--batch-size" in err
-
     def test_eval_of_trained_checkpoint_does_not_warn(self, capsys, tmp_path):
         ckpt = str(tmp_path / "calibrated.dskc")
         save_checkpoint(calibrated_nano(3), ckpt)
@@ -382,25 +372,23 @@ class TestTrainEvalAudit:
         assert file_rows[-1]["record"] == "totals"
         assert sum(r.get("sops", 0) for r in file_rows[:-1]) == totals["sops_total"]
 
-    @pytest.mark.parametrize("source", ["arch", "checkpoint"])
-    def test_audit_warns_when_rate_emas_uninitialized(self, capsys, tmp_path, source):
-        argv = ["--arch", "Nano"]
-        if source == "checkpoint":
-            ckpt = str(tmp_path / "fresh.dskc")
-            assert run(capsys, "build", "--arch", "Nano", "--out", ckpt)[0] == 0
-            argv = ["--checkpoint", ckpt]
-        code, out, err = run(capsys, "audit", *argv, "--batch", "1", "--test-count", "1")
-        assert code == 0
-        assert json.loads(out)["record"] == "totals"
-        assert err.count("warning:") == 1
-        assert "firing-rate EMAs are uninitialized" in err and "the SOP count depends on --batch\n" in err
+    def test_audit_rejects_model_flags_beside_checkpoint(self, capsys, tmp_path, tiny_config):
+        # the checkpoint's config echo builds the model, so these flags would be ignored
+        ckpt = str(tmp_path / "tiny.dskc")
+        assert run(capsys, "build", "--config", tiny_config, "--out", ckpt)[0] == 0
+        for flag in (["--arch", "Nano"], ["--config", tiny_config], ["--time-steps", "9"]):
+            code, out, err = run(capsys, "audit", "--checkpoint", ckpt, *flag, "--batch", "1", "--test-count", "1")
+            assert (code, out) == (2, ""), flag
+            assert f"{flag[0]} does not apply with --checkpoint" in err
+        code, out, _ = run(capsys, "audit", "--checkpoint", ckpt, "--batch", "1", "--test-count", "1")
+        assert code == 0 and json.loads(out)["time_steps"] == 2
 
     def test_audit_calibrated_checkpoint_has_no_silent_layers(self, capsys, tmp_path):
         ckpt = str(tmp_path / "calibrated.dskc")
         save_checkpoint(calibrated_nano(3), ckpt)
         code, out, err = run(capsys, "audit", "--checkpoint", ckpt, "--batch", "2", "--check-equivalence")
         assert code == 0
-        assert err == ""  # trained rate EMAs: no warning
+        assert err == ""
         equiv = json.loads(out.strip().splitlines()[-1])
         assert equiv["equivalence_passed"] is True
         assert equiv["silent_layers"] == []

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from dualspike import verification
-from dualspike.attention import attn_map_scale, dst_scale, output_scale
+from dualspike.attention import dst_scale, output_scale
 from dualspike.layers import Linear
 from dualspike.tensor import ContractError, ShapeError, Tensor, mul, tensor_mean as tmean
 from dualspike.verification import (
@@ -400,7 +400,7 @@ def _oracle_scaling_rows(samples, seed):
     for rate, d in ((0.15, 64), (0.3, 256)):
         rep = _oracle_report(_oracle_scaled_chunk, (rate, d, 4, 4, dst_scale(rate, d)), samples, seed, 1.0, 0.1)
         rows.append(verification._case("scaling", {"role": "attn_map", "rate": rate, "fan_in": d,
-                                                   "scale": attn_map_scale(rate, d)},
+                                                   "scale": dst_scale(rate, d)},
                                        rep.as_dict(), rep.variance_ok))
     for rate, hw, p in ((0.1, 784, 2), (0.25, 3136, 4)):
         fan = hw // (p * p)
