@@ -16,43 +16,15 @@ by its own rate, so an image's output never depends on its batch.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import ops
+from .config import StageSpec
 from .layers import Conv2d, FiringRateEMA, Module, NeuronSpec, RunContext
 from .neuron import sn_forward
 from .tensor import ConfigError, ContractError, ShapeError, Tensor, matmul, mul, reshape, transpose
 
 RATE_FLOOR = 1e-4
-
-
-@dataclass
-class DSSAConfig:
-    d: int
-    height: int
-    width: int
-    p: int
-    heads: int = 1
-
-    def __post_init__(self):
-        if self.d % self.heads:
-            raise ConfigError(f"d={self.d} not divisible by heads={self.heads}")
-        if self.height % self.p or self.width % self.p:
-            raise ConfigError(f"patch size p={self.p} must divide spatial {self.height}x{self.width}")
-
-    @property
-    def hw(self) -> int:
-        return self.height * self.width
-
-    @property
-    def tokens_reduced(self) -> int:
-        return (self.height // self.p) * (self.width // self.p)
-
-    @property
-    def d_head(self) -> int:
-        return self.d // self.heads
 
 
 # -- scales -----------------------------------------------------------------
@@ -97,18 +69,23 @@ class MultiHeadDualSpikeAttention(Module):
     One patch-embedding conv serves all heads; its output channels are split
     head-wise. Firing-rate EMAs are shared across heads (one for the input
     spikes, one for the attention maps), so heads differ only through d_head.
+    `size` is the stage's (height, width), which `model.stage_sizes` has
+    checked against the stage's patch size p.
     """
 
-    def __init__(self, name: str, cfg: DSSAConfig, neuron: NeuronSpec, *, rng, dtype):
+    def __init__(self, name: str, spec: StageSpec, size: tuple, neuron: NeuronSpec, *, rng, dtype):
         self.name = name
-        self.cfg = cfg
+        self.spec = spec
+        self.height, self.width = size
+        self.tokens = (self.height // spec.p) * (self.width // spec.p)  # reduced tokens, one per p x p patch
         self.neuron = neuron
-        self.conv_map = Conv2d(f"{name}.embed_map", cfg.d, cfg.d, cfg.p, stride=cfg.p, padding=0, rng=rng, dtype=dtype)
-        self.bn_map = ops.BatchNormState(f"{name}.embed_map.bn", cfg.d, dtype=dtype)
-        self.conv_val = Conv2d(f"{name}.embed_val", cfg.d, cfg.d, cfg.p, stride=cfg.p, padding=0, rng=rng, dtype=dtype)
-        self.bn_val = ops.BatchNormState(f"{name}.embed_val.bn", cfg.d, dtype=dtype)
-        self.conv_proj = Conv2d(f"{name}.proj", cfg.d, cfg.d, 1, rng=rng, dtype=dtype)
-        self.bn_proj = ops.BatchNormState(f"{name}.proj.bn", cfg.d, dtype=dtype)
+        d, p = spec.d, spec.p
+        self.conv_map = Conv2d(f"{name}.embed_map", d, d, p, stride=p, padding=0, rng=rng, dtype=dtype)
+        self.bn_map = ops.BatchNormState(f"{name}.embed_map.bn", d, dtype=dtype)
+        self.conv_val = Conv2d(f"{name}.embed_val", d, d, p, stride=p, padding=0, rng=rng, dtype=dtype)
+        self.bn_val = ops.BatchNormState(f"{name}.embed_val.bn", d, dtype=dtype)
+        self.conv_proj = Conv2d(f"{name}.proj", d, d, 1, rng=rng, dtype=dtype)
+        self.bn_proj = ops.BatchNormState(f"{name}.proj.bn", d, dtype=dtype)
         self.rate_x = FiringRateEMA(f"{name}.rate_x")
         self.rate_attn = FiringRateEMA(f"{name}.rate_attn")
 
@@ -118,43 +95,41 @@ class MultiHeadDualSpikeAttention(Module):
     def _embed_tokens(self, spikes_4d: Tensor, conv: Conv2d, bn: ops.BatchNormState, ctx: RunContext, tb: tuple):
         """Conv_p + BN on [T*B,d,H,W] spikes -> per-head token features [T,B,h,np,dh]."""
         t, b = tb
-        cfg = self.cfg
         z = ops.batchnorm(conv.forward(spikes_4d), bn, ctx.training)
-        z = reshape(z, (t, b, cfg.heads, cfg.d_head, cfg.tokens_reduced))
-        return z
+        return reshape(z, (t, b, self.spec.heads, self.spec.d_head, self.tokens))
 
     def forward(self, x: Tensor, ctx: RunContext) -> Tensor:
-        cfg = self.cfg
-        if x.data.ndim != 5 or x.data.shape[2:] != (cfg.d, cfg.height, cfg.width):
-            raise ShapeError(f"{self.name} expects [T,B,{cfg.d},{cfg.height},{cfg.width}], got {x.data.shape}")
+        spec, h, w = self.spec, self.height, self.width
+        if x.data.ndim != 5 or x.data.shape[2:] != (spec.d, h, w):
+            raise ShapeError(f"{self.name} expects [T,B,{spec.d},{h},{w}], got {x.data.shape}")
         t, b = x.data.shape[:2]
 
         s_in = self._fire(x, ctx)
         rate_in = self.rate_x.observe(s_in.data, ctx.training)
 
-        s4 = reshape(s_in, (t * b, cfg.d, cfg.height, cfg.width))
+        s4 = reshape(s_in, (t * b, spec.d, h, w))
         # head-split token view of the input spikes: [T,B,h,HW,dh]
-        xh = transpose(reshape(s_in, (t, b, cfg.heads, cfg.d_head, cfg.hw)), (0, 1, 2, 4, 3))
+        xh = transpose(reshape(s_in, (t, b, spec.heads, spec.d_head, h * w)), (0, 1, 2, 4, 3))
 
         z_map = self._embed_tokens(s4, self.conv_map, self.bn_map, ctx, (t, b))  # [T,B,h,dh,np]
-        c1 = dst_scale(rate_in, cfg.d_head)
+        c1 = dst_scale(rate_in, spec.d_head)
         # each product goes to the trace as it is made, so no local keeps it alive
         amap = self._fire(  # [T,B,h,HW,np] binary
             mul(ctx.record(f"{self.name}.attn", "dst_t", s_in, matmul(xh, z_map),
-                           conv=self.conv_map, bn=self.bn_map, cfg=cfg), c1),
+                           conv=self.conv_map, bn=self.bn_map, heads=spec.heads), c1),
             ctx,
         )
 
         rate_a = self.rate_attn.observe(amap.data, ctx.training)
         z_val = transpose(self._embed_tokens(s4, self.conv_val, self.bn_val, ctx, (t, b)), (0, 1, 2, 4, 3))
-        c2 = output_scale(rate_a, cfg.hw, cfg.p)
+        c2 = output_scale(rate_a, h * w, spec.p)
         s_out = self._fire(  # [T,B,h,HW,dh] binary
             mul(ctx.record(f"{self.name}.value", "dst", s_in, matmul(amap, z_val),
-                           amap=amap, conv=self.conv_val, bn=self.bn_val, cfg=cfg), c2),
+                           amap=amap, conv=self.conv_val, bn=self.bn_val, heads=spec.heads), c2),
             ctx,
         )
 
-        merged = reshape(transpose(s_out, (0, 1, 2, 4, 3)), (t * b, cfg.d, cfg.height, cfg.width))
+        merged = reshape(transpose(s_out, (0, 1, 2, 4, 3)), (t * b, spec.d, h, w))
         out = ops.batchnorm(self.conv_proj.forward(merged), self.bn_proj, ctx.training)
         ctx.record(f"{self.name}.proj", "conv", merged, out, conv=self.conv_proj, bn=self.bn_proj)
-        return reshape(out, (t, b, cfg.d, cfg.height, cfg.width))
+        return reshape(out, (t, b, spec.d, h, w))

@@ -53,7 +53,7 @@ class LayerTrace:
     bn: object = None
     fc: object = None
     amap: np.ndarray = None
-    cfg: object = None
+    heads: int = None  # attention records; the patch size p is the embedding conv's stride
 
 
 class AuditTrace:
@@ -126,12 +126,11 @@ def _patch_counts(x_spikes: np.ndarray, p: int) -> np.ndarray:
 
 
 def _dst_sops(rec: LayerTrace) -> int:
-    cfg = rec.cfg
     t, b = rec.amap.shape[:2]
     col = rec.amap.sum(axis=3, dtype=np.int64)  # [T,B,h,np] presynaptic pair counts per token
-    patch = _patch_counts(rec.spikes, cfg.p).reshape(t, b, 1, -1)
+    patch = _patch_counts(rec.spikes, rec.conv.stride).reshape(t, b, 1, -1)
     pairs = int((col * patch).sum())
-    return pairs * cfg.d_head
+    return pairs * (rec.spikes.shape[2] // rec.heads)  # each pair adds one d_head-wide row
 
 
 def _stem_macs(rec: LayerTrace) -> int:
@@ -286,16 +285,14 @@ def _check_linear(rec: LayerTrace) -> float:
 
 def _tokens(rec: LayerTrace) -> np.ndarray:
     """The embedding z [T,B,h,dh,np] of the input spikes, replayed event-driven (its BN shift included)."""
-    cfg = rec.cfg
-    t, b = rec.spikes.shape[:2]
+    t, b, d = rec.spikes.shape[:3]
     z = _event_conv(rec, rec.spikes.reshape((t * b,) + rec.spikes.shape[2:]))  # [T*B, Ho, Wo, d]
-    return z.reshape(t, b, cfg.tokens_reduced, cfg.heads, cfg.d_head).transpose(0, 1, 3, 4, 2)
+    return z.reshape(t, b, -1, rec.heads, d // rec.heads).transpose(0, 1, 3, 4, 2)
 
 
 def _check_dst_t(rec: LayerTrace) -> float:
-    cfg = rec.cfg
-    t, b = rec.spikes.shape[:2]
-    tokens = rec.spikes.reshape(t, b, cfg.heads, cfg.d_head, cfg.hw).swapaxes(-1, -2)  # [T,B,h,HW,dh]
+    t, b, d = rec.spikes.shape[:3]
+    tokens = rec.spikes.reshape(t, b, rec.heads, d // rec.heads, -1).swapaxes(-1, -2)  # [T,B,h,HW,dh]
     return _deviation(rec.current, _spike_rows(tokens, _tokens(rec)))
 
 

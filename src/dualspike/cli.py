@@ -111,7 +111,7 @@ def _dataset_for(args, cfg, split: str):
 
 def cmd_build(args) -> int:
     cfg, _ = _model_cfg(args)
-    model = build(cfg, seed=args.seed)
+    model = build(cfg, seed=args.seed or 0)
     print(f"arch: {cfg.name}")
     print(f"config_digest: {config_digest(cfg)}")
     if args.table:
@@ -164,14 +164,16 @@ def cmd_eval(args) -> int:
 
 def cmd_audit(args) -> int:
     if args.checkpoint:
-        for flag, value in (("--arch", args.arch), ("--config", args.config), ("--time-steps", args.time_steps)):
+        flags = (("--arch", args.arch), ("--config", args.config), ("--time-steps", args.time_steps),
+                 ("--seed", args.seed))
+        for flag, value in flags:
             if value is not None:
-                raise ConfigError(f"{flag} does not apply with --checkpoint, which holds the model's config")
+                raise ConfigError(f"{flag} does not apply with --checkpoint, which holds the model's config and state")
         model = load_checkpoint(args.checkpoint)
         cfg = model.config
     else:
         cfg, _ = _model_cfg(args)
-        model = build(cfg, seed=args.seed)
+        model = build(cfg, seed=args.seed or 0)
     ds = _dataset_for(args, cfg, "test")
     if args.batch > len(ds):
         raise ConfigError(f"--batch {args.batch} exceeds the {len(ds)} test images")
@@ -223,7 +225,7 @@ def _add_model_flags(p):
     p.add_argument("--arch", choices=_ARCHES, help="registry architecture")
     p.add_argument("--config", help="config file (key = value lines)")
     p.add_argument("--time-steps", type=_positive_int, dest="time_steps")
-    p.add_argument("--seed", type=_seed, default=0)
+    p.add_argument("--seed", type=_seed, help="weight seed (default 0; train: overrides the config file's seed)")
 
 
 def _add_data_flags(p):

@@ -1,5 +1,10 @@
 """Model and training configuration: dataclasses, size registry, text schema.
 
+`StageSpec` is the one stage description: config files, digests and the
+model's attention and feed-forward modules all read it, and it holds every
+check on a stage's own numbers (`model.stage_sizes` checks that p divides the
+stage's map).
+
 The on-disk config format is plain text, one `key = value` per line, `#`
 comments allowed. Unknown keys are a hard error: a typo must never silently
 train the wrong model. One table, `_MODEL_FIELDS`, maps each model key to its
@@ -35,6 +40,8 @@ class StemSpec:
 
 @dataclass(frozen=True)
 class StageSpec:
+    """One row of the architecture table; its stage's blocks are built from it and the stage's map size."""
+
     d: int
     heads: int
     p: int
@@ -48,10 +55,22 @@ class StageSpec:
                 raise ConfigError(f"stage {f.name} must be >= 1, got {getattr(self, f.name)}")
         if self.d % self.heads:
             raise ConfigError(f"stage width d={self.d} not divisible by heads={self.heads}")
-        if (self.d * self.expansion) % self.group_width:
-            raise ConfigError(
-                f"stage hidden width {self.d * self.expansion} not divisible by group width {self.group_width}"
-            )
+        if self.hidden % self.group_width:
+            raise ConfigError(f"stage hidden width {self.hidden} not divisible by group width {self.group_width}")
+
+    @property
+    def d_head(self) -> int:
+        return self.d // self.heads
+
+    @property
+    def hidden(self) -> int:
+        """The FFN's expanded width d * R."""
+        return self.d * self.expansion
+
+    @property
+    def groups(self) -> int:
+        """Channel groups of the FFN's group-wise conv."""
+        return self.hidden // self.group_width
 
 
 @dataclass(frozen=True)

@@ -10,52 +10,26 @@ Two 1x1 feed-forward layers (expand by R, contract back) around a residual
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import ops
+from .config import StageSpec
 from .layers import Conv2d, Module, NeuronSpec, RunContext, SpikingNeuron
 from .tensor import ConfigError, ShapeError, Tensor, add, reshape
 
 
-@dataclass
-class GWSFFNConfig:
-    d: int
-    expansion: int = 4
-    group_width: int = 64
-
-    def __post_init__(self):
-        if self.expansion < 1:
-            raise ConfigError(f"expansion ratio must be >= 1, got {self.expansion}")
-        if self.hidden % self.group_width:
-            raise ConfigError(
-                f"hidden width {self.hidden} (d={self.d} x R={self.expansion}) "
-                f"not divisible by group width {self.group_width}"
-            )
-
-    @property
-    def hidden(self) -> int:
-        return self.d * self.expansion
-
-    @property
-    def groups(self) -> int:
-        return self.hidden // self.group_width
-
-
 class GroupWiseFeedForward(Module):
-    def __init__(self, name: str, cfg: GWSFFNConfig, neuron: NeuronSpec, *, rng, dtype):
+    def __init__(self, name: str, spec: StageSpec, neuron: NeuronSpec, *, rng, dtype):
         self.name = name
-        self.cfg = cfg
+        self.spec = spec
+        d, hidden = spec.d, spec.hidden
         self.lif1 = SpikingNeuron(neuron)
         self.lif_g = SpikingNeuron(neuron)
         self.lif2 = SpikingNeuron(neuron)
-        self.conv1 = Conv2d(f"{name}.ffl1", cfg.d, cfg.hidden, 1, rng=rng, dtype=dtype)
-        self.bn1 = ops.BatchNormState(f"{name}.ffl1.bn", cfg.hidden, dtype=dtype)
-        self.conv_g = Conv2d(
-            f"{name}.gwl", cfg.hidden, cfg.hidden, 3, padding=1, groups=cfg.groups, rng=rng, dtype=dtype
-        )
-        self.bn_g = ops.BatchNormState(f"{name}.gwl.bn", cfg.hidden, dtype=dtype)
-        self.conv2 = Conv2d(f"{name}.ffl2", cfg.hidden, cfg.d, 1, rng=rng, dtype=dtype)
-        self.bn2 = ops.BatchNormState(f"{name}.ffl2.bn", cfg.d, dtype=dtype)
+        self.conv1 = Conv2d(f"{name}.ffl1", d, hidden, 1, rng=rng, dtype=dtype)
+        self.bn1 = ops.BatchNormState(f"{name}.ffl1.bn", hidden, dtype=dtype)
+        self.conv_g = Conv2d(f"{name}.gwl", hidden, hidden, 3, padding=1, groups=spec.groups, rng=rng, dtype=dtype)
+        self.bn_g = ops.BatchNormState(f"{name}.gwl.bn", hidden, dtype=dtype)
+        self.conv2 = Conv2d(f"{name}.ffl2", hidden, d, 1, rng=rng, dtype=dtype)
+        self.bn2 = ops.BatchNormState(f"{name}.ffl2.bn", d, dtype=dtype)
 
     def _synapse(self, x: Tensor, lif: SpikingNeuron, conv: Conv2d, bn, ctx: RunContext, tag: str) -> Tensor:
         t, b, c, h, w = x.data.shape
@@ -76,11 +50,11 @@ class GroupWiseFeedForward(Module):
 
     def gwl(self, x: Tensor, ctx: RunContext) -> Tensor:
         """Residual group-wise conv layer on the expanded width."""
-        if x.data.shape[2] != self.cfg.hidden:
-            raise ShapeError(f"gwl expects {self.cfg.hidden} channels, got shape {x.data.shape}")
+        if x.data.shape[2] != self.spec.hidden:
+            raise ShapeError(f"gwl expects {self.spec.hidden} channels, got shape {x.data.shape}")
         return add(self._synapse(x, self.lif_g, self.conv_g, self.bn_g, ctx, "gwl"), x)
 
     def forward(self, x: Tensor, ctx: RunContext) -> Tensor:
-        if x.data.ndim != 5 or x.data.shape[2] != self.cfg.d:
-            raise ShapeError(f"{self.name} expects [T,B,{self.cfg.d},H,W], got {x.data.shape}")
+        if x.data.ndim != 5 or x.data.shape[2] != self.spec.d:
+            raise ShapeError(f"{self.name} expects [T,B,{self.spec.d},H,W], got {x.data.shape}")
         return self.ffl(self.gwl(self.ffl(x, ctx, 1), ctx), ctx, 2)

@@ -41,9 +41,11 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from . import container, ops
-from .attention import DSSAConfig, MultiHeadDualSpikeAttention
-from .config import ModelConfig, canonical_model_text, model_config_from_values, parse_config_text, registry_config
-from .ffn import GroupWiseFeedForward, GWSFFNConfig
+from .attention import MultiHeadDualSpikeAttention
+from .config import (
+    ModelConfig, StageSpec, canonical_model_text, model_config_from_values, parse_config_text, registry_config,
+)
+from .ffn import GroupWiseFeedForward
 from .layers import Conv2d, Linear, Module, NeuronSpec, RunContext, SpikingNeuron
 from .ops import conv_output_size
 from .tensor import (
@@ -190,10 +192,10 @@ class Classifier(Module):
 class DualSpikeBlock(Module):
     """Attention and feed-forward sublayers with residual currents."""
 
-    def __init__(self, name, cfg: DSSAConfig, ffn_cfg: GWSFFNConfig, neuron: NeuronSpec, *, rng, dtype):
+    def __init__(self, name, spec: StageSpec, size: tuple, neuron: NeuronSpec, *, rng, dtype):
         self.name = name
-        self.attn = MultiHeadDualSpikeAttention(f"{name}.attn", cfg, neuron, rng=rng, dtype=dtype)
-        self.ffn = GroupWiseFeedForward(f"{name}.ffn", ffn_cfg, neuron, rng=rng, dtype=dtype)
+        self.attn = MultiHeadDualSpikeAttention(f"{name}.attn", spec, size, neuron, rng=rng, dtype=dtype)
+        self.ffn = GroupWiseFeedForward(f"{name}.ffn", spec, neuron, rng=rng, dtype=dtype)
 
     def forward(self, x: Tensor, ctx: RunContext) -> Tensor:
         y = add(self.attn.forward(x, ctx), x)
@@ -216,14 +218,12 @@ class DualSpikeNet(Module):
 
         self.stage_sizes = stage_sizes(cfg)
         self.body = [Stem("stem", cfg, rng=rng, dtype=dtype)]
-        for i, (spec, (h, w)) in enumerate(zip(cfg.stages, self.stage_sizes)):
+        for i, (spec, size) in enumerate(zip(cfg.stages, self.stage_sizes)):
             if i > 0:
                 prev = cfg.stages[i - 1]
                 self.body.append(Downsample(f"stage{i + 1}.down", prev.d, spec.d, neuron, rng=rng, dtype=dtype))
-            attn_cfg = DSSAConfig(d=spec.d, height=h, width=w, p=spec.p, heads=spec.heads)
-            ffn_cfg = GWSFFNConfig(d=spec.d, expansion=spec.expansion, group_width=spec.group_width)
             self.body.extend(
-                DualSpikeBlock(f"stage{i + 1}.block{j}", attn_cfg, ffn_cfg, neuron, rng=rng, dtype=dtype)
+                DualSpikeBlock(f"stage{i + 1}.block{j}", spec, size, neuron, rng=rng, dtype=dtype)
                 for j in range(spec.blocks)
             )
         self.body.append(Classifier("classifier", cfg.stages[-1].d, cfg.num_classes, neuron, rng=rng, dtype=dtype))
@@ -310,7 +310,7 @@ class DualSpikeNet(Module):
     def load_state(self, tensors: dict, emas: dict):
         """Replace every parameter, BN statistic and rate EMA, or raise CheckpointError having changed nothing.
 
-        Every name, shape and EMA entry is checked before the first write.
+        Every name, shape and EMA entry (a rate in [0, 1]) is checked before the first write.
         """
         own = dict(self.state_tensors())
         if set(own) != set(tensors):
@@ -324,6 +324,9 @@ class DualSpikeNet(Module):
         if set(model_emas) != set(emas):
             missing = sorted(set(model_emas) - set(emas))
             raise CheckpointError(f"checkpoint lacks firing-rate EMA entries: {missing[:6]}")
+        for name, (_, value) in emas.items():
+            if not 0.0 <= value <= 1.0:  # false for NaN too
+                raise CheckpointError(f"firing-rate EMA {name}: value {value} must be finite and lie in [0, 1]")
         for p in self.parameters():
             p.data = tensors[p.name].astype(self.dtype, copy=True)
             p.grad = np.zeros_like(p.data)

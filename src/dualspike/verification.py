@@ -34,9 +34,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import ops
-from .attention import DSSAConfig, dst_scale, output_scale, sdsa_scale
-from .config import REGISTRY
-from .ffn import GWSFFNConfig
+from .attention import dst_scale, output_scale, sdsa_scale
+from .config import REGISTRY, StageSpec
 from .layers import RunContext
 from .model import DualSpikeBlock, NeuronSpec, stage_sizes
 from .tensor import ContractError, ShapeError, Tensor, backward, mul, tensor_mean
@@ -360,10 +359,9 @@ def build_block_fragment(seed: int = 0):
     nonlinearities run in smoothed mode.
     """
     rng = np.random.default_rng(seed)
-    cfg = DSSAConfig(d=16, height=8, width=8, p=2, heads=2)
-    ffn_cfg = GWSFFNConfig(d=16, expansion=2, group_width=16)
-    block = DualSpikeBlock("fragment", cfg, ffn_cfg, NeuronSpec(), rng=rng, dtype=np.float64)
-    x = rng.standard_normal((2, 2, cfg.d, cfg.height, cfg.width))
+    spec = StageSpec(d=16, heads=2, p=2, expansion=2, group_width=16)
+    block = DualSpikeBlock("fragment", spec, (8, 8), NeuronSpec(), rng=rng, dtype=np.float64)
+    x = rng.standard_normal((2, 2, spec.d, 8, 8))
 
     # warm up statistics with a hard-spike training pass, then freeze
     block.forward(Tensor(x), RunContext(training=True))

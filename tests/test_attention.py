@@ -5,7 +5,6 @@ import pytest
 
 from dualspike import attention
 from dualspike.attention import (
-    DSSAConfig,
     FiringRateEMA,
     MultiHeadDualSpikeAttention,
     dst_scale,
@@ -13,6 +12,7 @@ from dualspike.attention import (
     sdsa_scale,
 )
 from dualspike.audit import AuditTrace
+from dualspike.config import StageSpec
 from dualspike.layers import NeuronSpec, RunContext
 from dualspike.neuron import sn_forward
 from dualspike.tensor import (
@@ -120,7 +120,7 @@ class TestFiringRateEMA:
 
 def identity_attention(d, tokens, gain_map=1.0, gain_val=1.0):
     """Single-head, p=1 module over a column of tokens whose embeddings are f(Y) = gain * Y exactly."""
-    mod = build_attention(DSSAConfig(d=d, height=tokens, width=1, p=1, heads=1))
+    mod = build_attention(stage(d), (tokens, 1))
     for conv, bn, gain in ((mod.conv_map, mod.bn_map, gain_map), (mod.conv_val, mod.bn_val, gain_val)):
         conv.weight.data[...] = gain * np.eye(d)[:, :, None, None]
         bn.eps = 0.0  # eval BN at running stats (0, 1) is then the identity
@@ -176,11 +176,10 @@ class TestDualSpikeTransforms:
     def test_binarity_contract(self, rng):
         with pytest.raises(ContractError):
             SpikeTensor(np.array([[0.5, 1.0]]))
-        cfg = DSSAConfig(d=2, height=1, width=2, p=1)
-        mod = build_attention(cfg)
+        mod = build_attention(stage(2), (1, 2))
         with pytest.raises(ContractError):
             AuditTrace().record(
-                "attn", "dst_t", np.full((1, 1, 2, 1, 2), 0.5), None, conv=mod.conv_map, bn=mod.bn_map, cfg=cfg
+                "attn", "dst_t", np.full((1, 1, 2, 1, 2), 0.5), None, conv=mod.conv_map, bn=mod.bn_map, heads=1
             )
 
     def test_attn_map_temporal_integration_oracle(self, monkeypatch):
@@ -194,8 +193,7 @@ class TestDualSpikeTransforms:
         np.testing.assert_array_equal(amap.data[1], 1.0)
 
     def test_dssa_shapes_and_binarity(self, monkeypatch, rng):
-        cfg = DSSAConfig(d=8, height=4, width=4, p=2, heads=2)
-        mod = build_attention(cfg)
+        mod = build_attention(stage(8, heads=2, p=2), (4, 4))
         traffic = lif_traffic(monkeypatch, mod, rng.standard_normal((3, 2, 8, 4, 4)) * 2, training=True)
         shapes = [(3, 2, 8, 4, 4), (3, 2, 2, 16, 4), (3, 2, 2, 16, 4)]  # input, map [HW, np], output [HW, dh]
         for (_, spikes), shape in zip(traffic, shapes, strict=True):
@@ -204,32 +202,20 @@ class TestDualSpikeTransforms:
         assert mod.rate_x.initialized and mod.rate_attn.initialized
 
 
-class TestDSSAConfig:
-    def test_properties(self):
-        cfg = DSSAConfig(d=64, height=14, width=14, p=2, heads=4)
-        assert cfg.hw == 196
-        assert cfg.tokens_reduced == 49
-        assert cfg.d_head == 16
-
-    def test_head_divisibility(self):
-        with pytest.raises(ConfigError):
-            DSSAConfig(d=10, height=4, width=4, p=1, heads=3)
-
-    def test_patch_divisibility(self):
-        with pytest.raises(ConfigError):
-            DSSAConfig(d=8, height=5, width=5, p=2, heads=1)
+def stage(d, heads=1, p=1):
+    """A valid stage for attention-only tests: R = 1 and one FFN group pass the FFN's checks for any d."""
+    return StageSpec(d=d, heads=heads, p=p, expansion=1, group_width=d)
 
 
-def build_attention(cfg, seed=0, dtype=np.float64):
+def build_attention(spec, size, seed=0, dtype=np.float64):
     rng = np.random.default_rng(seed)
-    return MultiHeadDualSpikeAttention("attn", cfg, NeuronSpec(), rng=rng, dtype=dtype)
+    return MultiHeadDualSpikeAttention("attn", spec, size, NeuronSpec(), rng=rng, dtype=dtype)
 
 
 class TestMultiHeadModule:
     def test_preserves_stage_shape(self, rng):
         for d, size, p, heads in [(64, 8, 4, 1), (192, 4, 2, 3), (384, 2, 1, 6)]:
-            cfg = DSSAConfig(d=d, height=size, width=size, p=p, heads=heads)
-            mod = build_attention(cfg)
+            mod = build_attention(stage(d, heads=heads, p=p), (size, size))
             x = Tensor(rng.standard_normal((2, 1, d, size, size)))
             with no_grad():
                 out = mod.forward(x, RunContext(training=False))
@@ -237,8 +223,8 @@ class TestMultiHeadModule:
 
     def test_manual_replication_p1_two_heads(self, rng):
         """Replicate the whole module with explicit per-head numpy loops."""
-        cfg = DSSAConfig(d=4, height=2, width=2, p=1, heads=2)
-        mod = build_attention(cfg, seed=3)
+        spec, height, width = stage(4, heads=2), 2, 2
+        mod = build_attention(spec, (height, width), seed=3)
         x_data = rng.standard_normal((2, 1, 4, 2, 2)) * 2
         with no_grad():
             out = mod.forward(Tensor(x_data), RunContext(training=False)).data
@@ -259,14 +245,14 @@ class TestMultiHeadModule:
         z_map = embed(mod.conv_map, mod.bn_map)
         z_val = embed(mod.conv_val, mod.bn_val)
 
-        dh, hw = cfg.d_head, cfg.hw
+        dh, hw = spec.d_head, height * width
         c1 = dst_scale(rate_in, dh)
-        scores = np.zeros((2, 1, cfg.heads, hw, hw))
-        for h in range(cfg.heads):
+        scores = np.zeros((2, 1, spec.heads, hw, hw))
+        for h in range(spec.heads):
             for q in range(hw):
                 for k in range(hw):
-                    qi, qj = divmod(q, cfg.width)
-                    ki, kj = divmod(k, cfg.width)
+                    qi, qj = divmod(q, width)
+                    ki, kj = divmod(k, width)
                     for t in range(2):
                         scores[t, 0, h, q, k] = np.dot(
                             s_in[t, 0, h * dh : (h + 1) * dh, qi, qj],
@@ -275,21 +261,21 @@ class TestMultiHeadModule:
         amap = sn_forward(Tensor(scores * c1)).data
         rate_a = amap.mean()
 
-        c2 = output_scale(rate_a, hw, cfg.p)
-        val = np.zeros((2, 1, cfg.heads, hw, dh))
-        for h in range(cfg.heads):
+        c2 = output_scale(rate_a, hw, spec.p)
+        val = np.zeros((2, 1, spec.heads, hw, dh))
+        for h in range(spec.heads):
             for q in range(hw):
                 for k in range(hw):
-                    ki, kj = divmod(k, cfg.width)
+                    ki, kj = divmod(k, width)
                     val[:, 0, h, q] += (
                         amap[:, 0, h, q, k, None] * z_val[:, 0, h * dh : (h + 1) * dh, ki, kj]
                     )
         s_out = sn_forward(Tensor(val * c2)).data
 
         merged = np.zeros((2, 1, 4, 2, 2))
-        for h in range(cfg.heads):
+        for h in range(spec.heads):
             for q in range(hw):
-                qi, qj = divmod(q, cfg.width)
+                qi, qj = divmod(q, width)
                 merged[:, 0, h * dh : (h + 1) * dh, qi, qj] = s_out[:, 0, h, q]
         wp = mod.conv_proj.weight.data[:, :, 0, 0]
         proj = np.einsum("oc,tbchw->tbohw", wp, merged)
@@ -301,9 +287,11 @@ class TestMultiHeadModule:
 
         np.testing.assert_allclose(out, expect, atol=1e-10)
 
+    def test_reduced_tokens(self):
+        assert build_attention(stage(64, heads=4, p=2), (14, 14)).tokens == 49  # one per 2x2 patch of 14x14
+
     def test_rate_emas_shared_across_heads(self, rng):
-        cfg = DSSAConfig(d=8, height=4, width=4, p=2, heads=2)
-        mod = build_attention(cfg)
+        mod = build_attention(stage(8, heads=2, p=2), (4, 4))
         assert len(mod.rate_emas()) == 2
         x = Tensor(rng.standard_normal((2, 2, 8, 4, 4)))
         mod.forward(x, RunContext(training=True))
@@ -311,13 +299,11 @@ class TestMultiHeadModule:
         assert 0.0 <= mod.rate_x.value <= 1.0
 
     def test_input_shape_contract(self, rng):
-        cfg = DSSAConfig(d=8, height=4, width=4, p=2, heads=2)
-        mod = build_attention(cfg)
+        mod = build_attention(stage(8, heads=2, p=2), (4, 4))
         with pytest.raises(ShapeError):
             mod.forward(Tensor(rng.standard_normal((2, 2, 8, 4, 6))), RunContext())
 
     def test_parameter_names_unique(self):
-        cfg = DSSAConfig(d=8, height=4, width=4, p=2, heads=2)
-        mod = build_attention(cfg)
+        mod = build_attention(stage(8, heads=2, p=2), (4, 4))
         names = [p.name for p in mod.parameters()]
         assert len(names) == len(set(names))

@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dualspike import attention, audit, layers, tensor
-from dualspike.attention import DSSAConfig
 from dualspike.data import SyntheticSpec, generate_split
 from dualspike.audit import (
     ENERGY_PER_SOP_PJ,
@@ -102,14 +101,22 @@ class TestSOPCounting:
         rec = LayerTrace("attn", "dst_t", spikes)
         assert _dst_t_sops(rec) == 3 * 3 + 5 * 5
 
-    def test_dst_pair_count_hand_oracle(self):
-        cfg = DSSAConfig(d=2, height=2, width=2, p=2, heads=1)
-        amap = np.zeros((1, 1, 1, 4, 1), dtype=bool)
-        amap[0, 0, 0, [0, 2, 3], 0] = True  # 3 attention spikes on the one patch
-        spikes = np.zeros((1, 1, 2, 2, 2), dtype=bool)
-        spikes.flat[[0, 1, 2, 4, 6]] = True  # 5 input spikes, all in that patch
-        rec = LayerTrace("val", "dst", spikes, cfg=cfg, amap=amap)
-        assert _dst_sops(rec) == 3 * 5 * cfg.d_head
+    # d = 2 on a 4x4 map with p = 2: four patches holding 3, 0, 2 and 1 input spikes
+    @pytest.mark.parametrize("heads, columns, sops", [
+        (1, [[2, 1, 0, 1]], (2 * 3 + 1 * 0 + 0 * 2 + 1 * 1) * 2),
+        (2, [[2, 1, 0, 1], [0, 3, 1, 0]], (2 * 3 + 1 * 0 + 0 * 2 + 1 * 1 + 0 * 3 + 3 * 0 + 1 * 2 + 0 * 1) * 1),
+    ], ids=["one-head", "two-heads"])
+    def test_dst_pair_count_hand_oracle(self, heads, columns, sops):
+        # pairs = per head and patch, attention spikes in its column x input spikes in the patch; each adds d_head
+        spikes = np.zeros((1, 1, 2, 4, 4), dtype=bool)
+        for c, i, j in [(0, 0, 0), (0, 1, 1), (1, 0, 1), (1, 2, 0), (1, 3, 1), (0, 3, 3)]:
+            spikes[0, 0, c, i, j] = True
+        amap = np.zeros((1, 1, heads, 16, 4), dtype=bool)  # [T,B,h,HW,np]
+        for h, counts in enumerate(columns):
+            for token, n in enumerate(counts):
+                amap[0, 0, h, :n, token] = True
+        rec = LayerTrace("val", "dst", spikes, conv=make_conv(2, 2, 2, stride=2), amap=amap, heads=heads)
+        assert _dst_sops(rec) == sops
 
     @settings(max_examples=30, deadline=None)
     @given(st.data())

@@ -211,8 +211,14 @@ class TestBadInputs:
          "state name mismatch: missing=['stem.conv.weight'], unexpected=['stem.conv.weighx']"),
         (lambda echo, rest: (echo, rest.replace(b"attn.rate_x", b"attn.rate_y", 1)),
          "checkpoint lacks firing-rate EMA entries: ['stage1.block0.attn.rate_x']"),
+        (lambda echo, rest: (echo, rest.replace(b"attn.rate_x" + struct.pack("<Bd", 0, 0.0),
+                                                b"attn.rate_x" + struct.pack("<Bd", 1, 2.0))),
+         "firing-rate EMA stage1.block0.attn.rate_x: value 2.0 must be finite and lie in [0, 1]"),
+        (lambda echo, rest: (echo, rest.replace(b"attn.rate_attn" + struct.pack("<Bd", 0, 0.0),
+                                                b"attn.rate_attn" + struct.pack("<Bd", 0, float("nan")))),
+         "firing-rate EMA stage1.block0.attn.rate_attn: value nan must be finite and lie in [0, 1]"),
     ], ids=["nan-tau-echo", "non-utf8-echo", "non-utf8-tensor-name", "num-classes-7-echo", "renamed-tensor",
-            "renamed-ema"])
+            "renamed-ema", "ema-value-2", "ema-value-nan"])
     def test_checkpoint_failing_a_check_exits_one(self, capsys, tmp_path, command, edit, message):
         path = tmp_path / "bad.dskc"
         write_checkpoint(path, edit)
@@ -382,6 +388,28 @@ class TestTrainEvalAudit:
             assert f"{flag[0]} does not apply with --checkpoint" in err
         code, out, _ = run(capsys, "audit", "--checkpoint", ckpt, "--batch", "1", "--test-count", "1")
         assert code == 0 and json.loads(out)["time_steps"] == 2
+
+    def test_audit_rejects_seed_beside_checkpoint(self, capsys, tmp_path, tiny_config):
+        # the seed only draws a fresh model's weights; a checkpoint holds its own
+        ckpt = str(tmp_path / "tiny.dskc")
+        assert run(capsys, "build", "--config", tiny_config, "--out", ckpt)[0] == 0
+        code, out, err = run(capsys, "audit", "--checkpoint", ckpt, "--seed", "5", "--batch", "1", "--test-count", "1")
+        assert (code, out) == (2, "")
+        assert err == "config error: --seed does not apply with --checkpoint, which holds the model's config and state\n"
+
+    def test_train_reads_config_seed_unless_flag_given(self, capsys, tmp_path, tiny_config):
+        seeded = tmp_path / "seeded.cfg"
+        seeded.write_text(TINY_TEXT + "seed = 7\n")
+
+        def trained(config, *flags):
+            ckpt = tmp_path / "m.dskc"
+            argv = ["train", "--config", config, "--train-count", "2", "--test-count", "2", "--out", str(ckpt), *flags]
+            assert run(capsys, *argv)[0] == 0
+            return ckpt.read_bytes()
+
+        from_file = trained(str(seeded))
+        assert from_file == trained(tiny_config, "--seed", "7")
+        assert trained(str(seeded), "--seed", "0") == trained(tiny_config) != from_file
 
     def test_audit_calibrated_checkpoint_has_no_silent_layers(self, capsys, tmp_path):
         ckpt = str(tmp_path / "calibrated.dskc")

@@ -104,6 +104,14 @@ def test_arch_seeds_defaults_that_keys_override():
     )
 
 
+def test_stage_spec_derived_widths():
+    spec = StageSpec(d=192, heads=3, p=2, expansion=4, group_width=64)
+    assert (spec.d_head, spec.hidden, spec.groups) == (64, 768, 12)
+    # derived, not stored: the fields, and so the `stages` text and every digest, stay as they were
+    assert [f.name for f in dataclasses.fields(StageSpec)] == ["d", "heads", "p", "expansion", "group_width", "blocks"]
+    assert "stages = 192:3:2:4:64:1\n" in canonical_model_text(dataclasses.replace(EVERY_KEY_CONFIG, stages=(spec,)))
+
+
 def test_stage_sizes():
     assert stage_sizes(REGISTRY["Ti"]) == [(56, 56), (28, 28), (14, 14)]
     assert stage_sizes(REGISTRY["Nano"]) == [(32, 32), (16, 16), (8, 8)]
@@ -126,6 +134,9 @@ MALFORMED = [
     ("stages = 32:0:4:4:64:1", "heads must be >= 1"),
     ("stages = 32:1:0:4:64:1", "p must be >= 1"),
     ("stages = 32:1:4:4:0:1", "group_width must be >= 1"),
+    ("stages = 32:1:4:0:64:1", "expansion must be >= 1"),
+    ("stages = 30:4:4:4:64:1", "stage width d=30 not divisible by heads=4"),
+    ("stages = 32:1:4:3:64:1", "stage hidden width 96 not divisible by group width 64"),
     ("stem_stride = 0", "stride=0"),
     ("stem_kernel = 0", "kernel=0"),
     ("stem_padding = -1", "padding=-1"),

@@ -395,7 +395,7 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match="mismatch"):
             model.load_state({}, {})
 
-    @pytest.mark.parametrize("fault", ["parameter_shape", "bn_shape", "emas"])
+    @pytest.mark.parametrize("fault", ["parameter_shape", "bn_shape", "emas", "ema_value"])
     def test_failed_load_state_changes_nothing(self, rng, fault):
         # each fault sits in the last entry of its kind, checked after the others would have been written
         model, _ = trained_tiny(rng)
@@ -403,6 +403,8 @@ class TestCheckpoint:
         tensors, emas = trained_tiny(rng, seed=3)[0].snapshot()
         if fault == "emas":
             emas.pop(next(reversed(emas)))
+        elif fault == "ema_value":
+            emas[next(reversed(emas))] = (True, 2.0)
         else:
             name = model.parameters()[-1].name if fault == "parameter_shape" else next(reversed(tensors))
             tensors[name] = np.zeros(tensors[name].size + 1, dtype=tensors[name].dtype)
