@@ -20,8 +20,8 @@ import numpy as np
 
 from . import ops
 from .config import StageSpec
-from .layers import Conv2d, FiringRateEMA, Module, NeuronSpec, RunContext
-from .neuron import sn_forward
+from .layers import Conv2d, FiringRateEMA, Module, RunContext
+from .neuron import NeuronSpec, sn_forward
 from .tensor import ConfigError, ContractError, ShapeError, Tensor, matmul, mul, reshape, transpose
 
 RATE_FLOOR = 1e-4
@@ -40,13 +40,6 @@ def dst_scale(rate, fan_in: int):
     if not np.all((0.0 <= rate) & (rate <= 1.0)):
         raise ContractError(f"firing rate must lie in [0, 1], got {rate}")
     return 1.0 / np.sqrt(np.maximum(rate, RATE_FLOOR) * fan_in)
-
-
-def output_scale(rate_attn, hw: int, p: int):
-    """Scale for the output transformation (fan-in = HW / p^2 reduced tokens)."""
-    if p < 1 or hw % (p * p):
-        raise ConfigError(f"p={p} must satisfy p^2 | HW (HW={hw})")
-    return dst_scale(rate_attn, hw // (p * p))
 
 
 def sdsa_scale(f_q: float, f_k: float, hw: int) -> float:
@@ -90,7 +83,7 @@ class MultiHeadDualSpikeAttention(Module):
         self.rate_attn = FiringRateEMA(f"{name}.rate_attn")
 
     def _fire(self, current: Tensor, ctx: RunContext) -> Tensor:
-        return sn_forward(current, self.neuron.lif, self.neuron.surrogate, smooth=ctx.smooth)
+        return sn_forward(current, self.neuron, smooth=ctx.smooth)
 
     def _embed_tokens(self, spikes_4d: Tensor, conv: Conv2d, bn: ops.BatchNormState, ctx: RunContext, tb: tuple):
         """Conv_p + BN on [T*B,d,H,W] spikes -> per-head token features [T,B,h,np,dh]."""
@@ -122,7 +115,7 @@ class MultiHeadDualSpikeAttention(Module):
 
         rate_a = self.rate_attn.observe(amap.data, ctx.training)
         z_val = transpose(self._embed_tokens(s4, self.conv_val, self.bn_val, ctx, (t, b)), (0, 1, 2, 4, 3))
-        c2 = output_scale(rate_a, h * w, spec.p)
+        c2 = dst_scale(rate_a, self.tokens)  # the output transformation sums over the reduced tokens
         s_out = self._fire(  # [T,B,h,HW,dh] binary
             mul(ctx.record(f"{self.name}.value", "dst", s_in, matmul(amap, z_val),
                            amap=amap, conv=self.conv_val, bn=self.bn_val, heads=spec.heads), c2),

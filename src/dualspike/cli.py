@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import os
 import sys
 
 from .audit import audit_model, verify_spike_driven
@@ -63,6 +64,22 @@ _positive_int = _int_at_least(1, "a positive integer")
 _seed = _int_at_least(0, "a non-negative seed")
 
 
+def _check_writable(*paths):
+    """Fail before any work, naming the path, if an output path cannot be written.
+
+    An existing file is opened for appending, so it is neither truncated nor removed.
+    """
+    for path in filter(None, paths):
+        existed = os.path.exists(path)
+        try:
+            with open(path, "ab"):
+                pass
+        except OSError as exc:
+            raise EngineError(f"cannot write {path}: {exc.strerror}") from None
+        if not existed:
+            os.remove(path)
+
+
 def _print_json(obj):
     print(json.dumps(obj, sort_keys=True))
 
@@ -111,6 +128,7 @@ def _dataset_for(args, cfg, split: str):
 
 def cmd_build(args) -> int:
     cfg, _ = _model_cfg(args)
+    _check_writable(args.out)
     model = build(cfg, seed=args.seed or 0)
     print(f"arch: {cfg.name}")
     print(f"config_digest: {config_digest(cfg)}")
@@ -127,6 +145,7 @@ def cmd_build(args) -> int:
 def cmd_train(args) -> int:
     cfg, file_values = _model_cfg(args)
     tcfg = _train_cfg(args, file_values)
+    _check_writable(args.out, args.log)
     model = build(cfg, seed=tcfg.seed)
     train_ds = _dataset_for(args, cfg, "train")
     eval_ds = None if args.dataset else _dataset_for(args, cfg, "test")
@@ -163,6 +182,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_audit(args) -> int:
+    _check_writable(args.out)
     if args.checkpoint:
         flags = (("--arch", args.arch), ("--config", args.config), ("--time-steps", args.time_steps),
                  ("--seed", args.seed))
@@ -201,6 +221,7 @@ def cmd_verify(args) -> int:
     if args.suite not in ("theorem1", "all") and (args.fx is not None or args.m is not None):
         raise ConfigError(f"--fx and --m override the theorem1 grid; suite {args.suite!r} has none")
     names = sorted(SUITES) if args.suite == "all" else [args.suite]
+    _check_writable(args.out)
     rows = run_suites(names, samples=args.samples, seed=args.seed, jobs=args.jobs, fx=args.fx, m=args.m)
     for row in rows:
         _print_json(row)
@@ -214,6 +235,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_dataset(args) -> int:
+    _check_writable(args.out)
     spec = SyntheticSpec(noise=args.noise, seed=args.data_seed)
     ds = generate_split(spec, args.count, args.split)
     save_dataset(args.out, ds)

@@ -3,7 +3,9 @@
 `StageSpec` is the one stage description: config files, digests and the
 model's attention and feed-forward modules all read it, and it holds every
 check on a stage's own numbers (`model.stage_sizes` checks that p divides the
-stage's map).
+stage's map). `neuron.NeuronSpec` is likewise the one neuron description:
+the five neuron keys (`tau`, `threshold`, `rest`, `surrogate_kind`,
+`surrogate_width`) all map to `ModelConfig.neuron`.
 
 The on-disk config format is plain text, one `key = value` per line, `#`
 comments allowed. Unknown keys are a hard error: a typo must never silently
@@ -19,7 +21,7 @@ import hashlib
 import math
 from dataclasses import dataclass, field, fields, replace
 
-from .neuron import LIFParams, SurrogateSpec
+from .neuron import NeuronSpec
 from .tensor import ConfigError
 
 
@@ -83,8 +85,7 @@ class ModelConfig:
     time_steps: int = 4
     stem: StemSpec = field(default_factory=StemSpec)
     stages: tuple = ()
-    lif: LIFParams = field(default_factory=LIFParams)
-    surrogate: SurrogateSpec = field(default_factory=SurrogateSpec)
+    neuron: NeuronSpec = field(default_factory=NeuronSpec)
 
     def __post_init__(self):
         if not self.stages:
@@ -174,11 +175,11 @@ _MODEL_FIELDS = {
     "stem_padding": ("stem", "padding", int),
     "stem_pool": ("stem", "pool", bool),
     "stages": (None, "stages", str),  # semicolon-separated d:heads:p:expansion:group_width:blocks
-    "tau": ("lif", "tau", float),
-    "threshold": ("lif", "u_th", float),
-    "rest": ("lif", "u_rest", float),
-    "surrogate_kind": ("surrogate", "kind", str),
-    "surrogate_width": ("surrogate", "width", float),
+    "tau": ("neuron", "tau", float),
+    "threshold": ("neuron", "u_th", float),
+    "rest": ("neuron", "u_rest", float),
+    "surrogate_kind": ("neuron", "surrogate", str),
+    "surrogate_width": ("neuron", "width", float),
 }
 
 _MODEL_KEYS = {"arch": str, **{key: kind for key, (_, _, kind) in _MODEL_FIELDS.items()}}

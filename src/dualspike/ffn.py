@@ -12,7 +12,8 @@ from __future__ import annotations
 
 from . import ops
 from .config import StageSpec
-from .layers import Conv2d, Module, NeuronSpec, RunContext, SpikingNeuron
+from .layers import Conv2d, Module, RunContext, SpikingNeuron
+from .neuron import NeuronSpec
 from .tensor import ConfigError, ShapeError, Tensor, add, reshape
 
 

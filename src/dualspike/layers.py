@@ -1,13 +1,16 @@
-"""Module base with its one walk over owned pieces, thin layer wrappers, the run context."""
+"""Module base with its one walk over owned pieces, thin layer wrappers, the run context.
+
+`SpikingNeuron` hands its `neuron.NeuronSpec` to `sn_forward` as it is.
+"""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import ops
-from .neuron import LIFParams, SurrogateSpec, sn_forward
+from .neuron import NeuronSpec, sn_forward
 from .tensor import ConfigError, ContractError, Parameter, Tensor, add
 
 
@@ -35,12 +38,6 @@ class RunContext:
         if self.audit is not None:
             self.audit.record(name, kind, spikes, current, **layer)
         return current
-
-
-@dataclass(frozen=True)
-class NeuronSpec:
-    lif: LIFParams = field(default_factory=LIFParams)
-    surrogate: SurrogateSpec = field(default_factory=SurrogateSpec)
 
 
 class FiringRateEMA:
@@ -152,4 +149,4 @@ class SpikingNeuron(Module):
         self.neuron = neuron
 
     def forward(self, current: Tensor, ctx: RunContext) -> Tensor:
-        return sn_forward(current, self.neuron.lif, self.neuron.surrogate, smooth=ctx.smooth)
+        return sn_forward(current, self.neuron, smooth=ctx.smooth)

@@ -46,7 +46,8 @@ from .config import (
     ModelConfig, StageSpec, canonical_model_text, model_config_from_values, parse_config_text, registry_config,
 )
 from .ffn import GroupWiseFeedForward
-from .layers import Conv2d, Linear, Module, NeuronSpec, RunContext, SpikingNeuron
+from .layers import Conv2d, Linear, Module, RunContext, SpikingNeuron
+from .neuron import NeuronSpec
 from .ops import conv_output_size
 from .tensor import (
     CheckpointError,
@@ -214,19 +215,18 @@ class DualSpikeNet(Module):
         if self.dtype not in (np.dtype(np.float32), np.dtype(np.float64)):
             raise ConfigError(f"model dtype must be float32 or float64, got {self.dtype}")
         rng = np.random.default_rng(seed)
-        neuron = NeuronSpec(lif=cfg.lif, surrogate=cfg.surrogate)
 
         self.stage_sizes = stage_sizes(cfg)
         self.body = [Stem("stem", cfg, rng=rng, dtype=dtype)]
         for i, (spec, size) in enumerate(zip(cfg.stages, self.stage_sizes)):
             if i > 0:
                 prev = cfg.stages[i - 1]
-                self.body.append(Downsample(f"stage{i + 1}.down", prev.d, spec.d, neuron, rng=rng, dtype=dtype))
+                self.body.append(Downsample(f"stage{i + 1}.down", prev.d, spec.d, cfg.neuron, rng=rng, dtype=dtype))
             self.body.extend(
-                DualSpikeBlock(f"stage{i + 1}.block{j}", spec, size, neuron, rng=rng, dtype=dtype)
+                DualSpikeBlock(f"stage{i + 1}.block{j}", spec, size, cfg.neuron, rng=rng, dtype=dtype)
                 for j in range(spec.blocks)
             )
-        self.body.append(Classifier("classifier", cfg.stages[-1].d, cfg.num_classes, neuron, rng=rng, dtype=dtype))
+        self.body.append(Classifier("classifier", cfg.stages[-1].d, cfg.num_classes, cfg.neuron, rng=rng, dtype=dtype))
         names = [p.name for p in self.parameters()]
         if len(names) != len(set(names)):
             raise ConfigError("parameter names are not unique")

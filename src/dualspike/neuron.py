@@ -10,6 +10,10 @@ The reset uses a detached spike (reset path carries no gradient); the firing
 nonlinearity backpropagates through a surrogate derivative. `smooth=True`
 swaps the Heaviside for the surrogate's antiderivative and differentiates the
 reset exactly, which makes the whole layer finite-difference checkable.
+
+`NeuronSpec` is the one neuron description: tau, u_th and u_rest above, and
+the surrogate's kind and width. Config files, digests and every spiking layer
+read it, and it holds every check on those five numbers.
 """
 
 from __future__ import annotations
@@ -25,10 +29,14 @@ BLOCK_NEURONS = 1 << 16  # neurons per block of the sn_forward time loops; keeps
 
 
 @dataclass(frozen=True)
-class LIFParams:
+class NeuronSpec:
+    """LIF constants, and the surrogate (kind, and width along the membrane axis) the spike trains through."""
+
     tau: float = 2.0
     u_th: float = 1.0
     u_rest: float = 0.0
+    surrogate: str = "triangular"
+    width: float = 1.0
 
     def __post_init__(self):
         for name in ("tau", "u_th", "u_rest"):
@@ -38,16 +46,8 @@ class LIFParams:
             raise ConfigError(f"membrane time constant must be >= 1, got {self.tau}")
         if not self.u_th > self.u_rest:
             raise ConfigError(f"threshold {self.u_th} must exceed resting potential {self.u_rest}")
-
-
-@dataclass(frozen=True)
-class SurrogateSpec:
-    kind: str = "triangular"
-    width: float = 1.0
-
-    def __post_init__(self):
-        if self.kind not in SURROGATE_KINDS:
-            raise ConfigError(f"unknown surrogate kind {self.kind!r}; expected one of {SURROGATE_KINDS}")
+        if self.surrogate not in SURROGATE_KINDS:
+            raise ConfigError(f"unknown surrogate kind {self.surrogate!r}; expected one of {SURROGATE_KINDS}")
         if not (np.isfinite(self.width) and self.width > 0):
             raise ConfigError(f"surrogate width must be positive and finite, got {self.width}")
 
@@ -61,30 +61,25 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     return out
 
 
-def surrogate_grad(v: np.ndarray, params: LIFParams, spec: SurrogateSpec) -> np.ndarray:
+def surrogate_grad(v: np.ndarray, neuron: NeuronSpec) -> np.ndarray:
     """Pseudo-derivative of the firing nonlinearity at membrane values v."""
-    z = (v - params.u_th) / spec.width
-    if spec.kind == "triangular":
-        return np.maximum(0.0, 1.0 - np.abs(z)) / spec.width
+    z = (v - neuron.u_th) / neuron.width
+    if neuron.surrogate == "triangular":
+        return np.maximum(0.0, 1.0 - np.abs(z)) / neuron.width
     s = _sigmoid(z)
-    return s * (1.0 - s) / spec.width
+    return s * (1.0 - s) / neuron.width
 
 
-def smooth_step(v: np.ndarray, params: LIFParams, spec: SurrogateSpec) -> np.ndarray:
+def smooth_step(v: np.ndarray, neuron: NeuronSpec) -> np.ndarray:
     """Antiderivative of surrogate_grad: the smoothed stand-in for the Heaviside."""
-    z = (v - params.u_th) / spec.width
-    if spec.kind == "triangular":
+    z = (v - neuron.u_th) / neuron.width
+    if neuron.surrogate == "triangular":
         zc = np.clip(z, -1.0, 1.0)
         return np.where(zc < 0.0, 0.5 * (1.0 + zc) ** 2, 1.0 - 0.5 * (1.0 - zc) ** 2)
     return _sigmoid(z)
 
 
-def sn_forward(
-    current: Tensor,
-    params: LIFParams = LIFParams(),
-    spec: SurrogateSpec = SurrogateSpec(),
-    smooth: bool = False,
-) -> Tensor:
+def sn_forward(current: Tensor, neuron: NeuronSpec = NeuronSpec(), smooth: bool = False) -> Tensor:
     """Run LIF over the leading time axis: [T, ...] currents -> [T, ...] spikes.
 
     Fused into one tape node: the forward stores only membrane values V and
@@ -98,7 +93,7 @@ def sn_forward(
         raise ShapeError(f"sn_forward needs a non-empty leading time axis, got shape {current.data.shape}")
     xd = current.data
     t_steps = xd.shape[0]
-    inv_tau = 1.0 / params.tau
+    inv_tau = 1.0 / neuron.tau
     v_hist = np.empty(xd.shape, dtype=xd.dtype)
     s_out = np.empty(xd.shape, dtype=xd.dtype)
     x2, v2, s2 = (a.reshape(t_steps, -1) for a in (xd, v_hist, s_out))
@@ -113,20 +108,20 @@ def sn_forward(
     for b0 in range(0, size, block):
         b1 = min(size, b0 + block)
         u, tmp = u_buf[: b1 - b0], tmp_buf[: b1 - b0]
-        u.fill(params.u_rest)
+        u.fill(neuron.u_rest)
         for t in range(t_steps):
             v, s = v2[t, b0:b1], s2[t, b0:b1]
             np.subtract(x2[t, b0:b1], u, out=v)
-            v += params.u_rest
+            v += neuron.u_rest
             v *= inv_tau
             v += u
             if smooth:
-                s[...] = smooth_step(v, params, spec)
+                s[...] = smooth_step(v, neuron)
             else:
-                np.greater_equal(v, params.u_th, out=s)
+                np.greater_equal(v, neuron.u_th, out=s)
             np.subtract(1.0, s, out=tmp)
             tmp *= v
-            np.multiply(s, params.u_rest, out=u)
+            np.multiply(s, neuron.u_rest, out=u)
             u += tmp
 
     def bw(g):
@@ -144,10 +139,10 @@ def sn_forward(
             du.fill(0.0)
             for t in range(t_steps - 1, -1, -1):
                 v, s = v2[t, b0:b1], s2[t, b0:b1]
-                sg = surrogate_grad(v, params, spec)
+                sg = surrogate_grad(v, neuron)
                 np.subtract(1.0, s, out=tmp)
                 if smooth:
-                    np.subtract(params.u_rest, v, out=dv)
+                    np.subtract(neuron.u_rest, v, out=dv)
                     dv *= sg
                     tmp += dv
                 tmp *= du

@@ -157,7 +157,8 @@ def train(
                     stopped_early = True
                     break
 
-        train_acc = evaluate(model, train_ds.images, train_ds.labels, cfg.batch_size)
+        # eval changes no state, so an early stop's frozen accuracy is the final one
+        train_acc = frozen if stopped_early else evaluate(model, train_ds.images, train_ds.labels, cfg.batch_size)
         eval_acc = evaluate(model, eval_ds.images, eval_ds.labels, cfg.batch_size) if eval_ds is not None else None
         emit(
             {

@@ -34,10 +34,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import ops
-from .attention import dst_scale, output_scale, sdsa_scale
+from .attention import dst_scale, sdsa_scale
 from .config import REGISTRY, StageSpec
 from .layers import RunContext
-from .model import DualSpikeBlock, NeuronSpec, stage_sizes
+from .model import DualSpikeBlock, stage_sizes
+from .neuron import NeuronSpec
 from .tensor import ContractError, ShapeError, Tensor, backward, mul, tensor_mean
 
 _N_STREAMS = 16  # fixed decomposition; --jobs never changes results
@@ -411,9 +412,9 @@ def suite_scaling(samples: int = 100_000, seed: int = 0, pool=None):
     (fan,) = {hw // (p * p) for _, hw, p in outputs}  # both reduce to 196 tokens, so they read one draw
     readings = [(rate, False, dst_scale(rate, fan), 1.0, 0.1) for rate, _, _ in outputs]
     reps = _dst_mc(fan, readings, samples=samples, seed=seed + 1, pool=pool)
-    for (rate, hw, p), rep in zip(outputs, reps):
+    for (rate, hw, p), (_, _, scale, _, _), rep in zip(outputs, readings, reps):
         rows.append(_case("scaling", {"role": "output", "rate": rate, "hw": hw, "p": p,
-                                      "scale": output_scale(rate, hw, p)}, rep.as_dict(), rep.variance_ok))
+                                      "scale": scale}, rep.as_dict(), rep.variance_ok))
     return rows
 
 

@@ -8,15 +8,13 @@ from dualspike.attention import (
     FiringRateEMA,
     MultiHeadDualSpikeAttention,
     dst_scale,
-    output_scale,
     sdsa_scale,
 )
 from dualspike.audit import AuditTrace
 from dualspike.config import StageSpec
-from dualspike.layers import NeuronSpec, RunContext
-from dualspike.neuron import sn_forward
+from dualspike.layers import RunContext
+from dualspike.neuron import NeuronSpec, sn_forward
 from dualspike.tensor import (
-    ConfigError,
     ContractError,
     ShapeError,
     SpikeTensor,
@@ -44,14 +42,6 @@ class TestScales:
         for bad in (1.5, -0.1, np.nan):
             with pytest.raises(ContractError):
                 dst_scale(np.array([0.25, bad]), 64)
-
-    def test_output_scale_uses_reduced_tokens(self):
-        np.testing.assert_allclose(output_scale(0.5, 196, 1), 1 / np.sqrt(98))
-        np.testing.assert_allclose(output_scale(0.5, 196, 14), 1 / np.sqrt(0.5))
-
-    def test_output_scale_divisibility(self):
-        with pytest.raises(ConfigError):
-            output_scale(0.5, 10, 3)
 
     def test_sdsa_scale_value(self):
         np.testing.assert_allclose(sdsa_scale(0.5, 0.5, 64), 1 / np.sqrt(12))
@@ -164,13 +154,13 @@ class TestDualSpikeTransforms:
         mod = identity_attention(3, 3, gain_map=2.0)
         _, (_, amap), (cur, _) = lif_traffic(monkeypatch, mod, token_input(self.TOKENS))
         np.testing.assert_array_equal(amap.data[0, 0, 0], [[1, 0, 0], [0, 1, 0], [0, 0, 0]])
-        c2 = output_scale(2 / 9, 3, 1)
+        c2 = dst_scale(2 / 9, 3)  # three tokens at p = 1
         np.testing.assert_allclose(cur[0, 0, 0], c2 * np.array([[1, 0, 1], [0, 1, 1], [0, 0, 0]]), rtol=1e-12)
 
     def test_dst_applies_map(self, monkeypatch):
         mod = identity_attention(3, 3, gain_map=2.0, gain_val=3.0)
         _, _, (cur, _) = lif_traffic(monkeypatch, mod, token_input(self.TOKENS))
-        c2 = output_scale(2 / 9, 3, 1)
+        c2 = dst_scale(2 / 9, 3)  # three tokens at p = 1
         np.testing.assert_allclose(cur[0, 0, 0], 3.0 * c2 * np.array([[1, 0, 1], [0, 1, 1], [0, 0, 0]]), rtol=1e-12)
 
     def test_binarity_contract(self, rng):
@@ -261,7 +251,7 @@ class TestMultiHeadModule:
         amap = sn_forward(Tensor(scores * c1)).data
         rate_a = amap.mean()
 
-        c2 = output_scale(rate_a, hw, spec.p)
+        c2 = dst_scale(rate_a, hw)  # p = 1: every position is a token
         val = np.zeros((2, 1, spec.heads, hw, dh))
         for h in range(spec.heads):
             for q in range(hw):
@@ -287,8 +277,22 @@ class TestMultiHeadModule:
 
         np.testing.assert_allclose(out, expect, atol=1e-10)
 
-    def test_reduced_tokens(self):
-        assert build_attention(stage(64, heads=4, p=2), (14, 14)).tokens == 49  # one per 2x2 patch of 14x14
+    def test_reduced_tokens(self, monkeypatch, rng):
+        # one token per p x p patch of 14x14, and the output transformation's fan-in is that count
+        fans = []
+
+        def spy(rate, fan_in):
+            fans.append(fan_in)
+            return dst_scale(rate, fan_in)
+
+        monkeypatch.setattr(attention, "dst_scale", spy)
+        for p, tokens in ((1, 196), (2, 49), (14, 1)):
+            mod = build_attention(stage(4, p=p), (14, 14))
+            assert mod.tokens == tokens
+            fans.clear()
+            with no_grad():
+                mod.forward(Tensor(rng.standard_normal((2, 1, 4, 14, 14)) * 2), RunContext(training=True))
+            assert fans == [4, tokens]  # d_head for the attention map, then the reduced tokens
 
     def test_rate_emas_shared_across_heads(self, rng):
         mod = build_attention(stage(8, heads=2, p=2), (4, 4))

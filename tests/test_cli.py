@@ -6,7 +6,7 @@ import struct
 import numpy as np
 import pytest
 
-from dualspike import container, data, layers, model
+from dualspike import cli, container, data, layers, model
 from dualspike.cli import main
 from dualspike.config import REGISTRY, canonical_model_text, config_digest, model_config_from_values, parse_config_text
 from dualspike.data import SyntheticSpec, generate_split, load_dataset
@@ -176,6 +176,28 @@ class TestBadInputs:
         got, out, err = run(capsys, *(a.format(path=path, cfg=tiny_config) for a in argv))
         assert (got, out) == (code, "")
         assert err.startswith(f"{message} {path}: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["build", "--config", "{cfg}", "--out", "{bad}"],
+        ["train", "--config", "{cfg}", "--out", "{bad}"],
+        ["train", "--config", "{cfg}", "--log", "{bad}", "--out", "{kept}"],
+        ["audit", "--config", "{cfg}", "--out", "{bad}"],
+        ["verify", "conv-equiv", "--out", "{bad}"],
+        ["dataset", "--count", "2", "--out", "{bad}"],
+    ], ids=["build-out", "train-out", "train-log", "audit-out", "verify-out", "dataset-out"])
+    def test_unwritable_output_path_is_one_line_error(self, capsys, monkeypatch, tmp_path, tiny_config, argv):
+        def no_work(*args, **kwargs):
+            raise AssertionError("work started before the output paths were checked")
+
+        for name in ("build", "generate_split", "run_suites"):
+            monkeypatch.setattr(cli, name, no_work)
+        bad, kept = tmp_path / "missing" / "out", tmp_path / "kept"  # `kept` passes its check before `bad` fails
+        kept.write_bytes(b"an earlier run's output")
+        paths = dict(cfg=tiny_config, bad=bad, kept=kept)
+        code, out, err = run(capsys, *(a.format(**paths) for a in argv))
+        assert (code, out) == (1, "")
+        assert err == f"error: cannot write {bad}: No such file or directory\n"
+        assert kept.read_bytes() == b"an earlier run's output"
 
     def test_config_file_not_utf8_exits_two(self, capsys, tmp_path):
         path = tmp_path / "bad.cfg"

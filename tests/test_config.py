@@ -18,7 +18,7 @@ from dualspike.config import (
     train_config_from_values,
 )
 from dualspike.model import stage_sizes
-from dualspike.neuron import LIFParams, SurrogateSpec
+from dualspike.neuron import NeuronSpec
 from dualspike.tensor import ConfigError
 from dualspike.verification import registry_patch_cases
 
@@ -64,8 +64,7 @@ EVERY_KEY_CONFIG = ModelConfig(
         StageSpec(d=16, heads=2, p=2, expansion=8, group_width=32, blocks=1),
         StageSpec(d=24, heads=3, p=1, expansion=4, group_width=32, blocks=2),
     ),
-    lif=LIFParams(tau=3.5, u_th=0.75, u_rest=-0.25),
-    surrogate=SurrogateSpec(kind="sigmoid-derivative", width=2.5),
+    neuron=NeuronSpec(tau=3.5, u_th=0.75, u_rest=-0.25, surrogate="sigmoid-derivative", width=2.5),
 )
 
 
@@ -86,6 +85,11 @@ def test_registry_round_trip(arch):
     assert canonical_model_text(back) == canonical_model_text(cfg)
 
 
+def test_every_key_digest_pinned():
+    # every key off its default, so the neuron keys' canonical text is pinned beyond the registry's defaults
+    assert config_digest(EVERY_KEY_CONFIG) == "56ed996cda1d60e3b18367f249b9a5d128d862c5e759136c3b2a3a3b3abcd42f"
+
+
 def test_every_key_sets_its_field_and_round_trips():
     cfg = _from_text(EVERY_KEY_TEXT)
     assert cfg == EVERY_KEY_CONFIG
@@ -99,7 +103,7 @@ def test_arch_seeds_defaults_that_keys_override():
     nano = REGISTRY["Nano"]
     assert cfg == dataclasses.replace(
         nano,
-        lif=dataclasses.replace(nano.lif, u_th=1.5),
+        neuron=dataclasses.replace(nano.neuron, u_th=1.5),
         stem=dataclasses.replace(nano.stem, pool=True),
     )
 
@@ -171,13 +175,13 @@ def test_malformed_config_file_exits_two(capsys, tmp_path, line, message):
 @pytest.mark.parametrize("name", ["tau", "u_th", "u_rest"])
 def test_lif_params_reject_non_finite(name, value):
     with pytest.raises(ConfigError, match="finite"):
-        LIFParams(**{name: value})
+        NeuronSpec(**{name: value})
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
 def test_surrogate_width_rejects_non_finite(value):
     with pytest.raises(ConfigError, match="finite"):
-        SurrogateSpec(width=value)
+        NeuronSpec(width=value)
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])

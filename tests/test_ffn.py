@@ -5,8 +5,8 @@ import pytest
 
 from dualspike.config import StageSpec
 from dualspike.ffn import GroupWiseFeedForward
-from dualspike.layers import NeuronSpec, RunContext
-from dualspike.neuron import sn_forward
+from dualspike.layers import RunContext
+from dualspike.neuron import NeuronSpec, sn_forward
 from dualspike.tensor import ConfigError, ShapeError, Tensor, backward, mul, no_grad, tensor_mean
 
 

@@ -8,8 +8,7 @@ from hypothesis import strategies as st
 from dualspike import neuron
 from dualspike.neuron import (
     SURROGATE_KINDS,
-    LIFParams,
-    SurrogateSpec,
+    NeuronSpec,
     smooth_step,
     sn_forward,
     surrogate_grad,
@@ -27,28 +26,28 @@ from dualspike.tensor import (
 from conftest import assert_grads_close
 
 
-def bptt_oracle(current, g, params, spec, smooth):
+def bptt_oracle(current, g, spec, smooth):
     """Reference oracle: the whole-array LIF forward and BPTT loop, one time step per iteration.
 
     Returns (spikes, membrane values v, d_current for upstream gradient g).
     Same expressions in the same order as the blocked `sn_forward`, which
     must reproduce all three bit for bit.
     """
-    inv_tau = 1.0 / params.tau
-    u = np.full(current.shape[1:], params.u_rest, dtype=current.dtype)
+    inv_tau = 1.0 / spec.tau
+    u = np.full(current.shape[1:], spec.u_rest, dtype=current.dtype)
     v_hist, s_out = np.empty_like(current), np.empty_like(current)
     for t in range(current.shape[0]):
-        v = ((current[t] - u) + params.u_rest) * inv_tau + u
-        s = smooth_step(v, params, spec) if smooth else (v >= params.u_th).astype(v.dtype)
+        v = ((current[t] - u) + spec.u_rest) * inv_tau + u
+        s = smooth_step(v, spec) if smooth else (v >= spec.u_th).astype(v.dtype)
         v_hist[t], s_out[t] = v, s
-        u = s * params.u_rest + (1.0 - s) * v
+        u = s * spec.u_rest + (1.0 - s) * v
     d_current = np.empty_like(current)
     du = np.zeros(current.shape[1:], dtype=current.dtype)
     for t in range(current.shape[0] - 1, -1, -1):
         v, s = v_hist[t], s_out[t]
-        sg = surrogate_grad(v, params, spec)
+        sg = surrogate_grad(v, spec)
         if smooth:
-            dv = g[t] * sg + du * ((1.0 - s) + sg * (params.u_rest - v))
+            dv = g[t] * sg + du * ((1.0 - s) + sg * (spec.u_rest - v))
         else:
             dv = g[t] * sg + du * (1.0 - s)
         d_current[t] = dv * inv_tau
@@ -56,11 +55,11 @@ def bptt_oracle(current, g, params, spec, smooth):
     return s_out, v_hist, d_current
 
 
-def run_lif(current, params=LIFParams()):
+def run_lif(current, spec=NeuronSpec()):
     """Spikes of sn_forward and the oracle's (spikes, membrane values) for a [T, 1] current list."""
     cur = np.array(current, dtype=np.float64).reshape(-1, 1)
-    spikes, v, _ = bptt_oracle(cur, np.zeros_like(cur), params, SurrogateSpec(), smooth=False)
-    out = sn_forward(Tensor(cur), params)
+    spikes, v, _ = bptt_oracle(cur, np.zeros_like(cur), spec, smooth=False)
+    out = sn_forward(Tensor(cur), spec)
     assert np.array_equal(out.data, spikes)
     return out.data[:, 0], v[:, 0]
 
@@ -75,9 +74,9 @@ class TestSingleStep:
 
     def test_exact_threshold_fires(self):
         # boundary convention: v == threshold counts as a spike
-        params = LIFParams()
-        s, v = run_lif([params.tau * params.u_th], params)
-        assert v[0] == params.u_th
+        spec = NeuronSpec()
+        s, v = run_lif([spec.tau * spec.u_th], spec)
+        assert v[0] == spec.u_th
         assert s[0] == 1.0
 
     def test_subthreshold_integrates(self):
@@ -89,8 +88,8 @@ class TestSingleStep:
     def test_leak_pulls_toward_rest(self):
         # u_rest=-1, tau=2 from rest: v0 = -1 + (2 - 0)/2 = 0.0 stays below threshold;
         # zero current then leaks half the way back to rest: v1 = 0 + (0 - (0 + 1))/2 = -0.5
-        params = LIFParams(tau=2.0, u_rest=-1.0, u_th=1.0)
-        s, v = run_lif([2.0, 0.0], params)
+        spec = NeuronSpec(tau=2.0, u_rest=-1.0, u_th=1.0)
+        s, v = run_lif([2.0, 0.0], spec)
         np.testing.assert_array_equal(v, [0.0, -0.5])
         np.testing.assert_array_equal(s, [0.0, 0.0])
 
@@ -100,9 +99,9 @@ class TestSingleStep:
 
 class TestSequences:
     def test_constant_drive_at_tau_threshold_fires_every_step(self):
-        params = LIFParams()
-        cur = Tensor(np.full((6, 2), params.tau * params.u_th))
-        out = sn_forward(cur, params)
+        spec = NeuronSpec()
+        cur = Tensor(np.full((6, 2), spec.tau * spec.u_th))
+        out = sn_forward(cur, spec)
         np.testing.assert_array_equal(out.data, 1.0)
 
     def test_zero_current_never_fires(self):
@@ -122,7 +121,7 @@ class TestSequences:
 
     def test_fused_matches_stepwise_forward(self, rng):
         cur = rng.standard_normal((5, 4, 3)) * 2
-        spikes, _, _ = bptt_oracle(cur, np.zeros_like(cur), LIFParams(), SurrogateSpec(), smooth=False)
+        spikes, _, _ = bptt_oracle(cur, np.zeros_like(cur), NeuronSpec(), smooth=False)
         assert np.array_equal(sn_forward(Tensor(cur)).data, spikes)
 
     @pytest.mark.parametrize("smooth", [False, True])
@@ -131,22 +130,22 @@ class TestSequences:
         g = rng.standard_normal((4, 3, 2))
         cur = Tensor(cur_data.copy(), requires_grad=True)
         backward(tensor_sum(mul(sn_forward(cur, smooth=smooth), Tensor(g))))
-        _, _, expect = bptt_oracle(cur_data, g, LIFParams(), SurrogateSpec(), smooth)
+        _, _, expect = bptt_oracle(cur_data, g, NeuronSpec(), smooth)
         assert np.array_equal(cur.grad, expect)
 
     @pytest.mark.parametrize("smooth", [False, True])
     def test_neuron_blocks_match_one_block_and_stepwise(self, rng, monkeypatch, smooth):
-        params = LIFParams(tau=3.0, u_th=1.0, u_rest=-0.25)
+        spec = NeuronSpec(tau=3.0, u_th=1.0, u_rest=-0.25)
         cur_data = (rng.standard_normal((5, 4, 3)) * 2).astype(np.float32)
         g = rng.standard_normal((5, 4, 3)).astype(np.float32)
         runs = []
         for block in (neuron.BLOCK_NEURONS, 5):  # 12 neurons: one block, then blocks of 5, 5 and 2
             monkeypatch.setattr(neuron, "BLOCK_NEURONS", block)
             cur = Tensor(cur_data.copy(), requires_grad=True)
-            out = sn_forward(cur, params, smooth=smooth)
+            out = sn_forward(cur, spec, smooth=smooth)
             backward(tensor_sum(mul(out, Tensor(g))))
             runs.append((out.data, cur.grad))
-        spikes, _, expect = bptt_oracle(cur_data, g, params, SurrogateSpec(), smooth)
+        spikes, _, expect = bptt_oracle(cur_data, g, spec, smooth)
         for out, grad in runs:
             assert out.dtype == np.float32 and np.array_equal(out, spikes)
             assert np.array_equal(grad, expect)
@@ -156,14 +155,13 @@ class TestSequences:
     @pytest.mark.parametrize("smooth", [False, True])
     def test_blocked_backward_matches_whole_array_bptt(self, rng, monkeypatch, smooth, kind, dtype):
         monkeypatch.setattr(neuron, "BLOCK_NEURONS", 5)  # 12 neurons: blocks of 5, 5 and 2
-        params = LIFParams(tau=3.0, u_th=1.0, u_rest=-0.25)
-        spec = SurrogateSpec(kind, width=1.5)
+        spec = NeuronSpec(tau=3.0, u_th=1.0, u_rest=-0.25, surrogate=kind, width=1.5)
         cur_data = (rng.standard_normal((5, 4, 3)) * 2).astype(dtype)
         g = rng.standard_normal((5, 4, 3)).astype(dtype)
         cur = Tensor(cur_data.copy(), requires_grad=True)
-        out = sn_forward(cur, params, spec, smooth=smooth)
+        out = sn_forward(cur, spec, smooth=smooth)
         backward(tensor_sum(mul(out, Tensor(g))))
-        spikes, _, expect = bptt_oracle(cur_data, g, params, spec, smooth)
+        spikes, _, expect = bptt_oracle(cur_data, g, spec, smooth)
         assert np.array_equal(out.data, spikes)
         assert cur.grad.dtype == dtype and np.array_equal(cur.grad, expect)
 
@@ -188,54 +186,48 @@ class TestSequences:
 
 class TestSurrogates:
     def test_triangular_peak_and_support(self):
-        params = LIFParams()
-        spec = SurrogateSpec("triangular", 1.0)
-        assert surrogate_grad(np.array([params.u_th]), params, spec)[0] == 1.0
-        assert surrogate_grad(np.array([params.u_th + 1.0]), params, spec)[0] == 0.0
-        assert surrogate_grad(np.array([params.u_th - 1.5]), params, spec)[0] == 0.0
+        spec = NeuronSpec(surrogate="triangular", width=1.0)
+        assert surrogate_grad(np.array([spec.u_th]), spec)[0] == 1.0
+        assert surrogate_grad(np.array([spec.u_th + 1.0]), spec)[0] == 0.0
+        assert surrogate_grad(np.array([spec.u_th - 1.5]), spec)[0] == 0.0
 
     def test_triangular_width_scales_peak(self):
-        params = LIFParams()
-        spec = SurrogateSpec("triangular", 2.0)
-        assert surrogate_grad(np.array([params.u_th]), params, spec)[0] == 0.5
+        spec = NeuronSpec(surrogate="triangular", width=2.0)
+        assert surrogate_grad(np.array([spec.u_th]), spec)[0] == 0.5
 
     def test_sigmoid_derivative_peak(self):
-        params = LIFParams()
-        spec = SurrogateSpec("sigmoid-derivative", 1.0)
-        np.testing.assert_allclose(surrogate_grad(np.array([params.u_th]), params, spec)[0], 0.25)
+        spec = NeuronSpec(surrogate="sigmoid-derivative", width=1.0)
+        np.testing.assert_allclose(surrogate_grad(np.array([spec.u_th]), spec)[0], 0.25)
 
     @pytest.mark.parametrize("kind", ["triangular", "sigmoid-derivative"])
     @pytest.mark.parametrize("width", [0.5, 1.0, 2.0])
     def test_unit_mass(self, kind, width):
         # any valid pseudo-derivative integrates to 1 over the membrane axis
-        params = LIFParams()
-        spec = SurrogateSpec(kind, width)
-        v = np.linspace(params.u_th - 60, params.u_th + 60, 400_001)
-        mass = np.trapezoid(surrogate_grad(v, params, spec), v)
+        spec = NeuronSpec(surrogate=kind, width=width)
+        v = np.linspace(spec.u_th - 60, spec.u_th + 60, 400_001)
+        mass = np.trapezoid(surrogate_grad(v, spec), v)
         np.testing.assert_allclose(mass, 1.0, atol=1e-4)
 
     @pytest.mark.parametrize("kind", ["triangular", "sigmoid-derivative"])
     def test_smooth_step_is_antiderivative(self, kind):
-        params = LIFParams()
-        spec = SurrogateSpec(kind, 1.0)
+        spec = NeuronSpec(surrogate=kind, width=1.0)
         v = np.linspace(-1.5, 3.5, 101)
         h = 1e-6
-        fd = (smooth_step(v + h, params, spec) - smooth_step(v - h, params, spec)) / (2 * h)
-        np.testing.assert_allclose(fd, surrogate_grad(v, params, spec), atol=1e-6)
+        fd = (smooth_step(v + h, spec) - smooth_step(v - h, spec)) / (2 * h)
+        np.testing.assert_allclose(fd, surrogate_grad(v, spec), atol=1e-6)
 
     def test_smooth_step_limits(self):
-        params = LIFParams()
-        spec = SurrogateSpec("triangular", 1.0)
-        vals = smooth_step(np.array([params.u_th - 1, params.u_th, params.u_th + 1]), params, spec)
+        spec = NeuronSpec(surrogate="triangular", width=1.0)
+        vals = smooth_step(np.array([spec.u_th - 1, spec.u_th, spec.u_th + 1]), spec)
         np.testing.assert_allclose(vals, [0.0, 0.5, 1.0])
 
     def test_unknown_kind_rejected(self):
-        with pytest.raises(ConfigError):
-            SurrogateSpec("rectangle", 1.0)
+        with pytest.raises(ConfigError, match="unknown surrogate kind 'rectangle'"):
+            NeuronSpec(surrogate="rectangle")
 
     def test_nonpositive_width_rejected(self):
-        with pytest.raises(ConfigError):
-            SurrogateSpec("triangular", 0.0)
+        with pytest.raises(ConfigError, match="surrogate width must be positive and finite, got 0.0"):
+            NeuronSpec(width=0.0)
 
 
 class TestGradientFlow:
@@ -257,11 +249,11 @@ class TestGradientFlow:
         )
 
     def test_smooth_mode_fd_sigmoid(self, rng):
-        spec = SurrogateSpec("sigmoid-derivative", 1.0)
+        spec = NeuronSpec(surrogate="sigmoid-derivative", width=1.0)
         cur = Tensor(rng.standard_normal((4, 3)) * 1.5, requires_grad=True)
         proj = Tensor(rng.standard_normal((4, 3)))
         assert_grads_close(
-            lambda: tensor_sum(mul(sn_forward(cur, spec=spec, smooth=True), proj)),
+            lambda: tensor_sum(mul(sn_forward(cur, spec, smooth=True), proj)),
             [cur],
             atol=1e-6,
             rtol=1e-4,
@@ -279,12 +271,12 @@ class TestGradientFlow:
 
 class TestParamValidation:
     def test_tau_floor(self):
-        with pytest.raises(ConfigError):
-            LIFParams(tau=0.5)
+        with pytest.raises(ConfigError, match="membrane time constant must be >= 1, got 0.5"):
+            NeuronSpec(tau=0.5)
 
     def test_threshold_above_rest(self):
-        with pytest.raises(ConfigError):
-            LIFParams(u_th=0.0, u_rest=0.0)
+        with pytest.raises(ConfigError, match="threshold 0.0 must exceed resting potential 0.0"):
+            NeuronSpec(u_th=0.0, u_rest=0.0)
 
     def test_spike_class_by_mode(self):
         cur = Tensor(np.array([[3.0]]))

@@ -295,6 +295,22 @@ class TestTrainLoop:
             np.testing.assert_array_equal(state[name], arr, err_msg=name)
         assert [(e.initialized, e.value) for e in model.rate_emas()] == after_epoch1["emas"]
 
+    def test_early_stop_evaluates_the_train_split_once(self, monkeypatch):
+        # the frozen accuracy that stops the run is its final train accuracy: eval mode changes no state
+        calls = []
+
+        def counting_evaluate(*args):
+            calls.append(evaluate(*args))
+            return calls[-1]
+
+        monkeypatch.setattr(training, "evaluate", counting_evaluate)
+        model = DualSpikeNet(TINY, seed=0)
+        cfg = TrainConfig(epochs=3, batch_size=8, lr=1e-3, seed=0, target_train_acc=0.0)
+        result = train(model, generate_split(TINY_DATA, 16, "train"), cfg)
+        assert result.stopped_early and result.epochs_run == 1
+        assert len(calls) == 1 and result.train_accuracy == calls[0]
+        assert result.history[-1]["train_acc"] == calls[0]
+
     def test_training_is_deterministic(self):
         cfg = TrainConfig(epochs=1, batch_size=8, lr=1e-3, seed=3)
         histories = []

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from dualspike import verification
-from dualspike.attention import dst_scale, output_scale
+from dualspike.attention import dst_scale
 from dualspike.layers import Linear
 from dualspike.tensor import ContractError, ShapeError, Tensor, mul, tensor_mean as tmean
 from dualspike.verification import (
@@ -406,7 +406,7 @@ def _oracle_scaling_rows(samples, seed):
         fan = hw // (p * p)
         rep = _oracle_report(_oracle_scaled_chunk, (rate, fan, 4, 4, dst_scale(rate, fan)), samples, seed + 1, 1.0, 0.1)
         rows.append(verification._case("scaling", {"role": "output", "rate": rate, "hw": hw, "p": p,
-                                                   "scale": output_scale(rate, hw, p)},
+                                                   "scale": dst_scale(rate, fan)},
                                        rep.as_dict(), rep.variance_ok))
     return rows
 
