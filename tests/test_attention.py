@@ -43,6 +43,24 @@ class TestScales:
             with pytest.raises(ContractError):
                 dst_scale(np.array([0.25, bad]), 64)
 
+    def test_output_scale_uses_reduced_tokens(self, monkeypatch, rng):
+        # at a stored attention-map rate of 0.5, a 14x14 map scales by 1/sqrt(0.5 * 196) at p = 1
+        # and by 1/sqrt(0.5 * 1) at p = 14, where one token covers the whole map
+        scales = []
+
+        def spy(rate, fan_in):
+            scales.append(dst_scale(rate, fan_in))
+            return scales[-1]
+
+        monkeypatch.setattr(attention, "dst_scale", spy)
+        for p, expect in ((1, 1 / np.sqrt(98)), (14, 1 / np.sqrt(0.5))):
+            mod = build_attention(stage(4, p=p), (14, 14))
+            mod.rate_attn.value, mod.rate_attn.initialized = 0.5, True
+            scales.clear()
+            with no_grad():
+                mod.forward(Tensor(rng.standard_normal((2, 1, 4, 14, 14)) * 2), RunContext(training=False))
+            np.testing.assert_allclose(scales[-1], expect)
+
     def test_sdsa_scale_value(self):
         np.testing.assert_allclose(sdsa_scale(0.5, 0.5, 64), 1 / np.sqrt(12))
 
