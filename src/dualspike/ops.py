@@ -346,6 +346,8 @@ def cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
     n, k = logits.data.shape
     if labels.shape != (n,):
         raise ShapeError(f"labels shape {labels.shape} does not match logits rows {n}")
+    if labels.dtype.kind not in "iu":  # a bool array would index as a mask, a float one not at all
+        raise ContractError(f"labels must be integer class indices, got dtype {labels.dtype}")
     if labels.min(initial=0) < 0 or labels.max(initial=0) >= k:
         raise ContractError(f"labels must lie in [0, {k})")
     z = logits.data

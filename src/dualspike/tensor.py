@@ -3,10 +3,23 @@
 Everything is numpy underneath. A Tensor wraps an ndarray plus an optional
 record of how it was produced; backward() walks that record once, in reverse
 topological order, and accumulates gradients into reachable leaves.
+
+The first backward(..., free_graph=True) of a process, which is the first
+training step, sets glibc's malloc to keep freed memory in the process
+(`_keep_freed_memory`). Without it a train step's large temporaries go back
+to the kernel when freed and fault in afresh when allocated: on a 2-core
+x86-64 machine a batch-16 Nano step took about 53K minor page faults and
+0.3 s of system time, and with the setting none from the third step on. The
+setting holds for the whole process from then on, for every allocation, and
+cannot be read back. Where glibc's `mallopt` is not found, or refuses a
+value, it is a no-op. Processes that never free a graph (eval, audit, the
+verify suites, gradcheck) keep the allocator they started with.
 """
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import threading
 import warnings
 
@@ -62,6 +75,15 @@ class no_grad:
             _no_grad_depth -= 1
             _grad_enabled = _no_grad_depth == 0
         return False
+
+
+class _Freed(tuple):
+    """Type of `_FREED`, an empty tuple distinct from a leaf's `()`."""
+
+
+# The parents of a node whose graph backward(free_graph=True) tore down. It is
+# empty, as a leaf's are, but a second backward must not take the node for one.
+_FREED = _Freed()
 
 
 class Tensor:
@@ -275,11 +297,18 @@ def backward(loss: Tensor, free_graph: bool = False):
     """Reverse-mode pass from a scalar loss.
 
     Accumulates into .grad of every reachable gradient-tracked leaf; repeated
-    calls keep accumulating unless grads are zeroed. With free_graph=True the
-    tape is torn down afterwards to release intermediate arrays.
+    calls keep accumulating unless grads are zeroed. The pass drops its own
+    reference to each node once the node's backward has run. With
+    free_graph=True it also tears the node's record down, so the node's output
+    array is freed as soon as the pass has consumed it and nothing outside the
+    graph holds it; a later backward through a torn-down node raises
+    ContractError. The first such call sets the process's allocator (see the
+    module docstring).
     """
     if loss.data.size != 1:
         raise ShapeError(f"backward requires a scalar loss, got shape {loss.data.shape}")
+    if free_graph:
+        _keep_freed_memory()
 
     topo = []
     visited = set()
@@ -291,15 +320,19 @@ def backward(loss: Tensor, free_graph: bool = False):
             continue
         if id(node) in visited:
             continue
+        if node._parents is _FREED:
+            raise ContractError("backward through a graph that an earlier backward(free_graph=True) freed")
         visited.add(id(node))
         stack.append((node, True))
         for p in node._parents:
             if id(p) not in visited:
                 stack.append((p, False))
 
+    # Every node still in `topo` is alive, so no id in `grads` can be reused.
     grads = {id(loss): np.ones_like(loss.data)}
     touched_leaf = False
-    for node in reversed(topo):
+    while topo:
+        node = topo.pop()
         g = grads.pop(id(node), None)
         if g is None:
             continue
@@ -311,7 +344,7 @@ def backward(loss: Tensor, free_graph: bool = False):
                 prev = grads.get(id(p))
                 grads[id(p)] = pg if prev is None else prev + pg
             if free_graph:
-                node._parents = ()
+                node._parents = _FREED
                 node._backward = None
         elif node.requires_grad:
             touched_leaf = True
@@ -322,3 +355,36 @@ def backward(loss: Tensor, free_graph: bool = False):
 
     if not touched_leaf:
         warnings.warn("backward reached no gradient-tracked leaves; all gradients are empty", stacklevel=2)
+
+
+# glibc's mallopt parameter numbers
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+_MMAP_THRESHOLD = 32 * 1024 * 1024  # glibc's largest on 64-bit: mallopt refuses more
+_TRIM_THRESHOLD = 2**31 - 1  # the largest C int, which mallopt takes
+
+
+def _mallopt():
+    """glibc's mallopt(param, value) -> 1 on success, 0 on refusal; None where it is not found."""
+    try:
+        fn = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError, TypeError):  # TypeError: Windows has no CDLL(None)
+        return None
+    fn.argtypes, fn.restype = [ctypes.c_int, ctypes.c_int], ctypes.c_int
+    return fn
+
+
+@functools.cache
+def _keep_freed_memory() -> bool:
+    """Keep freed memory in the process from now on; True where glibc took both settings.
+
+    Blocks up to 32 MiB come from the heap, and the heap keeps up to 2 GiB
+    free before it is trimmed, so the next step reuses pages that are
+    already mapped. The settings hold for
+    the whole process and cannot be read back. Only the pair helps: either
+    threshold alone also turns off glibc's adaptive mmap threshold and faults as
+    much as before, so the trim threshold is set only once the mmap one is.
+    """
+    mallopt = _mallopt()
+    if mallopt is None:
+        return False
+    return bool(mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD)) and bool(mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD))

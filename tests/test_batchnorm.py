@@ -200,6 +200,24 @@ class TestLinearAndLoss:
         logits = Tensor(np.array([[1000.0, -1000.0], [-1000.0, 1000.0]]))
         assert np.isfinite(cross_entropy(logits, np.array([0, 0])).item())
 
+    @pytest.mark.parametrize(
+        "labels, expect",
+        [
+            (np.array([True, False]), None),  # would index as a mask and score labels [0, 0]: 2.5067
+            (np.array([1.0, 0.0]), None),
+            (np.array([1, 0], dtype=np.int64), 0.0067153),
+            (np.array([1, 0], dtype=np.uint8), 0.0067153),
+        ],
+        ids=["bool", "float", "int64", "uint8"],
+    )
+    def test_labels_must_be_integers(self, labels, expect):
+        logits = Tensor(np.array([[0.0, 5.0], [5.0, 0.0]]))
+        if expect is None:
+            with pytest.raises(ContractError, match="integer"):
+                cross_entropy(logits, labels)
+        else:
+            np.testing.assert_allclose(cross_entropy(logits, labels).item(), expect, rtol=1e-4)
+
     def test_label_out_of_range(self):
         with pytest.raises(ContractError):
             cross_entropy(Tensor(np.zeros((2, 3))), np.array([0, 3]))

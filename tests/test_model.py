@@ -10,6 +10,7 @@ import pytest
 from conftest import calibrated_nano, race
 
 from dualspike import model as model_module
+from dualspike import tensor as tensor_module
 from dualspike.config import REGISTRY, ModelConfig, StageSpec, StemSpec, canonical_model_text, registry_config
 from dualspike.data import SyntheticSpec, generate_split
 from dualspike.layers import RunContext
@@ -138,6 +139,14 @@ class TestForwardSurface:
         assert logits.data.shape == (5, 3)
         preds = model.predict(imgs, batch_size=2)
         np.testing.assert_array_equal(preds, np.argmax(logits.data, axis=1))
+
+    def test_predict_leaves_the_allocator_alone(self, rng, monkeypatch):
+        # the malloc setting belongs to processes that train; eval never frees a graph
+        calls = []
+        monkeypatch.setattr(tensor_module, "_keep_freed_memory", lambda: calls.append(1))
+        model = DualSpikeNet(TINY, seed=1)
+        model.predict(rng.standard_normal((5, 2, 8, 8)).astype(np.float32), batch_size=2)
+        assert calls == []
 
     def test_predict_empty(self):
         model = DualSpikeNet(TINY, seed=1)

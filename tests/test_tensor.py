@@ -1,12 +1,15 @@
 """Tape engine: forward values, reverse-mode gradients, error contracts."""
 
+import platform
 import time
+import weakref
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dualspike import tensor
 from dualspike.tensor import (
     ContractError,
     ShapeError,
@@ -14,6 +17,7 @@ from dualspike.tensor import (
     Tensor,
     add,
     backward,
+    make_node,
     matmul,
     mul,
     no_grad,
@@ -118,6 +122,46 @@ class TestGradients:
         backward(loss, free_graph=True)
         assert out._parents == () and out._backward is None
 
+    @pytest.mark.parametrize("free_graph", [True, False])
+    def test_free_graph_frees_each_output_once_consumed(self, free_graph):
+        # a -> low -> mid -> loss; low's backward runs after mid's and looks at mid's output
+        a = t([1.0, 2.0])
+        freed_by_then = []
+
+        def low_bw(g):
+            freed_by_then.append(mid_data() is None)
+            return (g,)
+
+        low = make_node(a.data.copy(), (a,), low_bw)
+        mid = mul(low, low)
+        mid_data = weakref.ref(mid.data)
+        loss = tensor_sum(mul(mid, 3.0))
+        del low, mid
+        backward(loss, free_graph=free_graph)
+        # without free_graph the graph holds every node through the loss
+        assert freed_by_then == [free_graph]
+        np.testing.assert_array_equal(a.grad, [6.0, 12.0])
+
+    def test_backward_from_a_freed_loss_raises(self):
+        a = t([1.0, 2.0])
+        loss = tensor_sum(mul(a, a))
+        backward(loss, free_graph=True)
+        first = a.grad.copy()
+        with pytest.raises(ContractError, match="freed"):
+            backward(loss, free_graph=True)
+        np.testing.assert_array_equal(a.grad, first)
+        assert loss.grad is None
+
+    def test_backward_through_a_freed_node_raises_before_accumulating(self):
+        a = t([1.0, 2.0])
+        b = t([3.0, 4.0])
+        mid = mul(a, a)
+        backward(tensor_sum(mid), free_graph=True)
+        with pytest.raises(ContractError, match="freed"):
+            backward(tensor_sum(add(mul(mid, 2.0), b)))
+        np.testing.assert_array_equal(a.grad, [2.0, 4.0])
+        assert b.grad is None and mid.grad is None
+
     @given(st.integers(1, 5), st.integers(1, 5))
     @settings(max_examples=20, deadline=None)
     def test_mul_grad_is_other_operand(self, n, m):
@@ -185,3 +229,62 @@ class TestSpikeTensor:
         s = SpikeTensor(np.array([0.0, 1.0]))
         for out in (add(s, 0.5), mul(s, 2.0)):
             assert type(out) is Tensor
+
+
+@pytest.fixture
+def fresh_allocator_setting():
+    tensor._keep_freed_memory.cache_clear()
+    yield
+    tensor._keep_freed_memory.cache_clear()
+
+
+def recording_mallopt(result, calls):
+    def mallopt(param, value):
+        calls.append((param, value))
+        return result
+
+    return mallopt
+
+
+def freeing_steps(n=3):
+    a = t([1.0, 2.0])
+    for _ in range(n):
+        a.grad = None
+        backward(tensor_sum(mul(a, a)), free_graph=True)
+        np.testing.assert_array_equal(a.grad, [2.0, 4.0])
+
+
+@pytest.mark.usefixtures("fresh_allocator_setting")
+class TestAllocatorSetting:
+    def test_first_freeing_backward_sets_both_thresholds_once(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(tensor, "_mallopt", lambda: recording_mallopt(1, calls))
+        freeing_steps()
+        # M_MMAP_THRESHOLD to glibc's 64-bit maximum, then M_TRIM_THRESHOLD to the largest C int
+        assert calls == [(-3, 32 * 1024 * 1024), (-1, 2**31 - 1)]
+        assert tensor._keep_freed_memory() is True
+
+    def test_missing_symbol_is_a_noop(self, monkeypatch):
+        monkeypatch.setattr(tensor, "_mallopt", lambda: None)
+        freeing_steps()
+        assert tensor._keep_freed_memory() is False
+
+    def test_refused_mmap_threshold_leaves_the_trim_threshold(self, monkeypatch):
+        # either threshold alone faults as much as neither, so a refusal stops at the first
+        calls = []
+        monkeypatch.setattr(tensor, "_mallopt", lambda: recording_mallopt(0, calls))
+        freeing_steps()
+        assert calls == [(-3, 32 * 1024 * 1024)]
+        assert tensor._keep_freed_memory() is False
+
+    def test_backward_that_keeps_the_graph_never_sets_it(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(tensor, "_mallopt", lambda: recording_mallopt(1, calls))
+        a = t([1.0, 2.0])
+        backward(tensor_sum(mul(a, a)))
+        backward(tensor_sum(mul(a, a)), free_graph=False)
+        assert calls == []
+
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="mallopt is glibc's")
+    def test_glibc_mallopt_is_found(self):
+        assert tensor._mallopt() is not None
