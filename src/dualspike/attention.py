@@ -20,9 +20,9 @@ import numpy as np
 
 from . import ops
 from .config import StageSpec
-from .layers import Conv2d, FiringRateEMA, Module, RunContext
+from .layers import Conv2d, FiringRateEMA, Module, RunContext, check_firing_rate, synaptic_conv
 from .neuron import NeuronSpec, sn_forward
-from .tensor import ConfigError, ContractError, ShapeError, Tensor, matmul, mul, reshape, transpose
+from .tensor import ConfigError, ShapeError, Tensor, matmul, mul, reshape, transpose
 
 RATE_FLOOR = 1e-4
 
@@ -37,8 +37,7 @@ def dst_scale(rate, fan_in: int):
     """
     if fan_in < 1:
         raise ConfigError(f"fan_in must be positive, got {fan_in}")
-    if not np.all((0.0 <= rate) & (rate <= 1.0)):
-        raise ContractError(f"firing rate must lie in [0, 1], got {rate}")
+    check_firing_rate(rate)
     return 1.0 / np.sqrt(np.maximum(rate, RATE_FLOOR) * fan_in)
 
 
@@ -46,9 +45,8 @@ def sdsa_scale(f_q: float, f_k: float, hw: int) -> float:
     """Scale for plain spike-product attention: Var(I) = HW * fq*fk*(1 - fq*fk)."""
     if hw < 1:
         raise ConfigError(f"HW must be positive, got {hw}")
-    for r in (f_q, f_k):
-        if not 0.0 <= r <= 1.0:
-            raise ContractError(f"firing rate must lie in [0, 1], got {r}")
+    check_firing_rate(f_q)
+    check_firing_rate(f_k)
     prod = f_q * f_k
     return 1.0 / np.sqrt(hw * max(prod * (1.0 - prod), RATE_FLOOR))
 
@@ -122,7 +120,5 @@ class MultiHeadDualSpikeAttention(Module):
             ctx,
         )
 
-        merged = reshape(transpose(s_out, (0, 1, 2, 4, 3)), (t * b, spec.d, h, w))
-        out = ops.batchnorm(self.conv_proj.forward(merged), self.bn_proj, ctx.training)
-        ctx.record(f"{self.name}.proj", "conv", merged, out, conv=self.conv_proj, bn=self.bn_proj)
-        return reshape(out, (t, b, spec.d, h, w))
+        merged = reshape(transpose(s_out, (0, 1, 2, 4, 3)), (t, b, spec.d, h, w))
+        return synaptic_conv(f"{self.name}.proj", merged, self.conv_proj, self.bn_proj, ctx)

@@ -86,6 +86,8 @@ def _print_json(obj):
 
 def _model_cfg(args):
     """Model config plus any train keys found in a config file."""
+    if args.config and args.arch:
+        raise ConfigError("--arch does not apply with --config, whose file gives the model's config")
     if args.config:
         values = load_config_file(args.config)
         cfg = model_config_from_values(values)

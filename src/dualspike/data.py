@@ -121,7 +121,8 @@ def save_dataset(path, ds: Dataset) -> None:
 
 
 def load_dataset(path) -> Dataset:
-    """Read a dataset container; a header that fails a SyntheticSpec check is a CheckpointError naming the file."""
+    """Read a dataset container; a header that fails a SyntheticSpec check, no images, or a label
+    outside [0, classes) is a CheckpointError naming the file."""
     r = container.read(path, _MAGIC, _VERSION, f"dataset file {path}")
     count, classes, channels, height, width, coarse, noise, seed = r.unpack(_HEADER)
     try:
@@ -130,8 +131,12 @@ def load_dataset(path) -> Dataset:
         )
     except ConfigError as exc:
         raise CheckpointError(f"dataset file {path}: header fails a check: {exc}") from None
+    if count < 1:
+        raise CheckpointError(f"dataset file {path} holds no images")
     labels = r.array("<i8", count).astype(np.int64)
     images = r.array("<f4", count * channels * height * width)
     r.finish()
+    if labels.min() < 0 or labels.max() >= classes:
+        raise CheckpointError(f"dataset file {path}: labels must lie in [0, {classes})")
     images = images.reshape(count, channels, height, width).astype(np.float32)
     return Dataset(spec=spec, images=images, labels=labels)

@@ -12,9 +12,9 @@ from __future__ import annotations
 
 from . import ops
 from .config import StageSpec
-from .layers import Conv2d, Module, RunContext, SpikingNeuron
+from .layers import Conv2d, Module, RunContext, SpikingNeuron, synaptic_conv
 from .neuron import NeuronSpec
-from .tensor import ConfigError, ShapeError, Tensor, add, reshape
+from .tensor import ConfigError, ShapeError, Tensor, add
 
 
 class GroupWiseFeedForward(Module):
@@ -33,13 +33,7 @@ class GroupWiseFeedForward(Module):
         self.bn2 = ops.BatchNormState(f"{name}.ffl2.bn", d, dtype=dtype)
 
     def _synapse(self, x: Tensor, lif: SpikingNeuron, conv: Conv2d, bn, ctx: RunContext, tag: str) -> Tensor:
-        t, b, c, h, w = x.data.shape
-        s = lif.forward(x, ctx)
-        s4 = reshape(s, (t * b, c, h, w))
-        out = ops.batchnorm(conv.forward(s4), bn, ctx.training)
-        ctx.record(f"{self.name}.{tag}", "conv", s4, out, conv=conv, bn=bn)
-        o = out.data.shape[1]
-        return reshape(out, (t, b, o, h, w))
+        return synaptic_conv(f"{self.name}.{tag}", x, conv, bn, ctx, lif)
 
     def ffl(self, x: Tensor, ctx: RunContext, which: int) -> Tensor:
         """Feed-forward layer `which` (1 expands d -> d*R, 2 contracts back)."""

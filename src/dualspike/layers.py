@@ -1,6 +1,7 @@
 """Module base with its one walk over owned pieces, thin layer wrappers, the run context.
 
 `SpikingNeuron` hands its `neuron.NeuronSpec` to `sn_forward` as it is.
+`synaptic_conv` is the one spike -> conv -> batch norm layer path.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ import numpy as np
 
 from . import ops
 from .neuron import NeuronSpec, sn_forward
-from .tensor import ConfigError, ContractError, Parameter, Tensor, add
+from .tensor import ConfigError, ContractError, Parameter, Tensor, add, reshape
 
 
 @dataclass
@@ -38,6 +39,12 @@ class RunContext:
         if self.audit is not None:
             self.audit.record(name, kind, spikes, current, **layer)
         return current
+
+
+def check_firing_rate(rate):
+    """Raise ContractError unless `rate`, a float or an array of rates, lies in [0, 1]; NaN does not."""
+    if not np.all((0.0 <= rate) & (rate <= 1.0)):
+        raise ContractError(f"firing rate must lie in [0, 1], got {rate}")
 
 
 class FiringRateEMA:
@@ -68,8 +75,7 @@ class FiringRateEMA:
             rate = float(spikes.mean())
         else:
             rate = spikes.mean(axis=(0, 2, 3, 4), dtype=np.float64, keepdims=True)
-        if not np.all((0.0 <= rate) & (rate <= 1.0)):
-            raise ContractError(f"firing rate must lie in [0, 1], got {rate}")
+        check_firing_rate(rate)
         if training:
             self.value = self.MOMENTUM * self.value + (1.0 - self.MOMENTUM) * rate if self.initialized else rate
             self.initialized = True
@@ -150,3 +156,13 @@ class SpikingNeuron(Module):
 
     def forward(self, current: Tensor, ctx: RunContext) -> Tensor:
         return sn_forward(current, self.neuron, smooth=ctx.smooth)
+
+
+def synaptic_conv(name: str, x: Tensor, conv: Conv2d, bn, ctx: RunContext, lif: SpikingNeuron | None = None) -> Tensor:
+    """Spike [T,B,C,H,W] `x` through `lif` (without one, `x` is spikes), conv, BN, record as `name`: [T,B,O,Ho,Wo]."""
+    t, b = x.data.shape[:2]
+    s = x if lif is None else lif.forward(x, ctx)
+    s4 = reshape(s, (t * b,) + s.data.shape[2:])
+    out = ops.batchnorm(conv.forward(s4), bn, ctx.training)
+    ctx.record(name, "conv", s4, out, conv=conv, bn=bn)
+    return reshape(out, (t, b) + out.data.shape[1:])

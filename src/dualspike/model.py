@@ -46,7 +46,7 @@ from .config import (
     ModelConfig, StageSpec, canonical_model_text, model_config_from_values, parse_config_text, registry_config,
 )
 from .ffn import GroupWiseFeedForward
-from .layers import Conv2d, Linear, Module, RunContext, SpikingNeuron
+from .layers import Conv2d, Linear, Module, RunContext, SpikingNeuron, synaptic_conv
 from .neuron import NeuronSpec
 from .ops import conv_output_size
 from .tensor import (
@@ -167,12 +167,7 @@ class Downsample(Module):
         self.bn = ops.BatchNormState(f"{name}.bn", d_out, dtype=dtype)
 
     def forward(self, x: Tensor, ctx: RunContext) -> Tensor:
-        t, b, c, h, w = x.data.shape
-        s = reshape(self.lif.forward(x, ctx), (t * b, c, h, w))
-        out = ops.batchnorm(self.conv.forward(s), self.bn, ctx.training)
-        ctx.record(self.name, "conv", s, out, conv=self.conv, bn=self.bn)
-        ho, wo = out.data.shape[2:]
-        return reshape(out, (t, b, out.data.shape[1], ho, wo))
+        return synaptic_conv(self.name, x, self.conv, self.bn, ctx, self.lif)
 
 
 class Classifier(Module):
@@ -242,20 +237,15 @@ class DualSpikeNet(Module):
 
     def encode(self, images: np.ndarray) -> Tensor:
         """Direct encoding: replicate each frame across the time axis."""
-        arr = np.asarray(images, dtype=self.dtype)
-        if arr.ndim != 4:
-            raise ShapeError(f"expected images [B,C,H,W], got {arr.shape}")
-        cfg = self.config
-        if arr.shape[1:] != (cfg.in_channels, cfg.input_height, cfg.input_width):
+        arr, cfg = np.asarray(images, dtype=self.dtype), self.config
+        if arr.shape[1:] != (cfg.in_channels, cfg.input_height, cfg.input_width):  # any rank but 4 too
             raise ShapeError(
-                f"expected images [B,{cfg.in_channels},{cfg.input_height},{cfg.input_width}], got {arr.shape}"
-            )
+                f"expected images [B,{cfg.in_channels},{cfg.input_height},{cfg.input_width}], got {arr.shape}")
         tiled = np.broadcast_to(arr[None], (cfg.time_steps,) + arr.shape)
         return Tensor(np.ascontiguousarray(tiled))
 
-    def forward(self, images, ctx: RunContext | None = None) -> Tensor:
-        ctx = ctx or RunContext()
-        x = images if isinstance(images, Tensor) else self.encode(images)
+    def forward(self, images, ctx: RunContext) -> Tensor:
+        x = self.encode(images)
         for module in self.body:
             x = module.forward(x, ctx)
         return x
@@ -263,13 +253,12 @@ class DualSpikeNet(Module):
     def predict(self, images, batch_size: int = 64) -> np.ndarray:
         """Class predictions without tape recording, `batch_size` images per caller batch.
 
-        Each caller batch of m images is forwarded in max(1, m // EVAL_CHUNK_IMAGES)
-        near-equal chunks, whose logits equal one forward of the batch bit for bit. The
-        chunks of all caller batches run on min(usable cores, chunks) threads with
-        OpenBLAS pinned to one thread, process-wide for the length of the call
-        (`_map_chunks`). They run in the calling thread where that pin is not available
-        or while `forward` is wrapped on the class (a tracer's wrapper keeps one stack of
-        open calls, which overlapping forwards would corrupt).
+        Each caller batch of m images is forwarded in max(1, m // EVAL_CHUNK_IMAGES) near-equal
+        chunks, the larger first, whose logits equal one forward of the batch bit for bit. The
+        chunks of all caller batches run on min(usable cores, chunks) threads with OpenBLAS pinned
+        to one thread, process-wide for the length of the call (`_map_chunks`). They run in the
+        calling thread where that pin is not available or while `forward` is wrapped on the class
+        (a tracer's wrapper keeps one stack of open calls, which overlapping forwards would corrupt).
         """
         if batch_size < 1:
             raise ContractError(f"batch size must be at least 1, got {batch_size}")
@@ -277,9 +266,7 @@ class DualSpikeNet(Module):
         chunks = []
         for i in range(0, images.shape[0], batch_size):
             batch = images[i : i + batch_size]
-            m = batch.shape[0]
-            n = max(1, m // EVAL_CHUNK_IMAGES)
-            bounds = [m * k // n for k in range(n + 1)]  # sizes differ by one image at most
+            bounds = ops.split_bounds(len(batch), max(1, len(batch) // EVAL_CHUNK_IMAGES))
             chunks.extend(batch[lo:hi] for lo, hi in zip(bounds, bounds[1:]))
         workers = min(_usable_cores(), len(chunks)) if type(self).forward is _FORWARD else 1
         with no_grad():  # the flag is a module global: set here once, read by every worker

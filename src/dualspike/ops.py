@@ -37,6 +37,12 @@ from .tensor import (
 CHUNK_ELEMENTS = 1 << 20  # activations per image chunk of the offset-path conv forward
 
 
+def split_bounds(total: int, parts: int) -> list:
+    """Bounds [0, ..., total] of `parts` contiguous slices whose sizes differ by one at most, the larger first."""
+    base, rem = divmod(total, parts)
+    return [i * base + min(i, rem) for i in range(parts + 1)]
+
+
 def conv_output_size(size: int, kernel: int, stride: int, padding: int) -> int:
     out = (size + 2 * padding - kernel) // stride + 1
     if out <= 0:
@@ -103,8 +109,8 @@ def _conv2d_cols(x: Tensor, weight: Tensor, stride, padding, groups, ho, wo) -> 
 def _conv2d_offsets(x: Tensor, weight: Tensor, stride, padding, groups, ho, wo) -> Tensor:
     """Overlapping kernels: one wide GEMM per (kernel offset, group), chunk by chunk.
 
-    The forward splits the batch into near-equal image chunks of about
-    CHUNK_ELEMENTS activations. Per chunk, each kernel offset copies its
+    The forward splits the batch into near-equal image chunks (`split_bounds`)
+    of about CHUNK_ELEMENTS activations. Per chunk, each kernel offset copies its
     strided window into one reused channels-leading buffer [C, m*Ho*Wo] and
     contracts it, group by group, against the matching kernel tap
     (K = C/g); the products are added into the chunk's output block in
@@ -146,9 +152,8 @@ def _conv2d_offsets(x: Tensor, weight: Tensor, stride, padding, groups, ho, wo) 
     w_off = [np.ascontiguousarray(w6[:, :, :, di, dj]) for di in range(kh) for dj in range(kw)]
 
     xp = _pad_hw(xd, padding)
-    chunks = min(n, -(-n * max(c, o) * l // CHUNK_ELEMENTS))
-    bounds = [-(-n * i // chunks) for i in range(chunks + 1)]  # sizes differ by one image at most
-    cols = -(-n // chunks) * l  # columns of the widest chunk
+    bounds = split_bounds(n, min(n, -(-n * max(c, o) * l // CHUNK_ELEMENTS)))
+    cols = bounds[1] * l  # columns of the first chunk, the widest
     xs_buf = np.empty(c * cols, dtype=xd.dtype)
     acc_buf = np.empty(o * cols, dtype=xd.dtype)
     prod_buf = np.empty(og * cols, dtype=xd.dtype)
@@ -193,7 +198,7 @@ def _conv2d_offsets(x: Tensor, weight: Tensor, stride, padding, groups, ho, wo) 
         # per-chunk copy of g); the offsets are added in order into a zeroed
         # padded chunk, which is cropped into [N, C, H, W].
         dx = np.empty((n, c, h, w), dtype=xd.dtype)
-        gp_buf = np.empty(c * (-(-n // chunks)) * hp * wp, dtype=xd.dtype)
+        gp_buf = np.empty(c * bounds[1] * hp * wp, dtype=xd.dtype)
         dxs_buf = np.empty(c * cols, dtype=xd.dtype)
         for b0, b1 in zip(bounds, bounds[1:]):
             m = b1 - b0

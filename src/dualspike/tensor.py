@@ -157,15 +157,12 @@ def _leaf(data, cls=Tensor):
 
 def make_node(data, parents, backward, cls=Tensor):
     """Create a tape node. `backward(grad)` returns one ndarray (or None) per parent."""
+    out = _leaf(data, cls)
     if _grad_enabled and any(p.requires_grad or p._parents for p in parents):
-        out = Tensor.__new__(cls)
-        out.data = data
-        out.grad = None
         out.requires_grad = True
         out._parents = tuple(parents)
         out._backward = backward
-        return out
-    return _leaf(data, cls)
+    return out
 
 
 def _coerce(a, b):

@@ -109,11 +109,6 @@ def check_samples(samples: int) -> int:
     return samples
 
 
-def _split_draws(total: int):
-    base, rem = divmod(total, _N_STREAMS)
-    return [base + (1 if i < rem else 0) for i in range(_N_STREAMS)]
-
-
 def _run_chunk(task):
     chunk, seed_seq, draws, args = task
     return chunk(np.random.default_rng(seed_seq), draws, *args)
@@ -146,7 +141,8 @@ def _mc_moments(chunk, args, *, draws, seed, pool, predicted) -> list[MCReport]:
     collected in stream order, so the reports are the same for every pool size.
     """
     seeds = np.random.SeedSequence(seed).spawn(_N_STREAMS)
-    tasks = [(chunk, s, d, args) for s, d in zip(seeds, _split_draws(draws))]
+    bounds = ops.split_bounds(draws, _N_STREAMS)
+    tasks = [(chunk, s, hi - lo, args) for s, lo, hi in zip(seeds, bounds, bounds[1:])]
     chunks = list((map if pool is None else pool.map)(_run_chunk, tasks))
     reports = []
     for i, (predicted_mean, predicted_var, rtol) in enumerate(predicted):

@@ -1,5 +1,7 @@
 """Dual-spike transformations, scales, rate tracking, multi-head module."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -71,6 +73,18 @@ class TestScales:
     def test_sdsa_scale_rejects_bad_rate(self):
         with pytest.raises(ContractError):
             sdsa_scale(1.5, 0.5, 4)
+
+    @pytest.mark.parametrize("bad", [1.5, -0.1, float("nan")])
+    def test_every_rate_reader_shares_one_range_check(self, bad):
+        readers = [
+            lambda: dst_scale(bad, 4),
+            lambda: sdsa_scale(bad, 0.5, 4),
+            lambda: sdsa_scale(0.5, bad, 4),
+            lambda: FiringRateEMA("e").observe(np.full((2, 1, 1, 1, 5), bad), training=True),
+        ]
+        for read in readers:
+            with pytest.raises(ContractError, match=re.escape(f"firing rate must lie in [0, 1], got {bad}")):
+                read()
 
 
 def spike_array(*rates, n=10):

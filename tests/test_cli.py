@@ -85,6 +85,13 @@ class TestBuild:
         assert code == 2
         assert "unknown key" in err
 
+    @pytest.mark.parametrize("command", ["build", "train", "audit"])
+    def test_arch_beside_config_is_config_error(self, capsys, tiny_config, command):
+        # the file says what to build; before, `--arch Ti` beside it was dropped without a word
+        code, out, err = run(capsys, command, "--arch", "Ti", "--config", tiny_config)
+        assert (code, out) == (2, "")
+        assert err == "config error: --arch does not apply with --config, whose file gives the model's config\n"
+
     def test_bad_arch_choice_exits_two(self):
         with pytest.raises(SystemExit) as exc:
             main(["build", "--arch", "XL"])
@@ -120,11 +127,12 @@ class TestCountFlags:
         assert load_checkpoint(ckpt).config.time_steps == 1
 
 
-def write_dataset(path, **header):
-    """A dataset container of two 2x8x8 images whose header holds `header` over valid values."""
-    fields = {"count": 2, "classes": 3, "channels": 2, "height": 8, "width": 8, "coarse": 4, "noise": 0.3, "seed": 0}
+def write_dataset(path, labels=(0, 0), **header):
+    """A dataset container of one blank 2x8x8 image per label whose header holds `header` over valid values."""
+    fields = {"count": len(labels), "classes": 3, "channels": 2, "height": 8, "width": 8, "coarse": 4, "noise": 0.3,
+              "seed": 0}
     fields.update(header)
-    arrays = np.zeros(2, "<i8").tobytes() + np.zeros(2 * 2 * 8 * 8, "<f4").tobytes()
+    arrays = np.asarray(labels, "<i8").tobytes() + np.zeros(len(labels) * 2 * 8 * 8, "<f4").tobytes()
     path.write_bytes(container.pack(data._MAGIC, data._VERSION, struct.pack(data._HEADER, *fields.values()) + arrays))
 
 
@@ -219,6 +227,23 @@ class TestBadInputs:
         code, out, err = run(capsys, "audit", "--config", tiny_config, "--dataset", str(path))
         assert (code, out) == (1, "")
         assert err == f"error: dataset file {path}: header fails a check: {message}\n"
+
+    @pytest.mark.parametrize("command", ["eval", "train", "audit"])
+    @pytest.mark.parametrize("labels, message", [
+        ((), " holds no images"),
+        ((0, 3), ": labels must lie in [0, 3)"),
+        ((-1, 2), ": labels must lie in [0, 3)"),
+    ], ids=["no-images", "label-3-of-3-classes", "label-minus-1"])
+    def test_dataset_without_images_or_with_bad_labels_exits_one(self, capsys, tmp_path, tiny_config, command,
+                                                                  labels, message):
+        # before, an empty file gave a NaN accuracy and a mislabelled one a silent accuracy from eval, both exit 0
+        path, ckpt = tmp_path / "bad.dsds", str(tmp_path / "tiny.dskc")
+        write_dataset(path, labels)
+        assert run(capsys, "build", "--config", tiny_config, "--out", ckpt)[0] == 0
+        model = ["--checkpoint", ckpt] if command == "eval" else ["--config", tiny_config]
+        code, out, err = run(capsys, command, *model, "--dataset", str(path))
+        assert (code, out) == (1, "")
+        assert err == f"error: dataset file {path}{message}\n"
 
     @pytest.mark.parametrize("command", ["eval", "audit"])
     @pytest.mark.parametrize("edit, message", [

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from dualspike import ops
+from dualspike import ops, verification
 from dualspike.ops import conv2d, conv_output_size, maxpool2d
 from dualspike.tensor import ConfigError, ShapeError, Tensor, backward, mul, tensor_sum
 
@@ -327,3 +327,30 @@ class TestMaxPool:
         x = Tensor(vals, requires_grad=True)
         proj = Tensor(rng.standard_normal((1, 1, 3, 3)))
         assert_grads_close(lambda: tensor_sum(mul(maxpool2d(x, 2, 2), proj)), [x], atol=1e-7)
+
+
+class TestSplitBounds:
+    """`ops.split_bounds`, the one near-equal split: offset-path conv chunks, `predict` chunks, Monte Carlo streams."""
+
+    @pytest.mark.parametrize("total, parts", [
+        (0, 1), (1, 1), (5, 3), (7, 3), (10, 4), (15, 16), (64, 32), (65, 32), (6250, 16), (100_003, 16),
+    ])
+    def test_sizes_differ_by_one_at_most_larger_first(self, total, parts):
+        bounds = ops.split_bounds(total, parts)
+        sizes = np.diff(bounds)
+        assert bounds[0] == 0 and bounds[-1] == total and sizes.size == parts
+        assert sizes.max() - sizes.min() <= 1
+        assert list(sizes) == sorted(sizes, reverse=True)
+
+    @pytest.mark.parametrize("samples", [16, 2_000, 20_000, 100_000, 100_003])
+    def test_monte_carlo_streams_draw_what_they_drew(self, samples):
+        # each stream drew `base` draws, one more for the first `rem` streams; the suites' budgets are
+        # max(16, ceil(samples / 16)) draws of the dual-spike product and `samples` draws of sdsa
+        streams = verification._N_STREAMS
+        for draws in (max(streams, -(-samples // 16)), samples):
+            base, rem = divmod(draws, streams)
+            old = [base + (1 if i < rem else 0) for i in range(streams)]
+            assert list(np.diff(ops.split_bounds(draws, streams))) == old
+
+    def test_five_images_in_three_chunks(self):
+        assert ops.split_bounds(5, 3) == [0, 2, 4, 5]  # TestConvBitExact's 2-2-1 chunking

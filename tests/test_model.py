@@ -206,6 +206,13 @@ class TestChunkedPredict:
         # one-image forwards round differently (OpenBLAS's small-matrix kernel) but keep the classes
         assert np.array_equal(model.predict(images, batch_size=1), np.argmax(whole, axis=1))
 
+    def test_chunks_are_near_equal_larger_first(self):
+        model = calibrated_nano(0)
+        images = generate_split(SyntheticSpec(seed=0, noise=0.3), 7, "test").images
+        for batch, sizes in ((5, [3, 2]), (7, [3, 2, 2])):
+            _, logits, _ = recorded_predict(model, images[:batch], batch)
+            assert [len(chunk) for chunk in logits] == sizes, batch
+
 
 @pytest.mark.skipif(not bundled_openblas(), reason="NumPy is not built against the bundled scipy-openblas")
 class TestThreadedPredict:
