@@ -25,7 +25,7 @@ from .config import (
 )
 from .data import SyntheticSpec, generate_split, load_dataset, save_dataset
 from .model import build, load_checkpoint, save_checkpoint
-from .tensor import ConfigError, ContractError, EngineError
+from .tensor import CheckpointError, ConfigError, ContractError, EngineError
 from .training import evaluate, train
 from .verification import SUITES, check_fan_in, check_jobs, check_rate, check_samples, run_suites
 
@@ -114,8 +114,18 @@ def _train_cfg(args, file_values) -> TrainConfig:
 
 
 def _dataset_for(args, cfg, split: str):
+    """The --dataset file, checked against the model's input and classes, or a generated split."""
     if args.dataset:
-        return load_dataset(args.dataset)
+        ds = load_dataset(args.dataset)
+        image = (ds.spec.channels, ds.spec.height, ds.spec.width)
+        expected = (cfg.in_channels, cfg.input_height, cfg.input_width)
+        if image != expected:
+            shapes = ["x".join(map(str, s)) for s in (image, expected)]
+            raise CheckpointError(f"dataset file {args.dataset}: images are {shapes[0]}, the model takes {shapes[1]}")
+        if ds.spec.classes > cfg.num_classes:
+            raise CheckpointError(
+                f"dataset file {args.dataset}: {ds.spec.classes} classes, more than the model's {cfg.num_classes}")
+        return ds
     spec = SyntheticSpec(
         classes=cfg.num_classes,
         channels=cfg.in_channels,

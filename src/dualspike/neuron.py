@@ -124,10 +124,12 @@ def sn_forward(current: Tensor, neuron: NeuronSpec = NeuronSpec(), smooth: bool 
             np.multiply(s, neuron.u_rest, out=u)
             u += tmp
 
+    shape, dtype = xd.shape, xd.dtype  # the backward reads V and S, not the input
+
     def bw(g):
-        d_current = np.empty_like(xd)
+        d_current = np.empty(shape, dtype=dtype)
         g2, d2 = g.reshape(t_steps, -1), d_current.reshape(t_steps, -1)
-        du_buf, dv_buf, tmp_buf = (np.empty(block, dtype=xd.dtype) for _ in range(3))
+        du_buf, dv_buf, tmp_buf = (np.empty(block, dtype=dtype) for _ in range(3))
         # The same blocks as the forward, each through all T steps backwards.
         # Same expressions in the same order as the whole-array BPTT:
         # dv = g * sg + du * (1 - s)  (the reset gate is detached), or with

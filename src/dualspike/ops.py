@@ -232,9 +232,10 @@ def maxpool2d(x: Tensor, window: int, stride: int, padding: int = 0) -> Tensor:
     idx = flat.argmax(axis=-1)
     out = np.take_along_axis(flat, idx[..., None], axis=-1)[..., 0]
     out = np.ascontiguousarray(out)
+    padded_shape, dtype = xp.shape, xp.dtype  # the backward routes by `idx`: it keeps neither x nor its padded copy
 
     def bw(g):
-        gp = np.zeros_like(xp)
+        gp = np.zeros(padded_shape, dtype=dtype)
         for o in range(window * window):
             di, dj = divmod(o, window)
             contrib = g * (idx == o)

@@ -128,11 +128,12 @@ class TestCountFlags:
 
 
 def write_dataset(path, labels=(0, 0), **header):
-    """A dataset container of one blank 2x8x8 image per label whose header holds `header` over valid values."""
+    """A dataset container of one blank image per label (2x8x8 by default) whose header holds `header` over valid values."""
     fields = {"count": len(labels), "classes": 3, "channels": 2, "height": 8, "width": 8, "coarse": 4, "noise": 0.3,
               "seed": 0}
     fields.update(header)
-    arrays = np.asarray(labels, "<i8").tobytes() + np.zeros(len(labels) * 2 * 8 * 8, "<f4").tobytes()
+    pixels = max(0, fields["channels"] * fields["height"] * fields["width"])
+    arrays = np.asarray(labels, "<i8").tobytes() + np.zeros(len(labels) * pixels, "<f4").tobytes()
     path.write_bytes(container.pack(data._MAGIC, data._VERSION, struct.pack(data._HEADER, *fields.values()) + arrays))
 
 
@@ -244,6 +245,33 @@ class TestBadInputs:
         code, out, err = run(capsys, command, *model, "--dataset", str(path))
         assert (code, out) == (1, "")
         assert err == f"error: dataset file {path}{message}\n"
+
+    @pytest.mark.parametrize("command", ["eval", "train", "audit"])
+    @pytest.mark.parametrize("header, message", [
+        ({"classes": 4}, "4 classes, more than the model's 3"),
+        ({"channels": 3}, "images are 3x8x8, the model takes 2x8x8"),
+        ({"height": 16, "width": 12}, "images are 2x16x12, the model takes 2x8x8"),
+    ], ids=["more-classes", "channels", "height-width"])
+    def test_dataset_that_does_not_fit_the_model_exits_one(self, capsys, tmp_path, tiny_config, command, header,
+                                                           message):
+        # before, eval gave an accuracy over classes the model cannot output and exited 0, and a shape
+        # mismatch failed in the forward with a line that named neither file
+        path, ckpt = tmp_path / "bad.dsds", str(tmp_path / "tiny.dskc")
+        write_dataset(path, **header)
+        assert run(capsys, "build", "--config", tiny_config, "--out", ckpt)[0] == 0
+        model = ["--checkpoint", ckpt] if command == "eval" else ["--config", tiny_config]
+        code, out, err = run(capsys, command, *model, "--dataset", str(path))
+        assert (code, out) == (1, "")
+        assert err == f"error: dataset file {path}: {message}\n"
+
+    @pytest.mark.parametrize("command", ["eval", "train"])
+    def test_dataset_with_fewer_classes_than_the_model_is_used(self, capsys, tmp_path, tiny_config, command):
+        path, ckpt = tmp_path / "two.dsds", str(tmp_path / "tiny.dskc")
+        write_dataset(path, (0, 1), classes=2)
+        assert run(capsys, "build", "--config", tiny_config, "--out", ckpt)[0] == 0
+        model = ["--checkpoint", ckpt] if command == "eval" else ["--config", tiny_config]
+        code, out, _ = run(capsys, command, *model, "--dataset", str(path))
+        assert code == 0 and "eval_acc" in json.loads(out.splitlines()[-1])
 
     @pytest.mark.parametrize("command", ["eval", "audit"])
     @pytest.mark.parametrize("edit, message", [

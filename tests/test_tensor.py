@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dualspike import tensor
+from dualspike import ffn, layers, model, ops, tensor
+from dualspike.layers import RunContext
 from dualspike.tensor import (
     ContractError,
     ShapeError,
@@ -124,8 +125,10 @@ class TestGradients:
 
     @pytest.mark.parametrize("free_graph", [True, False])
     def test_free_graph_frees_each_output_once_consumed(self, free_graph):
-        # a -> low -> mid -> loss; low's backward runs after mid's and looks at mid's output
+        # a -> low -> mid -> mul(mid, b) -> loss; b is tracked, so the mul's backward reads mid's
+        # output and its closure holds it. low's backward runs after the mul's and looks at it.
         a = t([1.0, 2.0])
+        b = t([3.0, 3.0])
         freed_by_then = []
 
         def low_bw(g):
@@ -135,12 +138,24 @@ class TestGradients:
         low = make_node(a.data.copy(), (a,), low_bw)
         mid = mul(low, low)
         mid_data = weakref.ref(mid.data)
-        loss = tensor_sum(mul(mid, 3.0))
+        loss = tensor_sum(mul(mid, b))
         del low, mid
         backward(loss, free_graph=free_graph)
-        # without free_graph the graph holds every node through the loss
+        # without free_graph the loss's graph keeps the closure that captured mid's output
         assert freed_by_then == [free_graph]
         np.testing.assert_array_equal(a.grad, [6.0, 12.0])
+        np.testing.assert_array_equal(b.grad, [1.0, 4.0])
+
+    def test_record_keeps_no_output_that_no_backward_reads(self):
+        # add's backward reads no operand, and mul keeps an operand only for the other's gradient
+        a = t([1.0, 2.0])
+        mid = add(a, a)
+        mid_data = weakref.ref(mid.data)
+        loss = tensor_sum(mul(mid, 3.0))
+        del mid
+        assert mid_data() is None
+        backward(loss)
+        np.testing.assert_array_equal(a.grad, [6.0, 6.0])
 
     def test_backward_from_a_freed_loss_raises(self):
         a = t([1.0, 2.0])
@@ -196,6 +211,14 @@ class TestErrorsAndModes:
         with pytest.warns(UserWarning, match="no gradient-tracked leaves"):
             backward(tensor_sum(mul(a, a)))
 
+    def test_tracked_leaf_slot_holds_the_leaf_which_has_no_record(self):
+        # the gradient lands in the leaf's .grad, and no leaf-record cycle keeps either alive
+        a = t([1.0, 2.0])
+        c = Tensor(np.ones(2))  # untracked: its slot is empty
+        out = mul(a, c)
+        assert out._parents[0] is a and out._parents[1] is None
+        assert a._node is None and a._parents == () and a._backward is None
+
     def test_no_grad_suppresses_tape(self):
         a = t([1.0, 2.0])
         with no_grad():
@@ -212,6 +235,42 @@ class TestErrorsAndModes:
         race(blocks)
         a = t([1.0, 2.0])
         assert mul(a, a)._parents != ()
+
+
+class TestTrainForwardTape:
+    def test_conv_bn_and_add_outputs_die_with_the_forward(self, monkeypatch):
+        # No backward reads these: conv's reads its input and weight, train-mode BN's its xhat, add's
+        # nothing. So once the forward has returned, only the loss's graph is left, and it holds none
+        # of them but the attention's token embeddings, which the matmul backward reads.
+        outputs = {"conv2d": [], "batchnorm": [], "add": []}
+        embeddings = []
+
+        def watching(kind, fn):
+            def wrapped(*args, **kwargs):
+                out = fn(*args, **kwargs)
+                name = getattr(args[1], "name", "")
+                refs = embeddings if name.endswith(("embed_map.bn", "embed_val.bn")) else outputs[kind]
+                refs.append(weakref.ref(out.data))
+                return out
+
+            return wrapped
+
+        monkeypatch.setattr(ops, "conv2d", watching("conv2d", ops.conv2d))
+        monkeypatch.setattr(ops, "batchnorm", watching("batchnorm", ops.batchnorm))
+        for owner in (layers, ffn, model):
+            monkeypatch.setattr(owner, "add", watching("add", owner.add))
+        net = model.build("Nano", seed=0)
+        images = np.random.default_rng(0).standard_normal((2, 3, 32, 32)).astype(np.float32)
+        logits = net.forward(images, RunContext(training=True))
+        loss = ops.cross_entropy(logits, np.array([0, 1]))
+        del logits
+        assert all(outputs.values())
+        alive = {kind: sum(ref() is not None for ref in refs) for kind, refs in outputs.items()}
+        assert alive == {"conv2d": 0, "batchnorm": 0, "add": 0}
+        assert len(embeddings) == 2 * len(net.config.stages) and all(ref() is not None for ref in embeddings)
+        backward(loss, free_graph=True)  # the graph is whole without them
+        assert all(np.isfinite(p.grad).all() and p.grad.any() for p in net.parameters())
+        assert not any(ref() is not None for ref in embeddings)
 
 
 class TestSpikeTensor:

@@ -1,13 +1,14 @@
 """Synthetic data generation, optimizer arithmetic, the training loop."""
 
 import binascii
+import functools
 import json
 import struct
 
 import numpy as np
 import pytest
 
-from dualspike import training
+from dualspike import training, verification
 from dualspike.config import ModelConfig, StageSpec, StemSpec, TrainConfig
 from dualspike.data import (
     Dataset,
@@ -19,8 +20,10 @@ from dualspike.data import (
     save_dataset,
     serialize_dataset,
 )
+from dualspike.layers import FiringRateEMA, RunContext
 from dualspike.model import DualSpikeNet, build, load_checkpoint
-from dualspike.tensor import CheckpointError, ConfigError, ContractError, Parameter, Tensor
+from dualspike.ops import cross_entropy
+from dualspike.tensor import CheckpointError, ConfigError, ContractError, Parameter, Tensor, backward
 from dualspike.training import (
     AdamW,
     cosine_lr,
@@ -333,3 +336,46 @@ class TestTrainLoop:
             TrainConfig(lr=1e-3, lr_min=1e-2)
         with pytest.raises(ConfigError):
             TrainConfig(weight_decay=-0.1)
+
+
+FD_STEP = 1e-5  # train-mode BN's curvature needs a finer central difference than gradcheck's 1e-3
+FD_COORDS = 100
+
+
+def two_stage_config(pool: bool) -> ModelConfig:
+    return ModelConfig(
+        input_height=16,
+        input_width=16,
+        num_classes=3,
+        time_steps=2,
+        stem=StemSpec(kernel=3, stride=1, padding=1, pool=pool),
+        stages=(
+            StageSpec(d=8, heads=2, p=2, expansion=2, group_width=8),
+            StageSpec(d=16, heads=2, p=1, expansion=2, group_width=16),
+        ),
+    )
+
+
+class TestTrainStepGradient:
+    @pytest.mark.parametrize("pool", [False, True])
+    def test_whole_network_gradient_matches_central_differences(self, monkeypatch, pool):
+        # The gradient a training step uses: train-mode BN batch statistics, stem (and pool),
+        # downsample, classifier and cross entropy, through backward(free_graph=True) as train()
+        # calls it. Smooth spikes make the loss differentiable; the held rate EMAs make it a
+        # function of the weights.
+        model = DualSpikeNet(two_stage_config(pool), dtype=np.float64, seed=0)
+        rng = np.random.default_rng(1)
+        for state in model.bn_states():  # off the identity affine, so a backward that reads xhat must get it right
+            state.gamma.data += 0.2 * rng.standard_normal(state.gamma.data.shape)
+            state.beta.data += 0.2 * rng.standard_normal(state.beta.data.shape)
+        images = rng.standard_normal((4, 3, 16, 16))
+        labels = np.array([0, 1, 2, 1])
+        ctx = RunContext(training=True, smooth=True)
+        model.forward(images, ctx)  # seeds the rate EMAs, which MOMENTUM = 1 then holds
+        monkeypatch.setattr(FiringRateEMA, "MOMENTUM", 1.0)
+        monkeypatch.setattr(verification, "_FD_STEP", FD_STEP)
+        monkeypatch.setattr(verification, "backward", functools.partial(backward, free_graph=True))
+        report = verification.gradcheck(
+            lambda: cross_entropy(model.forward(images, ctx), labels), model.parameters(), coords=FD_COORDS, seed=1
+        )
+        assert report.passed, report.failures
