@@ -77,8 +77,8 @@ class MultiHeadDualSpikeAttention(Module):
         self.bn_val = ops.BatchNormState(f"{name}.embed_val.bn", d, dtype=dtype)
         self.conv_proj = Conv2d(f"{name}.proj", d, d, 1, rng=rng, dtype=dtype)
         self.bn_proj = ops.BatchNormState(f"{name}.proj.bn", d, dtype=dtype)
-        self.rate_x = FiringRateEMA(f"{name}.rate_x")
-        self.rate_attn = FiringRateEMA(f"{name}.rate_attn")
+        self.rate_x = FiringRateEMA(f"{name}.rate_x", dtype)
+        self.rate_attn = FiringRateEMA(f"{name}.rate_attn", dtype)
 
     def _fire(self, current: Tensor, ctx: RunContext) -> Tensor:
         return sn_forward(current, self.neuron, smooth=ctx.smooth)

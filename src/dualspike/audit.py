@@ -65,11 +65,12 @@ class AuditTrace:
         self.records: list[LayerTrace] = []
 
     def _bool(self, spikes):
-        """A synaptic layer's operand as bools. A SpikeTensor is binary by construction; anything else is
-        scanned, and a value other than 0 or 1 breaks the binary-operand contract."""
-        if isinstance(spikes, SpikeTensor):
-            return spikes.data.astype(bool)
-        arr = np.asarray(spikes)
+        """A synaptic layer's operand as bools. One-byte spikes (a SpikeTensor, or a bool array) are
+        binary by their dtype and taken as a view; anything else is scanned, and a value other than 0
+        or 1 breaks the binary-operand contract."""
+        arr = spikes.data if isinstance(spikes, SpikeTensor) else np.asarray(spikes)
+        if arr.dtype == np.bool_:
+            return arr.view()
         if not ((arr == 0) | (arr == 1)).all():
             raise ContractError("audited synaptic operands must be binary spikes (0 or 1)")
         return arr.astype(bool)

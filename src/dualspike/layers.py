@@ -54,13 +54,15 @@ class FiringRateEMA:
     value <- MOMENTUM * value + (1 - MOMENTUM) * batch_rate. Eval-time
     observations never update; an uninitialized estimator at eval falls back
     to each image's own rate, so untrained models still scale sensibly and an
-    image's output never depends on the other images of its batch.
+    image's output never depends on the other images of its batch. `dtype` is
+    the model's float type, which a batch rate of one-byte spikes is computed in.
     """
 
     MOMENTUM = 0.999
 
-    def __init__(self, name: str):
+    def __init__(self, name: str, dtype=np.float64):
         self.name = name
+        self.dtype = np.dtype(dtype)
         self.value = 0.0
         self.initialized = False
 
@@ -72,7 +74,7 @@ class FiringRateEMA:
         [1, B, 1, 1, 1] to broadcast over the spikes' axes, and stores nothing.
         """
         if training or self.initialized:
-            rate = float(spikes.mean())
+            rate = float(self._batch_rate(spikes))
         else:
             rate = spikes.mean(axis=(0, 2, 3, 4), dtype=np.float64, keepdims=True)
         check_firing_rate(rate)
@@ -80,6 +82,15 @@ class FiringRateEMA:
             self.value = self.MOMENTUM * self.value + (1.0 - self.MOMENTUM) * rate if self.initialized else rate
             self.initialized = True
         return self.value if self.initialized else rate
+
+    def _batch_rate(self, spikes: np.ndarray):
+        """The mean of `spikes`; for one-byte spikes the mean that `dtype` spikes give. NumPy's mean
+        divides its sum by the count in float64 and rounds to the sum's dtype, and a float32 sum of
+        0/1 values is exact below 2**24 spikes, so the count of spikes gives those bits. The mean of
+        the bools themselves would sum in float64, which rounds differently."""
+        if spikes.dtype != np.bool_:
+            return spikes.mean()
+        return self.dtype.type(np.count_nonzero(spikes) / spikes.size)
 
 
 def _walk(value):

@@ -180,7 +180,7 @@ class Classifier(Module):
 
     def forward(self, x: Tensor, ctx: RunContext) -> Tensor:
         s = self.lif.forward(x, ctx)
-        pooled = tensor_mean(s, axis=(3, 4))  # [T, B, D]
+        pooled = tensor_mean(s, axis=(3, 4), dtype=self.fc.weight.data.dtype)  # [T, B, D]
         logits = ctx.record(self.name, "linear", s, self.fc.forward(pooled), fc=self.fc)  # [T, B, classes]
         return tensor_mean(logits, axis=0)
 

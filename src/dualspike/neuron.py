@@ -82,12 +82,18 @@ def smooth_step(v: np.ndarray, neuron: NeuronSpec) -> np.ndarray:
 def sn_forward(current: Tensor, neuron: NeuronSpec = NeuronSpec(), smooth: bool = False) -> Tensor:
     """Run LIF over the leading time axis: [T, ...] currents -> [T, ...] spikes.
 
+    Spikes are a one-byte `SpikeTensor` (bool); `smooth=True` outputs the
+    surrogate antiderivative as a plain Tensor in the current's dtype.
+
     Fused into one tape node: the forward stores only membrane values V and
     outputs S, and the backward runs truncated-in-space BPTT. Both run the
     neurons in blocks of BLOCK_NEURONS, each block through all T steps in
     reused buffers, with the same expressions in the same order as the
     whole-array loop, so blocking changes no bits: forward and backward match
-    the whole-array oracle tests/test_neuron.py::bptt_oracle exactly.
+    the whole-array oracle tests/test_neuron.py::bptt_oracle exactly. The
+    reset and the backward's 1 - s read a block's spikes through a float
+    buffer of the current's dtype, so every arithmetic loop runs on
+    same-dtype kernels.
     """
     if current.data.ndim < 1 or current.data.shape[0] == 0:
         raise ShapeError(f"sn_forward needs a non-empty leading time axis, got shape {current.data.shape}")
@@ -95,19 +101,18 @@ def sn_forward(current: Tensor, neuron: NeuronSpec = NeuronSpec(), smooth: bool 
     t_steps = xd.shape[0]
     inv_tau = 1.0 / neuron.tau
     v_hist = np.empty(xd.shape, dtype=xd.dtype)
-    s_out = np.empty(xd.shape, dtype=xd.dtype)
+    s_out = np.empty(xd.shape, dtype=xd.dtype if smooth else np.bool_)
     x2, v2, s2 = (a.reshape(t_steps, -1) for a in (xd, v_hist, s_out))
     size = x2.shape[1]
     block = max(1, min(size, BLOCK_NEURONS))
-    u_buf = np.empty(block, dtype=xd.dtype)
-    tmp_buf = np.empty(block, dtype=xd.dtype)
+    u_buf, tmp_buf, sf_buf = (np.empty(block, dtype=xd.dtype) for _ in range(3))
     # Each cache-sized block of neurons runs all T steps before the next
     # block starts. In place, but the same expressions in the same order as
     # tests/test_neuron.py::bptt_oracle: v = ((x - u) + u_rest) * inv_tau + u,
     # u = s * u_rest + (1 - s) * v.
     for b0 in range(0, size, block):
         b1 = min(size, b0 + block)
-        u, tmp = u_buf[: b1 - b0], tmp_buf[: b1 - b0]
+        u, tmp, sf = u_buf[: b1 - b0], tmp_buf[: b1 - b0], sf_buf[: b1 - b0]
         u.fill(neuron.u_rest)
         for t in range(t_steps):
             v, s = v2[t, b0:b1], s2[t, b0:b1]
@@ -119,6 +124,8 @@ def sn_forward(current: Tensor, neuron: NeuronSpec = NeuronSpec(), smooth: bool 
                 s[...] = smooth_step(v, neuron)
             else:
                 np.greater_equal(v, neuron.u_th, out=s)
+                np.copyto(sf, s)
+                s = sf
             np.subtract(1.0, s, out=tmp)
             tmp *= v
             np.multiply(s, neuron.u_rest, out=u)
@@ -142,7 +149,8 @@ def sn_forward(current: Tensor, neuron: NeuronSpec = NeuronSpec(), smooth: bool 
             for t in range(t_steps - 1, -1, -1):
                 v, s = v2[t, b0:b1], s2[t, b0:b1]
                 sg = surrogate_grad(v, neuron)
-                np.subtract(1.0, s, out=tmp)
+                np.copyto(tmp, s)  # spikes as floats: 1 - s on a same-dtype kernel
+                np.subtract(1.0, tmp, out=tmp)
                 if smooth:
                     np.subtract(neuron.u_rest, v, out=dv)
                     dv *= sg
@@ -155,4 +163,3 @@ def sn_forward(current: Tensor, neuron: NeuronSpec = NeuronSpec(), smooth: bool 
         return (d_current,)
 
     return make_node(s_out, (current,), bw, cls=Tensor if smooth else SpikeTensor)
-

@@ -11,11 +11,14 @@ kh*kw column blowup and keeps each chunk's operands in cache. The offsets
 are not fused into one K = C/g*kh*kw GEMM on purpose: that re-associates
 the float32 sums, which flips spikes downstream and moves the training
 losses; the chunked forward and backward keep the whole-batch lowering's
-bits (see `_conv2d_offsets`).
+bits (see `_conv2d_offsets`). A conv takes one-byte spikes as they are and
+converts them to the weight's dtype in its column or window copies, so its
+backward closure keeps the one-byte input.
 
 Batch norm runs its elementwise passes in place, with one full-size
-temporary in the train-mode backward; every product and sum is the one the
-plain expressions compute, in the same order, so the bits are the same.
+temporary in the train-mode forward (the variance's squares) and one in
+its backward; every product and sum is the one the plain expressions
+compute, in the same order, so the bits are the same.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ from .tensor import (
     Parameter,
     ShapeError,
     Tensor,
+    _as,
     make_node,
     matmul,  # Linear.forward calls ops.matmul
 )
@@ -81,7 +85,10 @@ def _conv2d_cols(x: Tensor, weight: Tensor, stride, padding, groups, ho, wo) -> 
     One reshape-and-transpose copy lays the input out as columns
     [g, (C/g)*kh*kw, N*Ho*Wo], so each group runs one wide GEMM;
     group-count-batched GEMMs keep the BLAS kernel saturated on one core. The
-    backward regroups dcols into dX with one copy the other way.
+    backward regroups dcols into dX with one copy the other way. One-byte
+    spikes are regrouped as bytes and then converted to the weight's dtype in
+    the same memory order (`tensor._as`), so BLAS gets the layout, and gives
+    the bits, of float spikes; the backward converts its own columns again.
     """
     n, c, h, w = x.data.shape
     o, cg, kh, kw = weight.data.shape
@@ -89,9 +96,9 @@ def _conv2d_cols(x: Tensor, weight: Tensor, stride, padding, groups, ho, wo) -> 
     xd, wd = x.data, weight.data
     wg = wd.reshape(groups, og, cg * kh * kw)
 
-    def cols(src):  # [n, g, cg, ho, kh, wo, kw] -> [g, cg*kh*kw, n*ho*wo]
+    def cols(src):  # [n, g, cg, ho, kh, wo, kw] -> [g, cg*kh*kw, n*ho*wo], in the weight's dtype
         six = src.reshape(n, groups, cg, ho, kh, wo, kw).transpose(1, 2, 4, 6, 0, 3, 5)
-        return six.reshape(groups, cg * kh * kw, n * ho * wo)
+        return _as(six.reshape(groups, cg * kh * kw, n * ho * wo), wd.dtype)
 
     out = np.ascontiguousarray(np.matmul(wg, cols(xd)).reshape(o, n, ho, wo).transpose(1, 0, 2, 3))
 
@@ -116,7 +123,9 @@ def _conv2d_offsets(x: Tensor, weight: Tensor, stride, padding, groups, ho, wo) 
     (K = C/g); the products are added into the chunk's output block in
     offset order, and the block is written back to [N, C, Ho, Wo]. A
     chunk's operands stay cache-sized, and neither a kh*kw column matrix
-    nor a channels-leading copy of the whole batch is built.
+    nor a channels-leading copy of the whole batch is built. The window
+    buffers take the weight's dtype, so one-byte spikes are converted in
+    the window copy and never whole.
 
     Bit-exact contract: each output is the same K-term GEMM sum, added over
     the offsets in the same order, as one GEMM per offset over all N*Ho*Wo
@@ -154,10 +163,10 @@ def _conv2d_offsets(x: Tensor, weight: Tensor, stride, padding, groups, ho, wo) 
     xp = _pad_hw(xd, padding)
     bounds = split_bounds(n, min(n, -(-n * max(c, o) * l // CHUNK_ELEMENTS)))
     cols = bounds[1] * l  # columns of the first chunk, the widest
-    xs_buf = np.empty(c * cols, dtype=xd.dtype)
-    acc_buf = np.empty(o * cols, dtype=xd.dtype)
-    prod_buf = np.empty(og * cols, dtype=xd.dtype)
-    out = np.empty((n, o, ho, wo), dtype=xd.dtype)
+    xs_buf = np.empty(c * cols, dtype=wd.dtype)
+    acc_buf = np.empty(o * cols, dtype=wd.dtype)
+    prod_buf = np.empty(og * cols, dtype=wd.dtype)
+    out = np.empty((n, o, ho, wo), dtype=wd.dtype)
     for b0, b1 in zip(bounds, bounds[1:]):
         m = b1 - b0
         xs = xs_buf[: c * m * l].reshape(c, m, ho, wo)
@@ -179,11 +188,12 @@ def _conv2d_offsets(x: Tensor, weight: Tensor, stride, padding, groups, ho, wo) 
         gt = np.ascontiguousarray(g.transpose(1, 0, 2, 3)).reshape(groups, og, n * l)
         wt_off = [np.ascontiguousarray(wo_.swapaxes(1, 2)) for wo_ in w_off]  # [g, cg, og]
         # dW: one GEMM per (offset, group) over all N*Ho*Wo columns. The input
-        # is padded once, channels-leading, so each offset's window copy into
-        # the reused [C, N*Ho*Wo] buffer reads rows in order.
+        # is padded once, channels-leading and in its own dtype (one byte for
+        # spikes), so each offset's window copy into the reused [C, N*Ho*Wo]
+        # buffer of the weight's dtype reads rows in order.
         xpc = np.zeros((c, n, hp, wp), dtype=xd.dtype)
         xpc[:, :, padding : padding + h, padding : padding + w] = xd.transpose(1, 0, 2, 3)
-        xs = np.empty((c, n, ho, wo), dtype=xd.dtype)
+        xs = np.empty((c, n, ho, wo), dtype=wd.dtype)
         xsg = xs.reshape(groups, cg, n * l)
         dw6 = np.zeros_like(w6)
         for di in range(kh):
@@ -197,9 +207,9 @@ def _conv2d_offsets(x: Tensor, weight: Tensor, stride, padding, groups, ho, wo) 
         # chunk's columns of gt in place (BLAS takes the row stride, so no
         # per-chunk copy of g); the offsets are added in order into a zeroed
         # padded chunk, which is cropped into [N, C, H, W].
-        dx = np.empty((n, c, h, w), dtype=xd.dtype)
-        gp_buf = np.empty(c * bounds[1] * hp * wp, dtype=xd.dtype)
-        dxs_buf = np.empty(c * cols, dtype=xd.dtype)
+        dx = np.empty((n, c, h, w), dtype=wd.dtype)
+        gp_buf = np.empty(c * bounds[1] * hp * wp, dtype=wd.dtype)
+        dxs_buf = np.empty(c * cols, dtype=wd.dtype)
         for b0, b1 in zip(bounds, bounds[1:]):
             m = b1 - b0
             gp = gp_buf[: c * m * hp * wp].reshape(groups, cg, m, hp, wp)
@@ -286,17 +296,20 @@ def batchnorm(x: Tensor, state: BatchNormState, training: bool) -> Tensor:
     bd = beta.data.reshape(bshape)
 
     if training:
+        count = x.data.size // state.channels
         mu = x.data.mean(axis=axes)
-        var = x.data.var(axis=axes)
+        xhat = np.subtract(x.data, mu.reshape(bshape))
+        # x.var(axes) without its second mean and subtraction: NumPy's var sums the squares of
+        # x - mean and divides by the count as an intp (in float64 for a float32 sum), as this does
+        var = np.multiply(xhat, xhat).sum(axis=axes)
+        var /= np.intp(count)
         m = state.momentum
         state.running_mean = (1.0 - m) * state.running_mean + m * mu.astype(state.running_mean.dtype)
         state.running_var = (1.0 - m) * state.running_var + m * var.astype(state.running_var.dtype)
         inv = 1.0 / np.sqrt(var + state.eps)
-        xhat = np.subtract(x.data, mu.reshape(bshape))
         xhat *= inv.reshape(bshape)
         out = np.multiply(xhat, gd)
         out += bd
-        count = x.data.size // state.channels
 
         def bw(g):
             # In place, one full-size temporary; the same products and sums as

@@ -14,7 +14,10 @@ needs a gradient. In a batch-16 Nano train forward that frees the conv
 outputs, the BN outputs that feed only a LIF or a residual add, the `add`
 outputs and the attention's scaled currents as the forward goes; the
 `train` benchmark's peak RSS fell from 1133 to about 660 MB on a 2-core
-x86-64 machine, with the same bits.
+x86-64 machine, with the same bits. Spikes are one-byte `bool` arrays
+(`SpikeTensor`), which ops convert to the other operand's float dtype only
+where they compute (`_coerce`, `_as`), so the closures keep the one-byte
+arrays; that took the peak to about 510 MB, again with the same bits.
 
 The first backward(..., free_graph=True) of a process, which is the first
 training step, sets glibc's malloc to keep freed memory in the process
@@ -149,18 +152,21 @@ class Tensor:
 
 
 class SpikeTensor(Tensor):
-    """Binary-valued tensor. Produced only by spiking-neuron ops.
+    """Binary-valued tensor held one byte per element (`bool`). Produced only by spiking-neuron ops.
 
-    The constructor validates binarity; internal spiking ops build instances
-    from threshold comparisons and skip the scan.
+    Binarity is a dtype fact: the constructor checks that every value is 0 or
+    1 before it casts to bool, and the spiking ops write bools directly. Ops
+    convert the spikes to the other operand's float dtype only where they
+    compute, so a backward closure keeps the one-byte array.
     """
 
     __slots__ = ()
 
-    def __init__(self, data, requires_grad: bool = False, dtype=None):
-        super().__init__(data, requires_grad=requires_grad, dtype=dtype)
-        if self.data.size and not bool(((self.data == 0.0) | (self.data == 1.0)).all()):
+    def __init__(self, data, requires_grad: bool = False):
+        arr = np.asarray(data)
+        if arr.dtype != np.bool_ and arr.size and not bool(((arr == 0) | (arr == 1)).all()):
             raise ContractError("SpikeTensor values must be exactly 0 or 1")
+        super().__init__(arr, requires_grad=requires_grad, dtype=np.bool_)
 
 
 class Parameter(Tensor):
@@ -209,13 +215,27 @@ def make_node(data, parents, backward, cls=Tensor):
 
 
 def _coerce(a, b):
-    if not isinstance(a, Tensor):
-        a = _leaf(np.asarray(a, dtype=b.data.dtype))
-    if not isinstance(b, Tensor):
-        b = _leaf(np.asarray(b, dtype=a.data.dtype))
-    if a.data.dtype != b.data.dtype:
+    """Both operands as Tensors, and the dtype the op computes in.
+
+    That is the dtype of the Tensor operand that is not one-byte spikes, or
+    DEFAULT_DTYPE where there is none; a scalar or array operand is made in
+    it. The op converts spikes with `_as` only where it computes, so its
+    backward closure keeps the one-byte array. Two other dtypes must agree.
+    """
+    dtypes = {t.data.dtype for t in (a, b) if isinstance(t, Tensor) and t.data.dtype != np.bool_}
+    if len(dtypes) > 1:
         raise ShapeError(f"mixed dtypes {a.data.dtype} and {b.data.dtype}; cast explicitly")
-    return a, b
+    dtype = dtypes.pop() if dtypes else np.dtype(DEFAULT_DTYPE)
+    a = a if isinstance(a, Tensor) else _leaf(np.asarray(a, dtype=dtype))
+    b = b if isinstance(b, Tensor) else _leaf(np.asarray(b, dtype=dtype))
+    return a, b, dtype
+
+
+def _as(arr: np.ndarray, dtype) -> np.ndarray:
+    """`arr` in `dtype`. A converted copy keeps `arr`'s memory order (astype's order 'K'), so a
+    strided spike view reaches BLAS with the strides, and gives the bits, of its float counterpart;
+    NumPy's mixed-dtype matmul would skip BLAS."""
+    return arr if arr.dtype == dtype else arr.astype(dtype, order="K")
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
@@ -235,8 +255,8 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
 
 
 def add(a, b):
-    a, b = _coerce(a, b)
-    data = a.data + b.data
+    a, b, dtype = _coerce(a, b)
+    data = _as(a.data, dtype) + _as(b.data, dtype)
     ashape, bshape = a.data.shape, b.data.shape
 
     def bw(g):
@@ -246,8 +266,8 @@ def add(a, b):
 
 
 def mul(a, b):
-    a, b = _coerce(a, b)
-    data = a.data * b.data
+    a, b, dtype = _coerce(a, b)
+    data = _as(a.data, dtype) * _as(b.data, dtype)
     ashape, bshape = a.data.shape, b.data.shape
     # each operand is kept only for the other's gradient: a constant factor keeps nothing else alive
     ad = a.data if _slot(b) is not None else None
@@ -255,8 +275,8 @@ def mul(a, b):
 
     def bw(g):
         return (
-            None if bd is None else _unbroadcast(g * bd, ashape),
-            None if ad is None else _unbroadcast(g * ad, bshape),
+            None if bd is None else _unbroadcast(g * _as(bd, dtype), ashape),
+            None if ad is None else _unbroadcast(g * _as(ad, dtype), bshape),
         )
 
     return make_node(data, (a, b), bw)
@@ -267,17 +287,17 @@ def mul(a, b):
 
 def matmul(a, b):
     """Batched matrix product over the last two axes; leading axes broadcast."""
-    a, b = _coerce(a, b)
+    a, b, dtype = _coerce(a, b)
     if a.data.ndim < 2 or b.data.ndim < 2:
         raise ShapeError(f"matmul requires rank >= 2 operands, got {a.data.shape} @ {b.data.shape}")
     if a.data.shape[-1] != b.data.shape[-2]:
         raise ShapeError(f"matmul inner dimensions disagree: {a.data.shape} @ {b.data.shape}")
-    data = np.matmul(a.data, b.data)
     ad, bd = a.data, b.data
+    data = np.matmul(_as(ad, dtype), _as(bd, dtype))
 
     def bw(g):
-        ga = np.matmul(g, bd.swapaxes(-1, -2))
-        gb = np.matmul(ad.swapaxes(-1, -2), g)
+        ga = np.matmul(g, _as(bd, dtype).swapaxes(-1, -2))
+        gb = np.matmul(_as(ad, dtype).swapaxes(-1, -2), g)
         return (_unbroadcast(ga, ad.shape), _unbroadcast(gb, bd.shape))
 
     return make_node(data, (a, b), bw)
@@ -311,8 +331,11 @@ def transpose(a: Tensor, axes):
 # -- reductions --------------------------------------------------------------
 
 
-def tensor_sum(a: Tensor, axis=None):
-    data = a.data.sum(axis=axis)
+def tensor_sum(a: Tensor, axis=None, dtype=None):
+    """Sum over `axis`. One-byte spikes sum in `dtype`, or as `_coerce` computes them, in DEFAULT_DTYPE."""
+    if dtype is None and a.data.dtype == np.bool_:
+        dtype = DEFAULT_DTYPE
+    data = a.data.sum(axis=axis, dtype=dtype)
     shape = a.data.shape
 
     def bw(g):
@@ -325,7 +348,8 @@ def tensor_sum(a: Tensor, axis=None):
     return make_node(data, (a,), bw)
 
 
-def tensor_mean(a: Tensor, axis=None):
+def tensor_mean(a: Tensor, axis=None, dtype=None):
+    """Mean over `axis`: the sum (in `dtype`, as `tensor_sum`) times 1/count."""
     if axis is None:
         count = a.data.size
     else:
@@ -333,7 +357,7 @@ def tensor_mean(a: Tensor, axis=None):
         count = 1
         for d in ax:
             count *= a.data.shape[d]
-    s = tensor_sum(a, axis=axis)
+    s = tensor_sum(a, axis=axis, dtype=dtype)
     return mul(s, 1.0 / count)
 
 

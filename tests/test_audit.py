@@ -152,6 +152,18 @@ class TestTraceContract:
         trace.record("z", "linear", SpikeTensor(np.array([0.0, 1.0])), None)
         assert [r.spikes.tolist() for r in trace.records] == [[True, False, True], [True, False], [False, True]]
 
+    def test_one_byte_spikes_taken_as_a_view_without_a_scan(self):
+        class Unscannable(np.ndarray):
+            def __eq__(self, other):
+                raise AssertionError("one-byte spikes were scanned")
+
+        s = SpikeTensor(np.array([[0.0, 1.0, 1.0]]))
+        s.data = s.data.view(Unscannable)
+        out = AuditTrace()._bool(s)
+        assert out.dtype == np.bool_ and np.shares_memory(out, s.data) and out.tolist() == [[False, True, True]]
+        with pytest.raises(ContractError, match="binary"):  # a float operand is still scanned
+            AuditTrace()._bool(np.array([0.0, 0.5], dtype=np.float32))
+
 
 @pytest.fixture(scope="module")
 def nano_report():

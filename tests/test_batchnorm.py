@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
-from dualspike.layers import Linear
+from dualspike import ops
+from dualspike.layers import Linear, RunContext
+from dualspike.model import build
 from dualspike.ops import (
     BatchNormState,
     batchnorm,
@@ -11,7 +13,7 @@ from dualspike.ops import (
     cross_entropy,
     fold_bn,
 )
-from dualspike.tensor import ContractError, ShapeError, Tensor, backward, mul, tensor_sum
+from dualspike.tensor import ContractError, ShapeError, Tensor, backward, mul, no_grad, tensor_sum
 
 from conftest import assert_grads_close
 
@@ -119,17 +121,19 @@ def bn_eval_oracle(x, st):
 class TestBitExact:
     """The in-place batch norm equals the whole-array expressions bit for bit."""
 
-    def state(self, rng, dtype):
-        st = BatchNormState("bn", 6, dtype=dtype)
-        st.gamma.data[:] = rng.standard_normal(6) + 1.0
-        st.beta.data[:] = rng.standard_normal(6)
-        st.running_mean = rng.standard_normal(6).astype(dtype)
-        st.running_var = (rng.random(6) + 0.5).astype(dtype)
+    def state(self, rng, dtype, channels=6):
+        st = BatchNormState("bn", channels, dtype=dtype)
+        st.gamma.data[:] = rng.standard_normal(channels) + 1.0
+        st.beta.data[:] = rng.standard_normal(channels)
+        st.running_mean = rng.standard_normal(channels).astype(dtype)
+        st.running_var = (rng.random(channels) + 0.5).astype(dtype)
         return st
 
-    def test_train_forward_and_backward(self, rng, dtype):
-        st = self.state(rng, dtype)
-        x_data = (rng.standard_normal((8, 6, 16, 16)) * 3 + 1).astype(dtype)
+    def check_train(self, rng, dtype, x_data):
+        """Train-mode batch norm of `x_data` against the oracle: out, dx, dgamma, dbeta and the running
+        variance, which mixes in the batch variance as x.var gives it."""
+        st = self.state(rng, dtype, x_data.shape[1])
+        running_var = st.running_var * (1.0 - st.momentum) + st.momentum * x_data.var(axis=(0, 2, 3))
         g = rng.standard_normal(x_data.shape).astype(dtype)
         expect = bn_train_oracle(x_data, st.gamma.data, st.beta.data, st.eps, g)
         x = Tensor(x_data, requires_grad=True)
@@ -137,6 +141,30 @@ class TestBitExact:
         backward(tensor_sum(mul(out, Tensor(g))))  # the batch norm node receives g itself
         for got, want in zip((out.data, x.grad, st.gamma.grad, st.beta.grad), expect):
             assert got.dtype == dtype and np.array_equal(got, want)
+        assert np.array_equal(st.running_var, running_var)
+
+    def test_train_forward_and_backward(self, rng, dtype):
+        self.check_train(rng, dtype, (rng.standard_normal((8, 6, 16, 16)) * 3 + 1).astype(dtype))
+
+    def test_train_at_a_count_not_a_power_of_two(self, rng, dtype):
+        # 5 * 7 * 3 = 105 values per channel: the variance's division by the count rounds
+        self.check_train(rng, dtype, (rng.standard_normal((5, 6, 7, 3)) * 3 + 1).astype(dtype))
+
+    def test_train_on_nano_activations(self, rng, monkeypatch, dtype):
+        # the inputs of every batch norm of a batch-3 Nano train forward, one per shape
+        inputs = {}
+
+        def recording(x, state, training):
+            inputs.setdefault(x.data.shape, x.data.copy())
+            return batchnorm(x, state, training)
+
+        monkeypatch.setattr(ops, "batchnorm", recording)
+        net = build("Nano", dtype=dtype, seed=0)
+        with no_grad():
+            net.forward(rng.standard_normal((3, 3, 32, 32)), RunContext(training=True))
+        assert len(inputs) >= 5
+        for x_data in inputs.values():
+            self.check_train(rng, dtype, x_data)
 
     def test_eval_forward(self, rng, dtype):
         st = self.state(rng, dtype)

@@ -147,7 +147,7 @@ class TestSequences:
             runs.append((out.data, cur.grad))
         spikes, _, expect = bptt_oracle(cur_data, g, spec, smooth)
         for out, grad in runs:
-            assert out.dtype == np.float32 and np.array_equal(out, spikes)
+            assert out.dtype == (np.float32 if smooth else np.bool_) and np.array_equal(out, spikes)
             assert np.array_equal(grad, expect)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dualspike import ffn, layers, model, ops, tensor
+from dualspike import attention, ffn, layers, model, ops, tensor
 from dualspike.layers import RunContext
 from dualspike.tensor import (
     ContractError,
@@ -272,6 +272,65 @@ class TestTrainForwardTape:
         assert all(np.isfinite(p.grad).all() and p.grad.any() for p in net.parameters())
         assert not any(ref() is not None for ref in embeddings)
 
+    def test_spikes_stay_one_byte_on_the_tape(self, monkeypatch):
+        # Every consumer converts spikes to the model dtype only where it computes, so each LIF
+        # output is one byte per element, and no backward closure keeps a float copy of one.
+        spikes = []
+
+        def recording(fn):
+            def wrapped(*args, **kwargs):
+                out = fn(*args, **kwargs)
+                spikes.append(out.data)
+                return out
+
+            return wrapped
+
+        for owner in (layers, attention):
+            monkeypatch.setattr(owner, "sn_forward", recording(owner.sn_forward))
+        net = model.build("Nano", seed=0)
+        images = np.random.default_rng(0).standard_normal((3, 3, 32, 32)).astype(np.float32)
+        loss = ops.cross_entropy(net.forward(images, RunContext(training=True)), np.array([0, 1, 2]))
+        # six LIFs a block, one a downsample (every stage but the first) and the classifier's
+        assert len(spikes) == 6 * sum(s.blocks for s in net.config.stages) + len(net.config.stages)
+        assert all(s.dtype == np.bool_ and s.itemsize == 1 for s in spikes)
+        held = closure_arrays(loss)
+        assert sum(a.dtype == np.bool_ for a in held) >= len(spikes)  # the spikes the backwards read
+        # a float array of a spike array's size holding only 0 and 1 would be a float copy of spikes
+        sizes = {s.size for s in spikes}
+        copies = [a.shape for a in held if a.dtype != np.bool_ and a.size in sizes and np.isin(a, (0, 1)).all()]
+        assert copies == []
+
+
+def closure_arrays(loss: Tensor) -> list:
+    """Every ndarray the backward closures on `loss`'s tape hold, through nested functions, lists and tuples."""
+    arrays, seen = [], set()
+
+    def visit(value):
+        if id(value) in seen:
+            return
+        seen.add(id(value))
+        if isinstance(value, np.ndarray):
+            arrays.append(value)
+        elif isinstance(value, (list, tuple)):
+            for item in value:
+                visit(item)
+        elif callable(value) and getattr(value, "__closure__", None):
+            for cell in value.__closure__:
+                try:
+                    visit(cell.cell_contents)
+                except ValueError:  # a cell not yet assigned
+                    pass
+
+    records = [loss._node]
+    while records:
+        node = records.pop()
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        visit(node.backward)
+        records.extend(p for p in node.parents if isinstance(p, tensor._Node))
+    return arrays
+
 
 class TestSpikeTensor:
     def test_binarity_enforced(self):
@@ -288,6 +347,40 @@ class TestSpikeTensor:
         s = SpikeTensor(np.array([0.0, 1.0]))
         for out in (add(s, 0.5), mul(s, 2.0)):
             assert type(out) is Tensor
+
+    def test_binarity_is_a_dtype_fact(self):
+        s = SpikeTensor(np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.float32))
+        assert s.data.dtype == np.bool_ and s.data.itemsize == 1
+        np.testing.assert_array_equal(s.data, [[False, True], [True, False]])
+        # the value check runs before the cast to bool, which would take each of these for True
+        for bad in (2.0, 0.5, -1.0, np.nan):
+            with pytest.raises(ContractError):
+                SpikeTensor(np.array([0.0, bad]))
+
+    def test_mean_of_spikes_is_a_float_rate(self):
+        s = SpikeTensor(np.array([[1.0, 1.0], [0.0, 1.0]]))
+        whole = tensor_mean(s).data
+        assert whole.dtype == np.float64 and whole == 0.75
+        rows = tensor_mean(s, axis=1, dtype=np.float32).data
+        assert rows.dtype == np.float32 and rows.tolist() == [1.0, 0.5]
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_spike_operands_give_the_bits_of_float_spikes(self, rng, dtype):
+        # matmul and mul convert one-byte spikes where they compute, forward and backward; a strided
+        # spike view keeps its strides, so the products are those of the float spikes bit for bit
+        spikes = rng.random((2, 5, 7)) < 0.4
+        w = rng.standard_normal((2, 5, 3)).astype(dtype)
+        v = rng.standard_normal((2, 5, 7)).astype(dtype)
+        runs = []
+        for s in (SpikeTensor(spikes, requires_grad=True), Tensor(spikes.astype(dtype), requires_grad=True)):
+            wt, vt = Tensor(w, requires_grad=True), Tensor(v, requires_grad=True)
+            prod = matmul(transpose(s, (0, 2, 1)), wt)  # [2, 7, 3], the spikes strided
+            loss = add(tensor_sum(mul(prod, prod)), tensor_sum(mul(s, vt)))
+            backward(loss)
+            runs.append((prod.data, loss.data, s.grad, wt.grad, vt.grad))
+        assert runs[0][0].dtype == dtype
+        for a, b in zip(*runs):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
 
 
 @pytest.fixture

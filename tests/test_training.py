@@ -8,7 +8,7 @@ import struct
 import numpy as np
 import pytest
 
-from dualspike import training, verification
+from dualspike import attention, layers, training, verification
 from dualspike.config import ModelConfig, StageSpec, StemSpec, TrainConfig
 from dualspike.data import (
     Dataset,
@@ -23,7 +23,7 @@ from dualspike.data import (
 from dualspike.layers import FiringRateEMA, RunContext
 from dualspike.model import DualSpikeNet, build, load_checkpoint
 from dualspike.ops import cross_entropy
-from dualspike.tensor import CheckpointError, ConfigError, ContractError, Parameter, Tensor, backward
+from dualspike.tensor import CheckpointError, ConfigError, ContractError, Parameter, Tensor, backward, make_node
 from dualspike.training import (
     AdamW,
     cosine_lr,
@@ -379,3 +379,51 @@ class TestTrainStepGradient:
             lambda: cross_entropy(model.forward(images, ctx), labels), model.parameters(), coords=FD_COORDS, seed=1
         )
         assert report.passed, report.failures
+
+
+def float_spike_lif(sn_forward):
+    """Reference oracle: the LIF layer with its spikes handed on as floats of the current's dtype, as
+    every consumer took them before spikes were one byte. The rate EMAs then take the float mean."""
+
+    def lif(current, neuron, smooth=False):
+        out = sn_forward(current, neuron, smooth=smooth)
+        if smooth:
+            return out
+        return make_node(out.data.astype(current.data.dtype), (out,), lambda g: (g,))
+
+    return lif
+
+
+def nano_steps(batch, steps):
+    """Logits, loss, every gradient and the rate EMAs of `steps` AdamW steps of a Nano at `batch`."""
+    net = build("Nano", seed=0)
+    opt = AdamW(net.parameters())
+    rng = np.random.default_rng(batch)
+    ctx = RunContext(training=True)
+    arrays = []
+    for _ in range(steps):
+        images = rng.standard_normal((batch, 3, 32, 32)).astype(np.float32)
+        labels = rng.integers(0, 10, batch)
+        opt.zero_grad()
+        logits = net.forward(images, ctx)
+        loss = cross_entropy(logits, labels)
+        arrays += [logits.data, loss.data]
+        backward(loss, free_graph=True)
+        arrays += [p.grad.copy() for p in net.parameters()]
+        arrays.append(np.array([e.value for e in net.rate_emas()]))
+        opt.step()
+    return arrays
+
+
+class TestOneByteSpikeBits:
+    @pytest.mark.parametrize("batch, steps", [(5, 3), (16, 1)])
+    def test_train_steps_equal_the_float_spike_oracle(self, monkeypatch, batch, steps):
+        # At batch 5 the spike arrays hold no power-of-two count of elements, so a batch rate that
+        # reduced the one-byte spikes in float64 would round differently from the float32 mean
+        got = nano_steps(batch, steps)
+        for owner in (layers, attention):
+            monkeypatch.setattr(owner, "sn_forward", float_spike_lif(owner.sn_forward))
+        want = nano_steps(batch, steps)
+        assert len(got) == len(want) == steps * (3 + len(build("Nano").parameters()))
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
