@@ -19,6 +19,15 @@ adds, max pooling, and the folded BN affine are not synaptic events. The FC
 bias and the folded BN bias are added in the replay but never counted as
 SOPs; the dropped-bias magnitude of each attention transformation is
 reported per layer.
+
+Both checks use every usable core. The audit traces a batch in the
+near-equal chunks `predict` forwards (`model.eval_chunks`), each into its own
+count-only trace, and sums each layer's counts over the chunks; every count
+is a sum over images, and an eval-mode image's spikes do not depend on the
+other images of its forward. The float64 twin forwards its images whole
+(one-image chunks would land on another BLAS kernel), and its layers are
+replayed one per thread. Both fall back to the calling thread where a tracer
+has wrapped what they call, as `predict` does.
 """
 
 from __future__ import annotations
@@ -29,7 +38,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .layers import RunContext
-from .model import build
+from .model import _map_chunks, build, eval_chunks
 from .ops import conv_output_size, fold_bn
 from .tensor import ContractError, SpikeTensor, no_grad
 
@@ -193,27 +202,41 @@ def run_traced(model, images, trace=None) -> AuditTrace:
     return trace
 
 
+def _layer_rows(model, images) -> list:
+    """One row per audited layer of a count-only traced forward of `images`: SOPs (MACs for the stem),
+    spike count and operand size, each a sum over the images. The caller sets the rate."""
+    rows = []
+    for rec in run_traced(model, images).records:
+        if rec.kind == "stem":
+            sops, macs, nnz = 0, _stem_macs(rec), 0
+        else:
+            sops, macs, nnz = _SOP_FNS[rec.kind](rec), 0, int(rec.spikes.sum(dtype=np.int64))
+        row = {"record": "layer", "name": rec.name, "kind": rec.kind, "sops": sops, "macs": macs,
+               "spike_count": nnz, "numel": int(rec.spikes.size), "rate": None}
+        if rec.kind in ("dst_t", "dst"):
+            _, bias = fold_bn(rec.conv.weight.data.astype(np.float64), rec.bn)
+            row["dropped_bias_l1"] = float(np.abs(bias).mean())
+        rows.append(row)
+    return rows
+
+
 def audit_model(model, images) -> AuditReport:
     """Eval-mode forward with operation counting. Totals are per batch; the
-    report exposes per-image figures (time axis summed, not averaged)."""
+    report exposes per-image figures (time axis summed, not averaged).
+
+    The images are traced in their `eval_chunks` through `DualSpikeNet.map_eval`, one count-only
+    trace per chunk, and each layer's counts are summed over the chunks in chunk order.
+    """
     images = np.asarray(images)
-    trace = run_traced(model, images)
+    chunks = model.map_eval(lambda chunk: _layer_rows(model, chunk), eval_chunks(images))
     report = AuditReport(batch=images.shape[0], time_steps=model.config.time_steps)
-    for rec in trace.records:
-        if rec.kind == "stem":
-            macs = _stem_macs(rec)
-            report.stem_macs_total += macs
-            row = {"record": "layer", "name": rec.name, "kind": rec.kind, "sops": 0, "macs": macs,
-                   "spike_count": 0, "numel": int(rec.spikes.size), "rate": 0.0}
-        else:
-            sops = _SOP_FNS[rec.kind](rec)
-            report.sops_total += sops
-            nnz = int(rec.spikes.sum(dtype=np.int64))
-            row = {"record": "layer", "name": rec.name, "kind": rec.kind, "sops": sops, "macs": 0,
-                   "spike_count": nnz, "numel": int(rec.spikes.size), "rate": nnz / rec.spikes.size}
-            if rec.kind in ("dst_t", "dst"):
-                _, bias = fold_bn(rec.conv.weight.data.astype(np.float64), rec.bn)
-                row["dropped_bias_l1"] = float(np.abs(bias).mean())
+    for parts in zip(*chunks):  # one layer, chunk by chunk
+        row = dict(parts[0])
+        for key in ("sops", "macs", "spike_count", "numel"):
+            row[key] = sum(part[key] for part in parts)
+        row["rate"] = row["spike_count"] / row["numel"]
+        report.sops_total += row["sops"]
+        report.stem_macs_total += row["macs"]
         report.rows.append(row)
     return report
 
@@ -226,10 +249,14 @@ def _spike_rows(mask: np.ndarray, table: np.ndarray) -> np.ndarray:
 
     Row r of the result sums the table rows that the spikes of mask row r
     select. A table with leading axes has the mask's leading axes, one
-    [K, F] table per leading index. One np.flatnonzero finds every spike. A
-    row's j-th spike is added in pass j, all rows at once, so each add is
-    one (spike, table row) pair and each pass gathers at most one table row
-    per mask row.
+    [K, F] table per leading index. One np.flatnonzero finds every spike.
+    The rows that have spikes sit in a compact accumulator, most spikes
+    first, and pass j adds each row's j-th spike: the rows that still have
+    one are a contiguous prefix, so a pass gathers its table rows and adds
+    them in one slice, with no scatter. Each add is one (spike, table row)
+    pair, and each row sums its spikes one at a time in column order from
+    zero, as a row-by-row loop would. The accumulator is written into the
+    result once, at the end.
     """
     r, k = mask.shape[-2:]
     f = table.shape[-1]
@@ -238,14 +265,14 @@ def _spike_rows(mask: np.ndarray, table: np.ndarray) -> np.ndarray:
     table = table.reshape(-1, f)
     out = np.zeros((mask.size // k, f), dtype=table.dtype)
     if rows.size:
-        first = np.flatnonzero(np.diff(rows, prepend=-1))
-        rank = np.arange(rows.size) - np.repeat(first, np.diff(first, append=rows.size))
-        order = np.argsort(rank, kind="stable")
-        lo = 0
-        for hi in np.cumsum(np.bincount(rank)):
-            sel = order[lo:hi]
-            out[rows[sel]] += table[picks[sel]]
-            lo = hi
+        starts = np.flatnonzero(np.diff(rows, prepend=-1))  # each row's first spike
+        counts = np.diff(starts, append=rows.size)
+        order = np.argsort(-counts, kind="stable")
+        starts, counts = starts[order], counts[order]
+        acc = np.zeros((starts.size, f), dtype=table.dtype)
+        for j, n in enumerate(np.searchsorted(-counts, -np.arange(counts[0]))):  # n rows have a j-th spike
+            acc[:n] += table[picks[starts[:n] + j]]
+        out[rows[starts]] = acc
     return out.reshape(mask.shape[:-1] + (f,))
 
 
@@ -302,6 +329,7 @@ def _check_dst(rec: LayerTrace) -> float:
 
 
 _CHECK_FNS = {"conv": _check_conv, "linear": _check_linear, "dst_t": _check_dst_t, "dst": _check_dst}
+_OWN_CHECK_FNS = dict(_CHECK_FNS)  # while an entry differs (a tracer's wrapper), the replay runs serially
 
 
 @dataclass
@@ -314,18 +342,16 @@ class EquivalenceReport:
 def verify_spike_driven(model, images, tolerance: float = 1e-6) -> EquivalenceReport:
     """Replay every audited synaptic layer event-driven against the current the forward computed,
     on a float64 twin of the model (same tensors, statistics and rate EMAs). Each row carries the
-    layer's input spike count: a layer with none passes without adding a single weight row."""
+    layer's input spike count: a layer with none passes without adding a single weight row.
+
+    The twin forwards the images whole; its layers are replayed on one thread per usable core
+    (`_map_chunks`), in the calling thread while a `_CHECK_FNS` entry is not the package's own.
+    """
     twin = build(model.config, dtype=np.float64)
     twin.load_state(*model.snapshot())
     trace = run_traced(twin, np.asarray(images), AuditTrace(currents=True))
-    rows = []
-    passed = True
-    for rec in trace.records:
-        if rec.kind == "stem":
-            continue
-        dev = _CHECK_FNS[rec.kind](rec)
-        ok = dev <= tolerance
-        passed = passed and ok
-        rows.append({"record": "layer", "name": rec.name, "kind": rec.kind,
-                     "spikes": int(rec.spikes.sum(dtype=np.int64)), "max_deviation": dev, "passed": ok})
-    return EquivalenceReport(passed=passed, tolerance=tolerance, rows=rows)
+    records = [rec for rec in trace.records if rec.kind != "stem"]
+    devs = _map_chunks(lambda rec: _CHECK_FNS[rec.kind](rec), records, serial=_CHECK_FNS != _OWN_CHECK_FNS)
+    rows = [{"record": "layer", "name": rec.name, "kind": rec.kind, "spikes": int(rec.spikes.sum(dtype=np.int64)),
+             "max_deviation": dev, "passed": dev <= tolerance} for rec, dev in zip(records, devs)]
+    return EquivalenceReport(passed=all(r["passed"] for r in rows), tolerance=tolerance, rows=rows)

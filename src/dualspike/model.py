@@ -5,25 +5,27 @@ Feature maps flow between modules as real-valued currents shaped
 Images enter by direct encoding (the same frame repeated at every step) and
 leave as per-step logits averaged over the time axis.
 
-`predict` takes the caller's `batch_size` images at a time and forwards each
-such batch in near-equal chunks of 2-3 images (EVAL_CHUNK_IMAGES sets the
-count). At batch 64 the FFN's hidden activation in Nano's stage 1 is about
-134 MB, which glibc maps, faults in and unmaps afresh for every op; a
-chunk's activations stay in cache. In eval mode BN reads its running
-statistics and attention its rate EMAs, or each image's own rate while an EMA
-is uninitialized, so an image's logits do not depend on the other images of
-its forward, and the chunks give the bits of one whole-batch forward. A batch
-of more than one image is never cut into one-image chunks: a one-image
-forward lands on OpenBLAS's small-matrix kernel, which rounds differently.
+`eval_chunks` cuts a batch into near-equal chunks of 2-3 images
+(EVAL_CHUNK_IMAGES sets the count): `predict` forwards each caller batch in
+them, and the SOP audit traces each one on its own. At batch 64 the FFN's
+hidden activation in Nano's stage 1 is about 134 MB, which glibc maps,
+faults in and unmaps afresh for every op; a chunk's activations stay in
+cache. In eval mode BN reads its running statistics and attention its rate
+EMAs, or each image's own rate while an EMA is uninitialized, so an image's
+logits do not depend on the other images of its forward, and the chunks give
+the bits of one whole-batch forward. A batch of more than one image is never
+cut into one-image chunks: a one-image forward lands on OpenBLAS's
+small-matrix kernel, which rounds differently.
 
-The chunks run on one thread per usable core, with the bundled OpenBLAS
-pinned to one thread meanwhile (`_openblas_threads`). NumPy's loops release
-the GIL, and with a chunk's arrays in cache the threads no longer serialise on
-the page faults of fresh large arrays. The logits are the same bits at one and
-at two OpenBLAS threads. Where that library cannot be pinned the chunks run in
-the calling thread: threads that each drive a multi-threaded BLAS were slower
-than one thread. They also run there while `DualSpikeNet.forward` is wrapped
-on the class, as a tracer or profiler does for every instance at once: such a
+`_map_chunks` runs such chunks, and the audit's event replay its layers, on
+one thread per usable core, with the bundled OpenBLAS pinned to one thread
+meanwhile (`_openblas_threads`). NumPy's loops release the GIL, and with a
+chunk's arrays in cache the threads no longer serialise on the page faults of
+fresh large arrays. The logits are the same bits at one and at two OpenBLAS
+threads. Where that library cannot be pinned the work runs in the calling
+thread: threads that each drive a multi-threaded BLAS were slower than one
+thread. Forwards also run there while `DualSpikeNet.forward` is wrapped on
+the class, as a tracer or profiler does for every instance at once: such a
 wrapper usually keeps one stack of open calls per process, which overlapping
 forwards would corrupt.
 """
@@ -61,7 +63,7 @@ from .tensor import (
     tensor_mean,
 )
 
-EVAL_CHUNK_IMAGES = 2  # images per chunk of a predict forward (2-3); keeps each activation in cache
+EVAL_CHUNK_IMAGES = 2  # images per chunk of an eval forward (2-3); keeps each activation in cache
 _BLAS_PIN = threading.Lock()  # held while OpenBLAS is pinned, so overlapping calls restore the right count
 
 
@@ -86,14 +88,15 @@ def _usable_cores() -> int:
         return os.cpu_count() or 1
 
 
-def _map_chunks(fn, chunks: list, workers: int) -> list:
-    """[fn(c) for c in chunks], on `workers` threads with OpenBLAS pinned to one thread.
+def _map_chunks(fn, chunks: list, serial: bool = False) -> list:
+    """[fn(c) for c in chunks], on min(usable cores, chunks) threads with OpenBLAS pinned to one thread.
 
-    Runs in the calling thread for one worker or where OpenBLAS cannot be pinned.
-    The pin is process-wide for the length of the call: any other thread's BLAS
-    work meanwhile also runs on one thread. The saved thread count is restored once
-    every worker has stopped, also when `fn` raises.
+    Runs in the calling thread when `serial` is set, for one worker, or where OpenBLAS
+    cannot be pinned. The pin is process-wide for the length of the call: any other
+    thread's BLAS work meanwhile also runs on one thread. The saved thread count is
+    restored once every worker has stopped, also when `fn` raises.
     """
+    workers = 1 if serial else min(_usable_cores(), len(chunks))
     blas = _openblas_threads() if workers > 1 else None
     if blas is None:
         return [fn(c) for c in chunks]
@@ -106,6 +109,13 @@ def _map_chunks(fn, chunks: list, workers: int) -> list:
                 return list(pool.map(fn, chunks))
         finally:
             set_threads(saved)
+
+
+def eval_chunks(images) -> list:
+    """One batch's max(1, m // EVAL_CHUNK_IMAGES) near-equal chunks of its m images, the larger first:
+    5 images give 3 and 2, and a batch of 2-3 images stays whole."""
+    bounds = ops.split_bounds(len(images), max(1, len(images) // EVAL_CHUNK_IMAGES))
+    return [images[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
 
 
 def stage_sizes(cfg: ModelConfig) -> list:
@@ -241,6 +251,8 @@ class DualSpikeNet(Module):
         if arr.shape[1:] != (cfg.in_channels, cfg.input_height, cfg.input_width):  # any rank but 4 too
             raise ShapeError(
                 f"expected images [B,{cfg.in_channels},{cfg.input_height},{cfg.input_width}], got {arr.shape}")
+        if arr.shape[0] == 0:
+            raise ShapeError(f"expected at least one image, got an empty batch of shape {arr.shape}")
         tiled = np.broadcast_to(arr[None], (cfg.time_steps,) + arr.shape)
         return Tensor(np.ascontiguousarray(tiled))
 
@@ -253,25 +265,24 @@ class DualSpikeNet(Module):
     def predict(self, images, batch_size: int = 64) -> np.ndarray:
         """Class predictions without tape recording, `batch_size` images per caller batch.
 
-        Each caller batch of m images is forwarded in max(1, m // EVAL_CHUNK_IMAGES) near-equal
-        chunks, the larger first, whose logits equal one forward of the batch bit for bit. The
-        chunks of all caller batches run on min(usable cores, chunks) threads with OpenBLAS pinned
-        to one thread, process-wide for the length of the call (`_map_chunks`). They run in the
-        calling thread where that pin is not available or while `forward` is wrapped on the class
-        (a tracer's wrapper keeps one stack of open calls, which overlapping forwards would corrupt).
+        Each caller batch is forwarded in its `eval_chunks`, whose logits equal one forward of
+        the batch bit for bit. The chunks of all caller batches run through `map_eval`.
         """
         if batch_size < 1:
             raise ContractError(f"batch size must be at least 1, got {batch_size}")
         images = np.asarray(images)
-        chunks = []
-        for i in range(0, images.shape[0], batch_size):
-            batch = images[i : i + batch_size]
-            bounds = ops.split_bounds(len(batch), max(1, len(batch) // EVAL_CHUNK_IMAGES))
-            chunks.extend(batch[lo:hi] for lo, hi in zip(bounds, bounds[1:]))
-        workers = min(_usable_cores(), len(chunks)) if type(self).forward is _FORWARD else 1
-        with no_grad():  # the flag is a module global: set here once, read by every worker
-            outs = _map_chunks(self._classify, chunks, workers)
+        chunks = [c for i in range(0, images.shape[0], batch_size) for c in eval_chunks(images[i : i + batch_size])]
+        outs = self.map_eval(self._classify, chunks)
         return np.concatenate(outs) if outs else np.empty(0, dtype=np.int64)
+
+    def map_eval(self, fn, chunks: list) -> list:
+        """[fn(c) for c in chunks] without tape recording, on min(usable cores, chunks) threads with
+        OpenBLAS pinned to one thread, process-wide for the length of the call (`_map_chunks`). They
+        run in the calling thread where that pin is not available or while `forward` is wrapped on
+        the class (a tracer's wrapper keeps one stack of open calls, which overlapping forwards would
+        corrupt)."""
+        with no_grad():  # the flag is a module global: set here once, read by every worker
+            return _map_chunks(fn, chunks, serial=type(self).forward is not _FORWARD)
 
     def _classify(self, images) -> np.ndarray:
         return np.argmax(self.forward(images, RunContext(training=False)).data, axis=1)
@@ -326,7 +337,7 @@ class DualSpikeNet(Module):
             est.value = float(value)
 
 
-_FORWARD = DualSpikeNet.forward  # the package's own forward; `predict` runs a class-level wrapper serially
+_FORWARD = DualSpikeNet.forward  # the package's own forward; `map_eval` runs a class-level wrapper serially
 
 
 def build(cfg_or_arch, *, dtype=np.float32, seed: int = 0) -> DualSpikeNet:

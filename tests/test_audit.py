@@ -1,6 +1,7 @@
 """Operation counting, the 0.9 pJ/SOP energy model, event-driven equivalence."""
 
 import json
+import threading
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dualspike import attention, audit, layers, tensor
+from dualspike import model as model_module
 from dualspike.data import SyntheticSpec, generate_split
 from dualspike.audit import (
     ENERGY_PER_SOP_PJ,
@@ -23,9 +25,9 @@ from dualspike.audit import (
 )
 from dualspike.layers import Conv2d, Linear
 from dualspike.model import build
-from dualspike.tensor import ContractError, SpikeTensor
+from dualspike.tensor import ContractError, ShapeError, SpikeTensor
 
-from conftest import calibrated_nano
+from conftest import calibrated_nano, race
 
 
 def conv_record(spikes, conv):
@@ -334,3 +336,171 @@ class TestEventDrivenEquivalence:
         assert all(r["max_deviation"] <= 1e-6 for r in report.rows)
         kinds = {r["kind"] for r in report.rows}
         assert kinds == {"conv", "linear", "dst_t", "dst"}
+
+
+def rank_pass_spike_rows(mask, table):
+    """Reference oracle for `audit._spike_rows`: the rank-pass kernel it replaced, kept for its outputs.
+
+    Pass j scatters every mask row's j-th spike into the result at once (`out[rows] += ...`), so each
+    row sums its table rows one at a time, in column order, from zero.
+    """
+    r, k = mask.shape[-2:]
+    f = table.shape[-1]
+    rows, cols = np.divmod(np.flatnonzero(mask), k)
+    picks = cols if table.ndim == 2 else rows // r * k + cols
+    table = table.reshape(-1, f)
+    out = np.zeros((mask.size // k, f), dtype=table.dtype)
+    if rows.size:
+        first = np.flatnonzero(np.diff(rows, prepend=-1))
+        rank = np.arange(rows.size) - np.repeat(first, np.diff(first, append=rows.size))
+        order = np.argsort(rank, kind="stable")
+        lo = 0
+        for hi in np.cumsum(np.bincount(rank)):
+            sel = order[lo:hi]
+            out[rows[sel]] += table[picks[sel]]
+            lo = hi
+    return out.reshape(mask.shape[:-1] + (f,))
+
+
+def spike_rows_case(case, rng):
+    """(mask, float64 table) of one named case; tables span many magnitudes, so summation order shows in the bits."""
+    lead = (2, 3, 2) if case == "leading-axes" else ()
+    r, k, f = 37, 24, 5
+    mask = rng.random(lead + (r, k)) < {"dense": 0.6}.get(case, 0.15)
+    if case == "all-zero":
+        mask[:] = False
+    elif case == "silent-rows":
+        mask[::3] = False
+    elif case == "full-row":
+        mask[5] = True
+        mask[6, -1] = True
+    table = rng.standard_normal(lead + (k, f)) * 10.0 ** rng.integers(-6, 7, lead + (k, f))
+    return mask, table
+
+
+class TestSpikeRowsKernel:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("case", ["sparse", "dense", "all-zero", "silent-rows", "full-row", "leading-axes"])
+    def test_bits_equal_the_rank_pass_oracle(self, case, dtype):
+        rng = np.random.default_rng([ord(c) for c in case])
+        for _ in range(5):
+            mask, table = spike_rows_case(case, rng)
+            table = table.astype(dtype)
+            out = audit._spike_rows(mask, table)
+            expected = rank_pass_spike_rows(mask, table)
+            assert out.dtype == expected.dtype == dtype and out.shape == expected.shape == mask.shape[:-1] + (5,)
+            assert out.tobytes() == expected.tobytes(), case
+        if case == "full-row":  # all K of row 5 summed one at a time, in column order
+            row = np.zeros(5, dtype=dtype)
+            for c in range(table.shape[0]):
+                row += table[c]
+            assert audit._spike_rows(mask, table)[5].tobytes() == row.tobytes()
+
+    def test_strided_window_mask(self, rng):
+        # `_event_conv` hands the kernel a strided channels-last window view of the padded spikes
+        padded = rng.random((2, 9, 9, 6)) < 0.3
+        window = padded[:, 1:8:2, 0:7:2, 2:5]
+        table = rng.standard_normal((3, 4)) * 10.0 ** rng.integers(-6, 7, (3, 4))
+        assert not window.flags.c_contiguous
+        assert audit._spike_rows(window, table).tobytes() == rank_pass_spike_rows(window, table).tobytes()
+
+
+class TestEmptyBatch:
+    EMPTY = np.empty((0, 3, 32, 32), dtype=np.float32)
+
+    def test_audit_rejects_an_empty_batch(self):
+        with pytest.raises(ShapeError, match=r"empty batch of shape \(0, 3, 32, 32\)"):
+            audit_model(build("Nano", seed=0), self.EMPTY)
+
+    def test_equivalence_check_rejects_an_empty_batch(self):
+        with pytest.raises(ShapeError, match=r"empty batch of shape \(0, 3, 32, 32\)"):
+            verify_spike_driven(build("Nano", seed=0), self.EMPTY)
+
+
+@pytest.fixture(scope="module")
+def fresh_and_calibrated(calibrated):
+    return {"fresh": build("Nano", seed=0), "calibrated": calibrated[0]}
+
+
+def cores(monkeypatch, n):
+    monkeypatch.setattr(model_module, "_usable_cores", lambda: n)
+
+
+class TestThreadedAudit:
+    """The audit's chunks and the replay's layers run on threads; the rows are those of one thread."""
+
+    IMAGES = generate_split(SyntheticSpec(seed=0, noise=0.3), 5, "test").images
+
+    @pytest.mark.parametrize("batch", [1, 4, 5])
+    @pytest.mark.parametrize("which", ["fresh", "calibrated"])
+    def test_rows_equal_at_one_and_two_cores(self, fresh_and_calibrated, monkeypatch, which, batch):
+        model, images = fresh_and_calibrated[which], self.IMAGES[:batch]
+        out = {}
+        for n in (1, 2):
+            cores(monkeypatch, n)
+            report = audit_model(model, images)
+            out[n] = report.rows, report.to_jsonl(), verify_spike_driven(model, images).rows
+        assert out[1][0] == out[2][0]
+        assert out[1][1] == out[2][1]
+        assert json.dumps(out[1][2]) == json.dumps(out[2][2])
+        assert [r["name"] for r in out[2][2]] == [r["name"] for r in out[2][0][1:]]
+
+    def test_chunk_counts_sum_to_one_whole_batch_trace(self, calibrated, monkeypatch):
+        # 5 images trace as 3 + 2; one count-only trace of all 5 counts the same
+        cores(monkeypatch, 2)
+        model = calibrated[0]
+        whole = audit.run_traced(model, self.IMAGES)
+        report = audit_model(model, self.IMAGES)
+        assert [r["name"] for r in report.rows] == [rec.name for rec in whole.records]
+        for row, rec in zip(report.rows, whole.records):
+            assert row["numel"] == rec.spikes.size
+            if rec.kind != "stem":
+                assert row["sops"] == audit._SOP_FNS[rec.kind](rec) and row["spike_count"] == rec.spikes.sum()
+
+    def test_scaled_conv_output_fails_the_same_layers_at_two_cores(self, calibrated, monkeypatch):
+        model, images = calibrated
+        forward = layers.Conv2d.forward
+        monkeypatch.setattr(layers.Conv2d, "forward", lambda self, x: tensor.mul(forward(self, x), 1.5))
+        reports = {}
+        for n in (1, 2):
+            cores(monkeypatch, n)
+            reports[n] = verify_spike_driven(model, images)
+        assert not reports[2].passed
+        assert failed_layers(reports[2]) == failed_layers(reports[1]) == [
+            r["name"] for r in reports[2].rows if r["kind"] != "linear"]
+
+    def test_concurrent_audits_count_alike_and_restore_blas_threads(self, calibrated, monkeypatch):
+        # more callers than cores, switching threads often: each audit's chunk traces stay its own
+        model, images = calibrated[0], self.IMAGES[:4]
+        expected = audit_model(model, images).to_jsonl()
+        cores(monkeypatch, 2)
+        blas = model_module._openblas_threads()
+        before = blas and blas[0]()
+        results = []
+        race(lambda: results.extend(audit_model(model, images).to_jsonl() for _ in range(2)))
+        assert results == [expected] * 8
+        assert (blas and blas[0]()) == before
+
+    @pytest.mark.skipif(model_module._usable_cores() < 2 or model_module._openblas_threads() is None,
+                        reason="needs two usable cores and NumPy's bundled OpenBLAS")
+    def test_chunks_and_replay_run_on_several_threads(self, calibrated, monkeypatch):
+        # a silent fall-back to the calling thread fails here
+        model = calibrated[0]
+        seen = {"trace": set(), "replay": set()}
+        run_traced, spike_rows = audit.run_traced, audit._spike_rows
+
+        def traced(*args):
+            seen["trace"].add(threading.get_ident())
+            return run_traced(*args)
+
+        def replayed(mask, table):
+            seen["replay"].add(threading.get_ident())
+            return spike_rows(mask, table)
+
+        monkeypatch.setattr(audit, "run_traced", traced)
+        audit_model(model, self.IMAGES[:4])
+        monkeypatch.setattr(audit, "run_traced", run_traced)  # the twin's one forward runs in this thread
+        monkeypatch.setattr(audit, "_spike_rows", replayed)
+        verify_spike_driven(model, self.IMAGES[:2])
+        for where, threads in seen.items():
+            assert len(threads) >= 2 and threading.get_ident() not in threads, where

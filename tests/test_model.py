@@ -152,6 +152,12 @@ class TestForwardSurface:
         model = DualSpikeNet(TINY, seed=1)
         assert model.predict(np.empty((0, 2, 8, 8), dtype=np.float32)).shape == (0,)
 
+    def test_forward_rejects_an_empty_batch(self):
+        # it used to reach the offset-path conv and divide by its zero chunk count
+        model = build("Nano", seed=0)
+        with pytest.raises(ShapeError, match=r"empty batch of shape \(0, 3, 32, 32\)"):
+            model.forward(np.empty((0, 3, 32, 32), dtype=np.float32), RunContext(training=False))
+
     @pytest.mark.parametrize("batch_size", [0, -1])
     def test_predict_batch_size_must_be_positive(self, rng, batch_size):
         model = DualSpikeNet(TINY, seed=1)

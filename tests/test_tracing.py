@@ -147,3 +147,39 @@ def test_traced_predict_forwards_its_chunks_one_after_another(monkeypatch):
     for attn in (s for s in tracer.spans if s[1] == "attention"):
         layers_in = [s[1] for s in tracer.spans if s[4] == attn[0] and s[1].startswith(spans.LAYER)]
         assert [n.rsplit(".", 1)[1] for n in layers_in] == ["attn", "value", "proj"]
+
+
+def test_traced_audit_and_replay_run_one_after_another(monkeypatch):
+    # the audit's chunk traces and the replay's layers use threads untraced; under the tracer's one span stack
+    # they must run in the calling thread
+    monkeypatch.setattr(model, "_usable_cores", lambda: 2)
+    spans = _load_spans()
+    net = DualSpikeNet(TWO_STAGE, seed=0)
+    images = np.random.default_rng(1).standard_normal((5, 2, 8, 8)).astype(np.float32)
+    with tensor.no_grad():
+        net.forward(images, RunContext(training=True))  # calibrates BN and the rate EMAs, so every layer fires
+    expected = audit.audit_model(net, images).to_jsonl(), audit.verify_spike_driven(net, images[:2]).rows
+
+    tracer = spans.Tracer()
+    tracer.op = 0
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # threads, if any, would interleave inside the traces and replays
+    try:
+        tracer.install()
+        report = audit.audit_model(net, images)
+        equivalence = audit.verify_spike_driven(net, images[:2])
+    finally:
+        tracer.uninstall()
+        sys.setswitchinterval(interval)
+
+    assert report.to_jsonl() == expected[0]
+    assert equivalence.rows == expected[1] and equivalence.passed
+    traces = sorted((s for s in tracer.spans if s[1] == "audit.trace"), key=lambda s: s[2])
+    replays = sorted((s for s in tracer.spans if s[1].startswith("audit.replay.")), key=lambda s: s[2])
+    assert len(traces) == 3  # the audit's 3 + 2 image chunks, then the twin's whole forward
+    assert len(replays) == len(equivalence.rows)
+    for group in (traces, replays):
+        assert all(a[3] <= b[2] for a, b in zip(group, group[1:]))  # no two overlap
+    for sid, name, start, end, parent, op, creator in tracer.spans:
+        if parent is not None:
+            assert tracer.spans[parent][2] <= start <= end <= tracer.spans[parent][3], name
