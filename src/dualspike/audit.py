@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .layers import RunContext
-from .model import _map_chunks, build, eval_chunks
+from .model import _map_chunks, eval_chunks
 from .ops import conv_output_size, fold_bn
 from .tensor import ContractError, SpikeTensor, no_grad
 
@@ -347,8 +347,7 @@ def verify_spike_driven(model, images, tolerance: float = 1e-6) -> EquivalenceRe
     The twin forwards the images whole; its layers are replayed on one thread per usable core
     (`_map_chunks`), in the calling thread while a `_CHECK_FNS` entry is not the package's own.
     """
-    twin = build(model.config, dtype=np.float64)
-    twin.load_state(*model.snapshot())
+    twin = model.astype(np.float64)
     trace = run_traced(twin, np.asarray(images), AuditTrace(currents=True))
     records = [rec for rec in trace.records if rec.kind != "stem"]
     devs = _map_chunks(lambda rec: _CHECK_FNS[rec.kind](rec), records, serial=_CHECK_FNS != _OWN_CHECK_FNS)

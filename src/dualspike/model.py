@@ -18,31 +18,28 @@ cut into one-image chunks: a one-image forward lands on OpenBLAS's
 small-matrix kernel, which rounds differently.
 
 `_map_chunks` runs such chunks, and the audit's event replay its layers, on
-one thread per usable core, with the bundled OpenBLAS pinned to one thread
-meanwhile (`_openblas_threads`). NumPy's loops release the GIL, and with a
-chunk's arrays in cache the threads no longer serialise on the page faults of
-fresh large arrays. The logits are the same bits at one and at two OpenBLAS
-threads. Where that library cannot be pinned the work runs in the calling
-thread: threads that each drive a multi-threaded BLAS were slower than one
-thread. Forwards also run there while `DualSpikeNet.forward` is wrapped on
-the class, as a tracer or profiler does for every instance at once: such a
-wrapper usually keeps one stack of open calls per process, which overlapping
-forwards would corrupt.
+the process's pinned workers (`parallel`): one per usable core, with NumPy's
+bundled OpenBLAS at one thread from the pool's first start on. NumPy's loops
+release the GIL, and with a chunk's arrays in cache the threads do not
+serialise on the page faults of fresh large arrays. A chunk's own ops run in
+its worker, unsplit. The logits are the same bits at one and at two OpenBLAS
+threads, and at any worker count. Where the pool does not start (one usable
+core, or an OpenBLAS whose thread count cannot be set) the chunks run in the
+calling thread: threads that each drive a multi-threaded BLAS were slower
+than one thread. Forwards also run there while `DualSpikeNet.forward` is
+wrapped on the class, as a tracer or profiler does for every instance at
+once: such a wrapper usually keeps one stack of open calls per process, which
+overlapping forwards would corrupt.
 """
 
 from __future__ import annotations
 
-import ctypes
-import functools
-import glob
-import os
+import copy
 import struct
-import threading
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from . import container, ops
+from . import container, ops, parallel
 from .attention import MultiHeadDualSpikeAttention
 from .config import (
     ModelConfig, StageSpec, canonical_model_text, model_config_from_values, parse_config_text, registry_config,
@@ -64,51 +61,12 @@ from .tensor import (
 )
 
 EVAL_CHUNK_IMAGES = 2  # images per chunk of an eval forward (2-3); keeps each activation in cache
-_BLAS_PIN = threading.Lock()  # held while OpenBLAS is pinned, so overlapping calls restore the right count
-
-
-@functools.cache
-def _openblas_threads():
-    """(get, set) of the thread count of NumPy's bundled OpenBLAS, or None where either is not found."""
-    libs = sorted(glob.glob(os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs", "libscipy_openblas*")))
-    try:
-        lib = ctypes.CDLL(libs[0])
-        get_threads, set_threads = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
-    except (IndexError, OSError, AttributeError):
-        return None
-    get_threads.argtypes, get_threads.restype = [], ctypes.c_int
-    set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
-    return get_threads, set_threads
-
-
-def _usable_cores() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
 
 
 def _map_chunks(fn, chunks: list, serial: bool = False) -> list:
-    """[fn(c) for c in chunks], on min(usable cores, chunks) threads with OpenBLAS pinned to one thread.
-
-    Runs in the calling thread when `serial` is set, for one worker, or where OpenBLAS
-    cannot be pinned. The pin is process-wide for the length of the call: any other
-    thread's BLAS work meanwhile also runs on one thread. The saved thread count is
-    restored once every worker has stopped, also when `fn` raises.
-    """
-    workers = 1 if serial else min(_usable_cores(), len(chunks))
-    blas = _openblas_threads() if workers > 1 else None
-    if blas is None:
-        return [fn(c) for c in chunks]
-    get_threads, set_threads = blas
-    with _BLAS_PIN:
-        saved = get_threads()
-        set_threads(1)
-        try:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                return list(pool.map(fn, chunks))
-        finally:
-            set_threads(saved)
+    """[fn(c) for c in chunks], over the process's pinned workers (`parallel.run`), or in the
+    calling thread when `serial` is set or `parallel.run` keeps the work there."""
+    return [fn(c) for c in chunks] if serial else parallel.run(fn, chunks)
 
 
 def eval_chunks(images) -> list:
@@ -276,11 +234,10 @@ class DualSpikeNet(Module):
         return np.concatenate(outs) if outs else np.empty(0, dtype=np.int64)
 
     def map_eval(self, fn, chunks: list) -> list:
-        """[fn(c) for c in chunks] without tape recording, on min(usable cores, chunks) threads with
-        OpenBLAS pinned to one thread, process-wide for the length of the call (`_map_chunks`). They
-        run in the calling thread where that pin is not available or while `forward` is wrapped on
-        the class (a tracer's wrapper keeps one stack of open calls, which overlapping forwards would
-        corrupt)."""
+        """[fn(c) for c in chunks] without tape recording, on the process's workers (`_map_chunks`).
+        They run in the calling thread where the pool does not start or while `forward` is wrapped
+        on the class (a tracer's wrapper keeps one stack of open calls, which overlapping forwards
+        would corrupt)."""
         with no_grad():  # the flag is a module global: set here once, read by every worker
             return _map_chunks(fn, chunks, serial=type(self).forward is not _FORWARD)
 
@@ -300,10 +257,29 @@ class DualSpikeNet(Module):
         return entries
 
     def snapshot(self):
-        """`load_state` arguments holding the current state: a restore point, or a copy for a twin of another dtype."""
+        """`load_state` arguments holding the current state: a restore point."""
         tensors = {name: arr.copy() for name, arr in self.state_tensors()}
         emas = {e.name: (e.initialized, e.value) for e in self.rate_emas()}
         return tensors, emas
+
+    def astype(self, dtype) -> "DualSpikeNet":
+        """A copy of this model in float `dtype`, with its parameters, BN statistics and rate EMAs
+        converted and zeroed gradients. It shares no array with this model and draws no weights."""
+        dtype = np.dtype(dtype)
+        if dtype not in (np.dtype(np.float32), np.dtype(np.float64)):
+            raise ConfigError(f"model dtype must be float32 or float64, got {dtype}")
+        memo = {}  # deepcopy takes each array from here: converted once, never copied in the old dtype
+        for p in self.parameters():
+            memo[id(p.data)] = p.data.astype(dtype)
+            memo[id(p.grad)] = np.zeros(p.data.shape, dtype=dtype)
+        for s in self.bn_states():
+            memo[id(s.running_mean)] = s.running_mean.astype(dtype)
+            memo[id(s.running_var)] = s.running_var.astype(dtype)
+        twin = copy.deepcopy(self, memo)
+        twin.dtype = dtype
+        for e in twin.rate_emas():
+            e.dtype = dtype
+        return twin
 
     def load_state(self, tensors: dict, emas: dict):
         """Replace every parameter, BN statistic and rate EMA, or raise CheckpointError having changed nothing.

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .parallel import over_chunks
 from .tensor import ConfigError, ShapeError, SpikeTensor, Tensor, make_node
 
 SURROGATE_KINDS = ("triangular", "sigmoid-derivative")
@@ -91,6 +92,8 @@ def sn_forward(current: Tensor, neuron: NeuronSpec = NeuronSpec(), smooth: bool 
     reused buffers, with the same expressions in the same order as the
     whole-array loop, so blocking changes no bits: forward and backward match
     the whole-array oracle tests/test_neuron.py::bptt_oracle exactly. The
+    blocks run over the process's workers (`parallel.over_chunks`), each run
+    of blocks in its own buffers. The
     reset and the backward's 1 - s read a block's spikes through a float
     buffer of the current's dtype, so every arithmetic loop runs on
     same-dtype kernels.
@@ -105,13 +108,13 @@ def sn_forward(current: Tensor, neuron: NeuronSpec = NeuronSpec(), smooth: bool 
     x2, v2, s2 = (a.reshape(t_steps, -1) for a in (xd, v_hist, s_out))
     size = x2.shape[1]
     block = max(1, min(size, BLOCK_NEURONS))
-    u_buf, tmp_buf, sf_buf = (np.empty(block, dtype=xd.dtype) for _ in range(3))
-    # Each cache-sized block of neurons runs all T steps before the next
-    # block starts. In place, but the same expressions in the same order as
-    # tests/test_neuron.py::bptt_oracle: v = ((x - u) + u_rest) * inv_tau + u,
-    # u = s * u_rest + (1 - s) * v.
-    for b0 in range(0, size, block):
-        b1 = min(size, b0 + block)
+    blocks = list(range(0, size, block)) + [size]
+
+    def forward_block(b0, b1, u_buf, tmp_buf, sf_buf):
+        # The block runs all T steps before the next block starts. In place,
+        # but the same expressions in the same order as
+        # tests/test_neuron.py::bptt_oracle: v = ((x - u) + u_rest) * inv_tau + u,
+        # u = s * u_rest + (1 - s) * v.
         u, tmp, sf = u_buf[: b1 - b0], tmp_buf[: b1 - b0], sf_buf[: b1 - b0]
         u.fill(neuron.u_rest)
         for t in range(t_steps):
@@ -131,19 +134,19 @@ def sn_forward(current: Tensor, neuron: NeuronSpec = NeuronSpec(), smooth: bool 
             np.multiply(s, neuron.u_rest, out=u)
             u += tmp
 
+    over_chunks(blocks, forward_block, lambda: [np.empty(block, dtype=xd.dtype) for _ in range(3)])
     shape, dtype = xd.shape, xd.dtype  # the backward reads V and S, not the input
 
     def bw(g):
         d_current = np.empty(shape, dtype=dtype)
         g2, d2 = g.reshape(t_steps, -1), d_current.reshape(t_steps, -1)
-        du_buf, dv_buf, tmp_buf = (np.empty(block, dtype=dtype) for _ in range(3))
-        # The same blocks as the forward, each through all T steps backwards.
-        # Same expressions in the same order as the whole-array BPTT:
-        # dv = g * sg + du * (1 - s)  (the reset gate is detached), or with
-        # the smooth reset du * ((1 - s) + sg * (u_rest - v)); then
-        # d = dv * inv_tau and du = dv * (1 - inv_tau).
-        for b0 in range(0, size, block):
-            b1 = min(size, b0 + block)
+
+        def backward_block(b0, b1, du_buf, dv_buf, tmp_buf):
+            # The forward's block through all T steps backwards. Same
+            # expressions in the same order as the whole-array BPTT:
+            # dv = g * sg + du * (1 - s)  (the reset gate is detached), or with
+            # the smooth reset du * ((1 - s) + sg * (u_rest - v)); then
+            # d = dv * inv_tau and du = dv * (1 - inv_tau).
             du, dv, tmp = du_buf[: b1 - b0], dv_buf[: b1 - b0], tmp_buf[: b1 - b0]
             du.fill(0.0)
             for t in range(t_steps - 1, -1, -1):
@@ -160,6 +163,8 @@ def sn_forward(current: Tensor, neuron: NeuronSpec = NeuronSpec(), smooth: bool 
                 dv += tmp
                 np.multiply(dv, inv_tau, out=d2[t, b0:b1])
                 np.multiply(dv, 1.0 - inv_tau, out=du)
+
+        over_chunks(blocks, backward_block, lambda: [np.empty(block, dtype=dtype) for _ in range(3)])
         return (d_current,)
 
     return make_node(s_out, (current,), bw, cls=Tensor if smooth else SpikeTensor)

@@ -4,7 +4,7 @@ import threading
 import numpy as np
 import pytest
 
-from dualspike import tensor
+from dualspike import parallel, tensor
 from dualspike.layers import RunContext
 from dualspike.model import build
 from dualspike.tensor import Tensor, backward
@@ -49,6 +49,14 @@ def assert_grads_close(build_loss, leaves, atol=1e-7, rtol=1e-5):
     fd = fd_grad(lambda: float(build_loss().item()), [l.data for l in leaves])
     for a, f, leaf in zip(an, fd, leaves):
         np.testing.assert_allclose(a, f, atol=atol, rtol=rtol, err_msg=f"gradient mismatch for leaf {leaf!r}")
+
+
+def workers(monkeypatch, n):
+    """Split pooled ops and chunk maps over `n` workers, as on an n-core machine. From 2 on, the pool
+    is running on return, so OpenBLAS is already at the one thread it keeps for the rest of the process."""
+    monkeypatch.setattr(parallel, "_usable_cores", lambda: n)
+    if parallel.width() >= 2:
+        parallel._started()
 
 
 def calibrated_nano(seed):

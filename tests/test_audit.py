@@ -8,8 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dualspike import attention, audit, layers, tensor
-from dualspike import model as model_module
+from dualspike import attention, audit, layers, parallel, tensor
 from dualspike.data import SyntheticSpec, generate_split
 from dualspike.audit import (
     ENERGY_PER_SOP_PJ,
@@ -27,7 +26,7 @@ from dualspike.layers import Conv2d, Linear
 from dualspike.model import build
 from dualspike.tensor import ContractError, ShapeError, SpikeTensor
 
-from conftest import calibrated_nano, race
+from conftest import calibrated_nano, race, workers
 
 
 def conv_record(spikes, conv):
@@ -405,6 +404,32 @@ class TestSpikeRowsKernel:
         assert audit._spike_rows(window, table).tobytes() == rank_pass_spike_rows(window, table).tobytes()
 
 
+class TestFloat64Twin:
+    """The equivalence check's float64 twin is the model's own state, converted; no weights are drawn."""
+
+    def loaded_twin(self, model):
+        twin = build(model.config, dtype=np.float64)
+        twin.load_state(*model.snapshot())
+        return twin
+
+    def test_state_equals_a_built_and_loaded_twin(self, calibrated):
+        model = calibrated[0]
+        twin, want = model.astype(np.float64), self.loaded_twin(model)
+        assert twin.dtype == np.float64
+        for (name, a), (name_b, b), (_, own) in zip(twin.state_tensors(), want.state_tensors(), model.state_tensors()):
+            assert name == name_b and a.dtype == b.dtype == np.float64 and np.array_equal(a, b)
+            assert not np.shares_memory(a, own)
+        assert [(e.name, e.initialized, e.value, e.dtype) for e in twin.rate_emas()] == [
+            (e.name, e.initialized, e.value, e.dtype) for e in want.rate_emas()]
+        assert all(p.grad.dtype == np.float64 and not p.grad.any() for p in twin.parameters())
+
+    def test_equivalence_rows_equal_those_of_a_built_and_loaded_twin(self, calibrated, monkeypatch):
+        model, images = calibrated
+        rows = verify_spike_driven(model, images).rows
+        monkeypatch.setattr(type(model), "astype", lambda m, dtype: self.loaded_twin(m))
+        assert json.dumps(rows) == json.dumps(verify_spike_driven(model, images).rows)
+
+
 class TestEmptyBatch:
     EMPTY = np.empty((0, 3, 32, 32), dtype=np.float32)
 
@@ -422,10 +447,6 @@ def fresh_and_calibrated(calibrated):
     return {"fresh": build("Nano", seed=0), "calibrated": calibrated[0]}
 
 
-def cores(monkeypatch, n):
-    monkeypatch.setattr(model_module, "_usable_cores", lambda: n)
-
-
 class TestThreadedAudit:
     """The audit's chunks and the replay's layers run on threads; the rows are those of one thread."""
 
@@ -437,7 +458,7 @@ class TestThreadedAudit:
         model, images = fresh_and_calibrated[which], self.IMAGES[:batch]
         out = {}
         for n in (1, 2):
-            cores(monkeypatch, n)
+            workers(monkeypatch, n)
             report = audit_model(model, images)
             out[n] = report.rows, report.to_jsonl(), verify_spike_driven(model, images).rows
         assert out[1][0] == out[2][0]
@@ -447,7 +468,7 @@ class TestThreadedAudit:
 
     def test_chunk_counts_sum_to_one_whole_batch_trace(self, calibrated, monkeypatch):
         # 5 images trace as 3 + 2; one count-only trace of all 5 counts the same
-        cores(monkeypatch, 2)
+        workers(monkeypatch, 2)
         model = calibrated[0]
         whole = audit.run_traced(model, self.IMAGES)
         report = audit_model(model, self.IMAGES)
@@ -463,7 +484,7 @@ class TestThreadedAudit:
         monkeypatch.setattr(layers.Conv2d, "forward", lambda self, x: tensor.mul(forward(self, x), 1.5))
         reports = {}
         for n in (1, 2):
-            cores(monkeypatch, n)
+            workers(monkeypatch, n)
             reports[n] = verify_spike_driven(model, images)
         assert not reports[2].passed
         assert failed_layers(reports[2]) == failed_layers(reports[1]) == [
@@ -473,15 +494,15 @@ class TestThreadedAudit:
         # more callers than cores, switching threads often: each audit's chunk traces stay its own
         model, images = calibrated[0], self.IMAGES[:4]
         expected = audit_model(model, images).to_jsonl()
-        cores(monkeypatch, 2)
-        blas = model_module._openblas_threads()
+        workers(monkeypatch, 2)
+        blas = parallel._openblas_threads()
         before = blas and blas[0]()
         results = []
         race(lambda: results.extend(audit_model(model, images).to_jsonl() for _ in range(2)))
         assert results == [expected] * 8
         assert (blas and blas[0]()) == before
 
-    @pytest.mark.skipif(model_module._usable_cores() < 2 or model_module._openblas_threads() is None,
+    @pytest.mark.skipif(parallel._usable_cores() < 2 or parallel._openblas_threads() is None,
                         reason="needs two usable cores and NumPy's bundled OpenBLAS")
     def test_chunks_and_replay_run_on_several_threads(self, calibrated, monkeypatch):
         # a silent fall-back to the calling thread fails here

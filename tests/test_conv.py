@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from dualspike import ops, verification
-from dualspike.ops import conv2d, conv_output_size, maxpool2d
+from dualspike.layers import RunContext
+from dualspike.model import DualSpikeNet, build
+from dualspike.ops import conv2d, conv_output_size, cross_entropy, maxpool2d
 from dualspike.tensor import ConfigError, ShapeError, Tensor, backward, mul, tensor_sum
 
 from conftest import assert_grads_close
@@ -235,7 +237,7 @@ def cols_oracle(x, w, g, k, groups):
 class TestConvColsBitExact:
     """1x1 and patchify convs (the `_conv2d_cols` path) equal the spelled-out lowering bit for bit."""
 
-    @pytest.mark.parametrize(
+    PARAMS = pytest.mark.parametrize(
         "c,o,h,k,groups",
         [
             pytest.param(64, 128, 16, 1, 1, id="1x1"),
@@ -245,7 +247,17 @@ class TestConvColsBitExact:
             pytest.param(64, 64, 16, 2, 2, id="patchify-2-grouped"),
         ],
     )
+
+    @PARAMS
     def test_forward_and_backward(self, rng, c, o, h, k, groups):
+        self.check(rng, c, o, h, k, groups)
+
+    @PARAMS
+    def test_forward_and_backward_in_chunks_of_two_images(self, rng, monkeypatch, c, o, h, k, groups):
+        monkeypatch.setattr(ops, "CHUNK_ELEMENTS", 2 * max(c, o) * (h // k) ** 2)
+        self.check(rng, c, o, h, k, groups)
+
+    def check(self, rng, c, o, h, k, groups):
         n = 4
         x = (rng.random((n, c, h, h)) < 0.25).astype(np.float32)
         w = rng.standard_normal((o, c // groups, k, k)).astype(np.float32)
@@ -354,3 +366,48 @@ class TestSplitBounds:
 
     def test_five_images_in_three_chunks(self):
         assert ops.split_bounds(5, 3) == [0, 2, 4, 5]  # TestConvBitExact's 2-2-1 chunking
+
+
+class TestNoImageGradient:
+    """A conv whose input needs no gradient computes no dX: the stem's encoded images."""
+
+    def step_gradients(self, monkeypatch, images_tracked):
+        stem_grads = []
+        conv = ops.conv2d
+
+        def recording(x, weight, **kwargs):
+            out = conv(x, weight, **kwargs)
+            if weight.name == "stem.conv.weight":
+                bw = out._node.backward
+                out._node.backward = lambda g: stem_grads.append(bw(g)) or stem_grads[-1]
+            return out
+
+        monkeypatch.setattr(ops, "conv2d", recording)
+        if images_tracked:  # the input then needs a gradient, and the stem computes dX as before
+            encode = DualSpikeNet.encode
+            monkeypatch.setattr(DualSpikeNet, "encode", lambda self, images: Tensor(
+                encode(self, images).data, requires_grad=True))
+        net = build("Nano", seed=0)
+        rng = np.random.default_rng(7)
+        images = rng.standard_normal((3, 3, 32, 32)).astype(np.float32)
+        backward(cross_entropy(net.forward(images, RunContext(training=True)), rng.integers(0, 10, 3)),
+                 free_graph=True)
+        monkeypatch.undo()
+        return stem_grads, [p.grad for p in net.parameters()]
+
+    def test_stem_returns_none_for_the_images_and_the_same_gradients(self, monkeypatch):
+        (stem,), grads = self.step_gradients(monkeypatch, images_tracked=False)
+        (stem_tracked,), want = self.step_gradients(monkeypatch, images_tracked=True)
+        assert stem[0] is None and stem_tracked[0].shape == (3 * 4, 3, 32, 32)
+        assert np.array_equal(stem[1], stem_tracked[1])
+        assert len(grads) == len(want) == 65
+        for a, b in zip(grads, want):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_untracked_input_gets_none_on_both_paths(self, rng, k):
+        x = Tensor((rng.random((2, 4, 6, 6)) < 0.5).astype(np.float32))
+        w = Tensor(rng.standard_normal((4, 4, k, k)).astype(np.float32), requires_grad=True)
+        out = conv2d(x, w, padding=k // 2)
+        dx, dw = out._node.backward(np.ones_like(out.data))
+        assert dx is None and dw.shape == w.data.shape

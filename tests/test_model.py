@@ -7,9 +7,9 @@ import zlib
 
 import numpy as np
 import pytest
-from conftest import calibrated_nano, race
+from conftest import calibrated_nano, race, workers
 
-from dualspike import model as model_module
+from dualspike import parallel
 from dualspike import tensor as tensor_module
 from dualspike.config import REGISTRY, ModelConfig, StageSpec, StemSpec, canonical_model_text, registry_config
 from dualspike.data import SyntheticSpec, generate_split
@@ -229,10 +229,10 @@ class TestThreadedPredict:
     @pytest.fixture
     def two_cores(self, monkeypatch):
         # the pinned path is taken on a one-core machine too
-        monkeypatch.setattr(model_module, "_usable_cores", lambda: 2)
+        workers(monkeypatch, 2)
 
     def test_blas_thread_count_restored_after_return(self, two_cores):
-        get_threads, _ = model_module._openblas_threads()
+        get_threads, _ = parallel._openblas_threads()
         before = get_threads()
         model, seen = calibrated_nano(0), []
         forward = model.forward
@@ -247,7 +247,7 @@ class TestThreadedPredict:
         assert get_threads() == before
 
     def test_blas_thread_count_restored_after_raise(self, two_cores):
-        get_threads, _ = model_module._openblas_threads()
+        get_threads, _ = parallel._openblas_threads()
         before = get_threads()
         model, calls = calibrated_nano(0), []
         forward = model.forward
@@ -266,7 +266,7 @@ class TestThreadedPredict:
     def test_without_pin_chunks_run_in_calling_thread(self, two_cores, monkeypatch):
         model = calibrated_nano(0)
         threaded = model.predict(self.IMAGES, batch_size=8)
-        monkeypatch.setattr(model_module, "_openblas_threads", lambda: None)
+        monkeypatch.setattr(parallel, "_openblas_threads", lambda: None)
         classes, logits, threads = recorded_predict(model, self.IMAGES, 8)
         assert threads == {threading.get_ident()}
         assert len(logits) == 4
@@ -295,7 +295,7 @@ class TestThreadedPredict:
 
     def test_concurrent_predict_calls_restore_blas_thread_count(self, two_cores):
         # more callers than cores, switching threads often: an unguarded save/restore leaves the pin behind
-        get_threads, _ = model_module._openblas_threads()
+        get_threads, _ = parallel._openblas_threads()
         before = get_threads()
         model, images = self.indexing_model()
         results = []
@@ -308,7 +308,7 @@ class TestThreadedPredict:
         assert len(results) == 80 and all(np.array_equal(r, np.arange(16)) for r in results)
         assert get_threads() == before
 
-    @pytest.mark.skipif(model_module._usable_cores() < 2, reason="needs two usable cores")
+    @pytest.mark.skipif(parallel._usable_cores() < 2, reason="needs two usable cores")
     def test_chunks_run_on_several_threads(self):
         # a silent fall-back to the calling thread fails here
         _, logits, threads = recorded_predict(calibrated_nano(0), self.IMAGES, 8)

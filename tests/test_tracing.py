@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 
-from dualspike import attention, audit, data, ffn, layers, model, neuron, ops, tensor, training, verification
+from dualspike import attention, audit, data, ffn, layers, model, neuron, ops, parallel, tensor, training, verification
 from dualspike.config import ModelConfig, StageSpec, StemSpec
 from dualspike.layers import RunContext
 from dualspike.model import DualSpikeNet
@@ -116,7 +116,7 @@ def test_tracer_install_times_a_step_and_uninstall_restores():
 
 def test_traced_predict_forwards_its_chunks_one_after_another(monkeypatch):
     # the tracer keeps one stack of open spans per process, so overlapping chunk forwards would corrupt it
-    monkeypatch.setattr(model, "_usable_cores", lambda: 2)  # threads would be used on a one-core machine too
+    monkeypatch.setattr(parallel, "_usable_cores", lambda: 2)  # threads would be used on a one-core machine too
     spans = _load_spans()
     net = DualSpikeNet(TWO_STAGE, seed=0)
     images = np.random.default_rng(1).standard_normal((8, 2, 8, 8)).astype(np.float32)
@@ -152,7 +152,7 @@ def test_traced_predict_forwards_its_chunks_one_after_another(monkeypatch):
 def test_traced_audit_and_replay_run_one_after_another(monkeypatch):
     # the audit's chunk traces and the replay's layers use threads untraced; under the tracer's one span stack
     # they must run in the calling thread
-    monkeypatch.setattr(model, "_usable_cores", lambda: 2)
+    monkeypatch.setattr(parallel, "_usable_cores", lambda: 2)
     spans = _load_spans()
     net = DualSpikeNet(TWO_STAGE, seed=0)
     images = np.random.default_rng(1).standard_normal((5, 2, 8, 8)).astype(np.float32)
