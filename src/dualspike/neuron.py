@@ -93,10 +93,9 @@ def sn_forward(current: Tensor, neuron: NeuronSpec = NeuronSpec(), smooth: bool 
     whole-array loop, so blocking changes no bits: forward and backward match
     the whole-array oracle tests/test_neuron.py::bptt_oracle exactly. The
     blocks run over the process's workers (`parallel.over_chunks`), each run
-    of blocks in its own buffers. The
-    reset and the backward's 1 - s read a block's spikes through a float
-    buffer of the current's dtype, so every arithmetic loop runs on
-    same-dtype kernels.
+    of blocks in its own buffers. The reset and the backward's 1 - s read a
+    block's spikes through a float buffer of the current's dtype, so every
+    arithmetic loop runs on same-dtype kernels.
     """
     if current.data.ndim < 1 or current.data.shape[0] == 0:
         raise ShapeError(f"sn_forward needs a non-empty leading time axis, got shape {current.data.shape}")

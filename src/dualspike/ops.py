@@ -40,7 +40,6 @@ from .tensor import (
     Parameter,
     ShapeError,
     Tensor,
-    _as,
     _slot,
     make_node,
     matmul,  # Linear.forward calls ops.matmul
@@ -210,8 +209,8 @@ def _conv2d_offsets(x: Tensor, weight: Tensor, stride, padding, groups, ho, wo) 
     groups is 1. dX is chunked over the forward's image bounds: per chunk,
     the same per-(offset, group) GEMMs against the transposed taps, added in
     offset order into the zeroed chunk of dX where each window lies inside
-    the input. Its bits hold across chunks as the forward's do. An input that needs no
-    gradient (the encoded images at the stem) gets no dX.
+    the input. Its bits hold across chunks as the forward's do. An input
+    that needs no gradient (the encoded images at the stem) gets no dX.
     """
     n, c, h, w = x.data.shape
     o, cg, kh, kw = weight.data.shape
