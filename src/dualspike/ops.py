@@ -107,8 +107,8 @@ def _conv2d_cols(x: Tensor, weight: Tensor, stride, padding, groups, ho, wo) -> 
     buffer of the weight's dtype, so one-byte spikes are converted in that
     copy, and each group runs one wide GEMM. The backward chunks dX the same
     way, with the transposed kernel; dW is one GEMM per group over the
-    columns of the whole batch (K = N*Ho*Wo), split over the workers by
-    output rows. Chunk GEMMs stay on OpenBLAS's blocked kernel, which
+    columns of the whole batch (K = N*Ho*Wo), split over the workers by its
+    rows or its columns. Chunk GEMMs stay on OpenBLAS's blocked kernel, which
     computes a column independently of the column count, so the chunks give
     the bits of whole-batch GEMMs (see `_conv2d_offsets`).
     """
@@ -154,10 +154,15 @@ def _conv2d_cols(x: Tensor, weight: Tensor, stride, padding, groups, ho, wo) -> 
         xcols = xcols.reshape(groups, k, n * l)
         dw = np.empty((groups, og, k), dtype=wd.dtype)
 
-        def dw_rows(r0, r1):  # at least two rows each: a one-row product would go to gemv, which rounds otherwise
-            np.matmul(gt[:, r0:r1], xcols.swapaxes(-1, -2), out=dw[:, r0:r1])
+        # split by dW's rows or its columns, whichever splits the larger operand, so each worker packs
+        # half of it; at least two rows or columns each: one would go to gemv, which rounds otherwise
+        def dw_part(p0, p1):
+            if og >= k:
+                np.matmul(gt[:, p0:p1], xcols.swapaxes(-1, -2), out=dw[:, p0:p1])
+            else:
+                np.matmul(gt, xcols[:, p0:p1].swapaxes(-1, -2), out=dw[:, :, p0:p1])
 
-        parallel.over_chunks(split_bounds(og, max(1, min(og // 2, parallel.width()))), dw_rows)
+        parallel.over_chunks(split_bounds(max(og, k), max(1, min(max(og, k) // 2, parallel.width()))), dw_part)
         del xcols
         if not need_dx:
             return (None, dw.reshape(wd.shape))
