@@ -3,9 +3,9 @@
 The ops that dominate a train step (`ops.conv2d`, train-mode `ops.batchnorm`,
 `neuron.sn_forward`) and `model._map_chunks` split their work over these
 workers through `run`. An op splits only along an axis whose pieces are
-computed independently (image chunks, channel ranges, neuron blocks, output
-rows, groups or kernel offsets), never along a sum, so each output holds the
-bits the op gives in one thread. The pieces write into slices of arrays the
+computed independently (image chunks, channel ranges, neuron blocks,
+weight-gradient rows or columns, groups or kernel offsets), never along a
+sum, so each output holds the bits the op gives in one thread. The pieces write into slices of arrays the
 calling thread allocated: glibc gives each thread its own arena, and large
 arrays allocated in the workers raised the train benchmark's peak RSS from
 about 508 to 582 MB on a 2-core x86-64 machine.
