@@ -376,13 +376,11 @@ def _eval_affine(state: BatchNormState):
 def _channel_ranges(a: np.ndarray) -> list:
     """Bounds of the channel ranges a train-mode batch norm pass over `a` splits into, one per worker.
 
-    A sum over a range of two or more channels of a C-contiguous array gives
-    the bits of the whole array's sum for those channels; a one-channel range
-    drops the channel axis and can sum in another order, and other memory
-    orders are not split at all.
+    A sum over a range of two or more channels gives the bits of the whole
+    array's sum for those channels, in every memory order of a 4-D array; a
+    one-channel range drops the channel axis and can sum in another order.
     """
-    parts = min(a.shape[1] // 2, parallel.width()) if a.flags.c_contiguous else 1
-    return split_bounds(a.shape[1], max(1, parts))
+    return split_bounds(a.shape[1], max(1, min(a.shape[1] // 2, parallel.width())))
 
 
 def batchnorm(x: Tensor, state: BatchNormState, training: bool) -> Tensor:

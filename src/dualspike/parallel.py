@@ -5,10 +5,11 @@ The ops that dominate a train step (`ops.conv2d`, train-mode `ops.batchnorm`,
 workers through `run`. An op splits only along an axis whose pieces are
 computed independently (image chunks, channel ranges, neuron blocks,
 weight-gradient rows or columns, groups or kernel offsets), never along a
-sum, so each output holds the bits the op gives in one thread. The pieces write into slices of arrays the
-calling thread allocated: glibc gives each thread its own arena, and large
-arrays allocated in the workers raised the train benchmark's peak RSS from
-about 508 to 582 MB on a 2-core x86-64 machine.
+sum, so each output holds the bits the op gives in one thread. The pieces
+write into slices of arrays the calling thread allocated: glibc gives each
+thread its own arena, and large arrays allocated in the workers raised the
+train benchmark's peak RSS from about 508 to 582 MB on a 2-core x86-64
+machine.
 
 Each worker pins itself to one core (`os.sched_setaffinity` on its own
 thread). Where the scheduler does not rebalance threads between CPUs, two
@@ -133,8 +134,11 @@ def _started():
 
 def _work(tasks, core):
     _local.worker = True
-    if core is not None:
-        os.sched_setaffinity(0, {core})
+    try:
+        if core is not None:
+            os.sched_setaffinity(0, {core})
+    except OSError:  # the core left this process's set since the pool read it: the worker runs unpinned
+        pass
     while True:
         fut, fn, item = tasks.get()
         try:

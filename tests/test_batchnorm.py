@@ -129,12 +129,15 @@ class TestBitExact:
         st.running_var = (rng.random(channels) + 0.5).astype(dtype)
         return st
 
-    def check_train(self, rng, dtype, x_data):
+    def check_train(self, rng, dtype, x_data, channels_last=False):
         """Train-mode batch norm of `x_data` against the oracle: out, dx, dgamma, dbeta and the running
-        variance, which mixes in the batch variance as x.var gives it."""
+        variance, which mixes in the batch variance as x.var gives it. `channels_last` lays the upstream
+        gradient out channels innermost, as the attention's token embeddings hand it back."""
         st = self.state(rng, dtype, x_data.shape[1])
         running_var = st.running_var * (1.0 - st.momentum) + st.momentum * x_data.var(axis=(0, 2, 3))
         g = rng.standard_normal(x_data.shape).astype(dtype)
+        if channels_last:
+            g = np.ascontiguousarray(g.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2)
         expect = bn_train_oracle(x_data, st.gamma.data, st.beta.data, st.eps, g)
         x = Tensor(x_data, requires_grad=True)
         out = batchnorm(x, st, training=True)
@@ -145,6 +148,9 @@ class TestBitExact:
 
     def test_train_forward_and_backward(self, rng, dtype):
         self.check_train(rng, dtype, (rng.standard_normal((8, 6, 16, 16)) * 3 + 1).astype(dtype))
+
+    def test_train_with_a_channels_last_gradient(self, rng, dtype):
+        self.check_train(rng, dtype, (rng.standard_normal((16, 32, 8, 8)) * 3 + 1).astype(dtype), channels_last=True)
 
     def test_train_at_a_count_not_a_power_of_two(self, rng, dtype):
         # 5 * 7 * 3 = 105 values per channel: the variance's division by the count rounds

@@ -105,8 +105,8 @@ class TestPoolEdges:
         monkeypatch.setattr(parallel, "run", spy_run)
         monkeypatch.setattr(parallel, "_started", spy_started)
         results = []
-        caller = threading.Thread(target=lambda: results.extend(
-            model_module._map_chunks(multi_chunk_conv, [0, 0])))
+        caller = threading.Thread(target=lambda: results.extend(  # daemon: a deadlock fails the test, not the run
+            model_module._map_chunks(multi_chunk_conv, [0, 0])), daemon=True)
         caller.start()
         caller.join(timeout=60)
         assert not caller.is_alive()
@@ -214,6 +214,24 @@ class TestSameBitsAtOneAndTwoWorkers:
             workers(monkeypatch, n)
             out[n] = nano_steps(batch, steps)[1]
         assert len(out[2]) == steps * (3 + 65 + 2 * len(build("Nano").bn_states()))
+        for a, b in zip(out[1], out[2]):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+
+    @pytest.mark.parametrize("channels", [2, 3, 5])
+    @pytest.mark.parametrize("layout", ["c-order", "channels-last"])
+    def test_train_batchnorm_at_few_channels_and_a_strided_gradient(self, monkeypatch, channels, layout):
+        # a one-channel range would sum in another order, and so would a split of a strided gradient
+        rng = np.random.default_rng(channels)
+        x = (rng.standard_normal((16, channels, 12, 12)) * 3 + 1).astype(np.float32)
+        g = rng.standard_normal(x.shape).astype(np.float32)
+        if layout == "channels-last":  # the memory order of the attention's embedding gradients
+            g = np.ascontiguousarray(g.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2)
+        out = {}
+        for n in (1, 2):
+            workers(monkeypatch, n)
+            state = ops.BatchNormState("bn", channels, dtype=np.float32)
+            y = ops.batchnorm(Tensor(x, requires_grad=True), state, training=True)
+            out[n] = [y.data, *y._node.backward(g), state.running_mean, state.running_var]
         for a, b in zip(out[1], out[2]):
             assert a.dtype == b.dtype and np.array_equal(a, b)
 
