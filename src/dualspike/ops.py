@@ -288,11 +288,12 @@ def _conv2d_offsets(x: Tensor, weight: Tensor, stride, padding, groups, ho, wo) 
         if not need_dx:
             return (None, dw)
         wt_off = [np.ascontiguousarray(wo_.swapaxes(1, 2)) for wo_ in w_off]  # [g, cg, og]
-        # dX: chunk by chunk over the forward's bounds. Each GEMM reads the
-        # chunk's columns of gt in place (BLAS takes the row stride, so no
-        # per-chunk copy of g); the offsets are added in order into the
-        # zeroed chunk of dX, each offset's window clipped to the input: per
-        # element, the sums of a zeroed padded buffer cropped afterwards.
+        # dX: chunk by chunk over the forward's bounds, group by group. Each
+        # GEMM reads the chunk's columns of gt in place (BLAS takes the row
+        # stride, so no per-chunk copy of g); the offsets are added in order
+        # into the zeroed chunk of dX, each offset's window clipped to the
+        # input: per element, the sums of a zeroed padded buffer cropped
+        # afterwards.
         dx = np.empty((n, c, h, w), dtype=wd.dtype)
 
         def inside(d, size, out_size):  # (output, input) slices of offset d's window that fall inside the input
@@ -305,15 +306,16 @@ def _conv2d_offsets(x: Tensor, weight: Tensor, stride, padding, groups, ho, wo) 
 
         def dx_chunk(b0, b1, dxs_buf):
             m = b1 - b0
-            dxs = dxs_buf[: c * m * l].reshape(groups, cg, m * l)
+            dxs = dxs_buf[: cg * m * l].reshape(cg, m * l)
             dxc = dx[b0:b1].transpose(1, 0, 2, 3)
             dxc.fill(0.0)
-            for wk_t, ((oi, ri), (oj, rj)) in zip(wt_off, clipped):
-                for gi in range(groups):
-                    np.matmul(wk_t[gi], gt[gi, :, b0 * l : b1 * l], out=dxs[gi])
-                dxc[:, :, ri, rj] += dxs.reshape(c, m, ho, wo)[:, :, oi, oj]
+            for gi in range(groups):
+                dxg = dxc[gi * cg : (gi + 1) * cg]
+                for wk_t, ((oi, ri), (oj, rj)) in zip(wt_off, clipped):
+                    np.matmul(wk_t[gi], gt[gi, :, b0 * l : b1 * l], out=dxs)
+                    dxg[:, :, ri, rj] += dxs.reshape(cg, m, ho, wo)[:, :, oi, oj]
 
-        parallel.over_chunks(bounds, dx_chunk, lambda: [np.empty(c * cols, dtype=wd.dtype)])
+        parallel.over_chunks(bounds, dx_chunk, lambda: [np.empty(cg * cols, dtype=wd.dtype)])
         return (dx, dw)
 
     return make_node(out, (x, weight), bw)
