@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import parallel
 from .config import TrainConfig
 from .data import Dataset, iter_batches
 from .layers import RunContext
@@ -41,19 +42,28 @@ class AdamW:
             p.grad[...] = 0.0
 
     def step(self):
+        """One update of every parameter. Each parameter's update is its own, so contiguous runs of
+        parameters with near-equal element counts go to the process's workers (`parallel.run`)."""
         self.t += 1
         c1 = 1.0 - self.beta1**self.t
         c2 = 1.0 - self.beta2**self.t
-        for p, m, v, decayed in zip(self.params, self._m, self._v, self._decay):
-            g = p.grad.astype(p.data.dtype, copy=False)
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * np.square(g)
-            update = (m / c1) / (np.sqrt(v / c2) + self.eps)
-            if decayed and self.weight_decay:
-                update = update + self.weight_decay * p.data
-            p.data -= self.lr * update
+
+        def update(indices):
+            for i in indices:
+                p, m, v = self.params[i], self._m[i], self._v[i]
+                g = p.grad.astype(p.data.dtype, copy=False)
+                m *= self.beta1
+                m += (1.0 - self.beta1) * g
+                v *= self.beta2
+                v += (1.0 - self.beta2) * np.square(g)
+                update = (m / c1) / (np.sqrt(v / c2) + self.eps)
+                if self._decay[i] and self.weight_decay:
+                    update = update + self.weight_decay * p.data
+                p.data -= self.lr * update
+
+        ends, runs = np.cumsum([p.data.size for p in self.params]), parallel.width()
+        bounds = [0, *np.searchsorted(ends, ends[-1] * np.arange(1, runs) / runs).tolist(), len(self.params)]
+        parallel.run(update, [range(lo, hi) for lo, hi in zip(bounds, bounds[1:])])
 
 
 def cosine_lr(step: int, total_steps: int, base: float, minimum: float) -> float:
