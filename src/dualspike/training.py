@@ -43,27 +43,31 @@ class AdamW:
 
     def step(self):
         """One update of every parameter. Each parameter's update is its own, so contiguous runs of
-        parameters with near-equal element counts go to the process's workers (`parallel.run`)."""
+        parameters with near-equal element counts go to the process's workers (`parallel`). The
+        temporaries live in two scratch buffers per run, made in the calling thread; every product
+        and sum is the one the plain expressions compute, so the bits are the same."""
         self.t += 1
         c1 = 1.0 - self.beta1**self.t
         c2 = 1.0 - self.beta2**self.t
 
-        def update(indices):
-            for i in indices:
-                p, m, v = self.params[i], self._m[i], self._v[i]
+        def update(lo, hi, scratch_a, scratch_b):
+            for p, m, v, decayed in zip(self.params[lo:hi], self._m[lo:hi], self._v[lo:hi], self._decay[lo:hi]):
                 g = p.grad.astype(p.data.dtype, copy=False)
+                a, b = (buf[: g.nbytes].view(g.dtype).reshape(g.shape) for buf in (scratch_a, scratch_b))
                 m *= self.beta1
-                m += (1.0 - self.beta1) * g
+                m += np.multiply(g, 1.0 - self.beta1, out=a)
                 v *= self.beta2
-                v += (1.0 - self.beta2) * np.square(g)
-                update = (m / c1) / (np.sqrt(v / c2) + self.eps)
-                if self._decay[i] and self.weight_decay:
-                    update = update + self.weight_decay * p.data
-                p.data -= self.lr * update
+                v += np.multiply(np.square(g, out=a), 1.0 - self.beta2, out=a)
+                np.add(np.sqrt(np.divide(v, c2, out=b), out=b), self.eps, out=b)
+                update = np.divide(np.divide(m, c1, out=a), b, out=a)  # (m / c1) / (sqrt(v / c2) + eps)
+                if decayed and self.weight_decay:
+                    update += np.multiply(p.data, self.weight_decay, out=b)
+                p.data -= np.multiply(update, self.lr, out=a)
 
         ends, runs = np.cumsum([p.data.size for p in self.params]), parallel.width()
         bounds = [0, *np.searchsorted(ends, ends[-1] * np.arange(1, runs) / runs).tolist(), len(self.params)]
-        parallel.run(update, [range(lo, hi) for lo, hi in zip(bounds, bounds[1:])])
+        nbytes = max(p.data.nbytes for p in self.params)
+        parallel.over_chunks(bounds, update, lambda: [np.empty(nbytes, dtype=np.uint8) for _ in range(2)])
 
 
 def cosine_lr(step: int, total_steps: int, base: float, minimum: float) -> float:
