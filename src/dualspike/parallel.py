@@ -1,11 +1,12 @@
 """The process's parallelism: one worker thread per usable core, each pinned to its core.
 
 The ops that dominate a train step (`ops.conv2d`, train-mode `ops.batchnorm`,
-`neuron.sn_forward`) and `model._map_chunks` split their work over these
-workers through `run`. An op splits only along an axis whose pieces are
-computed independently (image chunks, channel ranges, neuron blocks,
-weight-gradient rows or columns, groups or kernel offsets), never along a
-sum, so each output holds the bits the op gives in one thread. The pieces
+`neuron.sn_forward`), the AdamW update and `model._map_chunks` split their
+work over these workers through `run`. An op splits only along an axis whose
+pieces are computed independently (image chunks, channel ranges, neuron
+blocks, weight-gradient rows or columns, groups, kernel offsets or
+parameters), never along a sum, so each output holds the bits the op gives
+in one thread. The pieces
 write into slices of arrays the calling thread allocated: glibc gives each
 thread its own arena, and large arrays allocated in the workers raised the
 train benchmark's peak RSS from about 508 to 582 MB on a 2-core x86-64
