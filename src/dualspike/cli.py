@@ -315,7 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="Monte Carlo draws per case (at least 16)")
     p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--jobs", type=_checked(check_jobs), default=1,
-                   help="worker processes for the Monte Carlo suites (1-16)")
+                   help="most seed streams a Monte Carlo draw runs at once, on the worker threads (1-16)")
     p.add_argument("--fx", type=_checked(check_rate, float), help="override the firing-rate grid, in (0, 1) (theorem1)")
     p.add_argument("--m", type=_checked(check_fan_in), help="override the fan-in grid, at least 1 (theorem1)")
     p.add_argument("--out", help="JSONL case records")

@@ -1,31 +1,34 @@
 """The process's parallelism: one worker thread per usable core, each pinned to its core.
 
 The ops that dominate a train step (`ops.conv2d`, train-mode `ops.batchnorm`,
-`neuron.sn_forward`), the AdamW update and `model._map_chunks` split their
-work over these workers through `run`. An op splits only along an axis whose
-pieces are computed independently (image chunks, channel ranges, neuron
-blocks, weight-gradient rows or columns, groups, kernel offsets or
-parameters), never along a sum, so each output holds the bits the op gives
-in one thread. The pieces
-write into slices of arrays the calling thread allocated: glibc gives each
-thread its own arena, and large arrays allocated in the workers raised the
-train benchmark's peak RSS from about 508 to 582 MB on a 2-core x86-64
+`neuron.sn_forward`), the AdamW update, `model._map_chunks` and the Monte
+Carlo seed streams of `verification` split their work over these workers
+through `run`. An op splits only along an axis whose pieces are computed
+independently (image chunks, channel ranges, neuron blocks, weight-gradient
+rows or columns, groups, kernel offsets, parameters or seed streams), never
+along a sum, so each output holds the bits the op gives in one thread. The
+pieces write into slices of arrays the calling thread allocated: glibc gives
+each thread its own arena, and large arrays allocated in the workers raised
+the train benchmark's peak RSS from about 508 to 582 MB on a 2-core x86-64
 machine.
 
 Each worker pins itself to one core (`os.sched_setaffinity` on its own
 thread). Where the scheduler does not rebalance threads between CPUs, two
 unpinned threads can share one CPU for the life of the process. The first
-time the pool starts, it sets NumPy's bundled OpenBLAS to one thread for the
-rest of the process, as `tensor._keep_freed_memory` sets the allocator: a
-second OpenBLAS thread busy-waits on the other core between calls, and
-pinning it only around each pooled call left that spinning in place.
+`width()` that returns 2 or more sets NumPy's bundled OpenBLAS to one thread
+for the rest of the process, as `tensor._keep_freed_memory` sets the
+allocator: a second OpenBLAS thread busy-waits on the other core between
+calls, and pinning it only around each pooled call left that spinning in
+place. Setting it before any op has split keeps an op's bits independent of
+whether the pool has started yet: a float64 `_conv2d_cols` GEMM rounds
+differently at two OpenBLAS threads and at one.
 
 An op runs in its calling thread where the work is one piece, inside a
 worker (a pooled op called from a `_map_chunks` forward, so no worker waits
 on the pool), with one usable core, where OpenBLAS's thread count cannot be
 set (threads that each drive a multi-threaded BLAS were slower than one
 thread), and in a forked child, which drops the pool: its workers do not
-exist there, and `verify --jobs` forks after an audit has started it.
+exist there, and Python 3.11's `multiprocessing` forks by default.
 """
 
 from __future__ import annotations
@@ -80,7 +83,14 @@ def width() -> int:
     cores = _usable_cores()
     if cores < 2 or _openblas_threads() is None:
         return 1
+    _blas_at_one_thread()
     return cores
+
+
+@functools.cache
+def _blas_at_one_thread():
+    """Set NumPy's bundled OpenBLAS to one thread for the rest of the process, on the first call only."""
+    _openblas_threads()[1](1)
 
 
 def run(fn, items) -> list:
@@ -120,11 +130,10 @@ def over_chunks(bounds, body, buffers=tuple):
 
 
 def _started():
-    """The task queue of the running pool; the first call starts it and sets OpenBLAS to one thread."""
+    """The task queue of the running pool; the first call starts it."""
     global _pool
     with _start_lock:
         if _pool is None:
-            _openblas_threads()[1](1)
             tasks = queue.SimpleQueue()
             cores = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else [None]
             for i in range(_usable_cores()):

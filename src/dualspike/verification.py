@@ -11,29 +11,28 @@ Deterministic checks cover the token-mapping equivalence between stride-p
 convolution and a single matrix product, and finite-difference agreement of
 the backward pass through a full attention + feed-forward block.
 
-Every sampler decomposes its draw budget into a fixed number of seed streams,
-so results are bit-identical for any worker count. A sampler maps its streams
-over the executor it is given, or runs them inline when given none; it never
-starts a pool itself. `run_suites` is the one place that does: a `verify` call
-at `jobs` > 1 starts at most one process pool, on its first Monte Carlo draw
-(so `conv-equiv` and `gradcheck` alone start none), and shuts it down when the
-call returns or raises. The scaled `sdsa` rows rescale the draws of the
-unscaled rows instead of drawing them again. Cases that share a seed and a
-shape always drew the same numbers, so they read one draw: `theorem1` draws
-once per fan-in for all its rates and both product forms, and the two
-`output` cases of `scaling` share one. On a 2-core machine the five suites at
-default samples take about 1.5 s at `jobs` 1 and 1.35 s at `jobs` 2.
+Every sampler decomposes its draw budget into a fixed number of seed streams
+and collects them in stream order, so results are bit-identical for any
+`jobs`. A sampler hands its streams to the process's worker threads
+(`parallel.run`) in `jobs` contiguous runs, so at most `jobs` run at once; at
+`jobs` 1 they run in the calling thread. No process is started. The scaled
+`sdsa` rows rescale the draws of the unscaled rows instead of drawing them
+again. Cases that share a seed and a shape always drew the same numbers, so
+they read one draw: `theorem1` draws once per fan-in for all its rates and
+both product forms, and the two `output` cases of `scaling` share one. On a
+2-core x86-64 machine the five suites at default samples take about 1.24 s at
+`jobs` 1 and 1.0 s at `jobs` 2.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ProcessPoolExecutor  # noqa: F401 - unused here; only perfbench's tracer reads this name
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import ops
+from . import ops, parallel
 from .attention import dst_scale, sdsa_scale
 from .config import REGISTRY, StageSpec
 from .layers import RunContext
@@ -82,7 +81,7 @@ class MCReport:
 
 
 def check_jobs(jobs: int) -> int:
-    """Return `jobs` if it lies in 1.._N_STREAMS; more workers than seed streams would sit idle."""
+    """Return `jobs` if it lies in 1.._N_STREAMS; more runs than seed streams would be empty."""
     if not 1 <= jobs <= _N_STREAMS:
         raise ContractError(f"jobs must lie in 1..{_N_STREAMS}, got {jobs}")
     return jobs
@@ -109,41 +108,24 @@ def check_samples(samples: int) -> int:
     return samples
 
 
-def _run_chunk(task):
-    chunk, seed_seq, draws, args = task
-    return chunk(np.random.default_rng(seed_seq), draws, *args)
-
-
-class _SuitePool:
-    """The process pool of one `run_suites` call, started on its first `map`."""
-
-    def __init__(self, jobs: int):
-        self.jobs = jobs
-        self._executor = None
-
-    def map(self, fn, tasks):
-        if self._executor is None:
-            self._executor = ProcessPoolExecutor(max_workers=self.jobs)
-        return self._executor.map(fn, tasks)
-
-    def shutdown(self):
-        if self._executor is not None:
-            self._executor.shutdown()
-
-
-def _mc_moments(chunk, args, *, draws, seed, pool, predicted) -> list[MCReport]:
+def _mc_moments(chunk, args, *, draws, seed, jobs, predicted) -> list[MCReport]:
     """Run chunk(rng, draws, *args) on each seed stream and pool each of its readings' moments.
 
     The chunk returns one (entries, per-draw means) pair per reading, and
     `predicted` holds one (mean, variance, variance rtol) per reading. The
-    draw budget is split over _N_STREAMS fixed seed streams, mapped over
-    `pool` (anything with an executor's `map`; None runs them inline) and
-    collected in stream order, so the reports are the same for every pool size.
+    draw budget is split over _N_STREAMS fixed seed streams, which run on
+    `parallel.run` in `jobs` contiguous runs and are collected in stream
+    order, so the reports are the same for every `jobs`.
     """
     seeds = np.random.SeedSequence(seed).spawn(_N_STREAMS)
-    bounds = ops.split_bounds(draws, _N_STREAMS)
-    tasks = [(chunk, s, hi - lo, args) for s, lo, hi in zip(seeds, bounds, bounds[1:])]
-    chunks = list((map if pool is None else pool.map)(_run_chunk, tasks))
+    bounds = parallel.split_bounds(draws, _N_STREAMS)
+    streams = [(s, hi - lo) for s, lo, hi in zip(seeds, bounds, bounds[1:])]
+    runs = parallel.split_bounds(_N_STREAMS, jobs)
+
+    def stream_run(k):
+        return [chunk(np.random.default_rng(s), n, *args) for s, n in streams[runs[k] : runs[k + 1]]]
+
+    chunks = [c for part in parallel.run(stream_run, range(jobs)) for c in part]
     reports = []
     for i, (predicted_mean, predicted_var, rtol) in enumerate(predicted):
         entries = np.concatenate([c[i][0] for c in chunks])
@@ -182,7 +164,7 @@ def _dst_chunk(rng, draws, m, readings):
     return out
 
 
-def _dst_mc(m, readings, *, samples, seed, pool) -> list[MCReport]:
+def _dst_mc(m, readings, *, samples, seed, jobs=1) -> list[MCReport]:
     """One report per (rate, transposed, scale, predicted variance, rtol) reading of one draw at fan-in m.
 
     The predicted mean is 0: the moment law reads (f_x, transposed, 1, f_x * m,
@@ -194,7 +176,7 @@ def _dst_mc(m, readings, *, samples, seed, pool) -> list[MCReport]:
     check_samples(samples)
     return _mc_moments(
         _dst_chunk, (m, readings), draws=max(_N_STREAMS, math.ceil(samples / (_Q * _Q))),
-        seed=seed, pool=pool, predicted=[(0.0, var, rtol) for *_, var, rtol in readings],
+        seed=seed, jobs=jobs, predicted=[(0.0, var, rtol) for *_, var, rtol in readings],
     )
 
 
@@ -205,7 +187,7 @@ def _sdsa_chunk(rng, draws, f_q, f_k, hw):
     return [(cur, cur)]
 
 
-def sdsa_moments_mc(f_q: float, f_k: float, hw: int, samples: int = 100_000, seed: int = 0, pool=None) -> MCReport:
+def sdsa_moments_mc(f_q: float, f_k: float, hw: int, samples: int = 100_000, seed: int = 0, jobs: int = 1) -> MCReport:
     """Spike-product attention current: mean HW*fq*fk, variance HW*fq*fk*(1-fq*fk)."""
     check_rate(f_q)
     check_rate(f_k)
@@ -213,7 +195,7 @@ def sdsa_moments_mc(f_q: float, f_k: float, hw: int, samples: int = 100_000, see
     prod = f_q * f_k
     return _mc_moments(
         _sdsa_chunk, (f_q, f_k, hw), draws=samples,
-        seed=seed, pool=pool, predicted=[(prod * hw, hw * prod * (1.0 - prod), 0.05)],
+        seed=seed, jobs=jobs, predicted=[(prod * hw, hw * prod * (1.0 - prod), 0.05)],
     )[0]
 
 
@@ -379,14 +361,14 @@ def _case(suite: str, case: dict, report_dict: dict, passed: bool) -> dict:
     return {"record": "case", "suite": suite, "case": case, **report_dict, "passed": bool(passed)}
 
 
-def suite_theorem1(samples: int = 100_000, seed: int = 0, pool=None, fx=None, m=None):
+def suite_theorem1(samples: int = 100_000, seed: int = 0, jobs: int = 1, fx=None, m=None):
     fx_grid = [fx] if fx is not None else [0.1, 0.3, 0.5]
     m_grid = [m] if m is not None else [64, 256]
     forms = [(f, transposed) for f in fx_grid for transposed in (False, True)]
     reports = {}
     for mm in m_grid:  # every rate and form of one fan-in reads one draw
         readings = [(f, transposed, 1.0, f * mm, 0.05) for f, transposed in forms]
-        reps = _dst_mc(mm, readings, samples=samples, seed=seed, pool=pool)
+        reps = _dst_mc(mm, readings, samples=samples, seed=seed, jobs=jobs)
         reports.update({(f, mm, transposed): rep for (f, transposed), rep in zip(forms, reps)})
     rows = []
     for f in fx_grid:
@@ -397,17 +379,17 @@ def suite_theorem1(samples: int = 100_000, seed: int = 0, pool=None, fx=None, m=
     return rows
 
 
-def suite_scaling(samples: int = 100_000, seed: int = 0, pool=None):
+def suite_scaling(samples: int = 100_000, seed: int = 0, jobs: int = 1):
     rows = []
     for rate, d in ((0.15, 64), (0.3, 256)):
         scale = dst_scale(rate, d)
-        (rep,) = _dst_mc(d, [(rate, False, scale, 1.0, 0.1)], samples=samples, seed=seed, pool=pool)
+        (rep,) = _dst_mc(d, [(rate, False, scale, 1.0, 0.1)], samples=samples, seed=seed, jobs=jobs)
         rows.append(_case("scaling", {"role": "attn_map", "rate": rate, "fan_in": d,
                                       "scale": scale}, rep.as_dict(), rep.variance_ok))
     outputs = ((0.1, 784, 2), (0.25, 3136, 4))
     (fan,) = {hw // (p * p) for _, hw, p in outputs}  # both reduce to 196 tokens, so they read one draw
     readings = [(rate, False, dst_scale(rate, fan), 1.0, 0.1) for rate, _, _ in outputs]
-    reps = _dst_mc(fan, readings, samples=samples, seed=seed + 1, pool=pool)
+    reps = _dst_mc(fan, readings, samples=samples, seed=seed + 1, jobs=jobs)
     for (rate, hw, p), (_, _, scale, _, _), rep in zip(outputs, readings, reps):
         rows.append(_case("scaling", {"role": "output", "rate": rate, "hw": hw, "p": p,
                                       "scale": scale}, rep.as_dict(), rep.variance_ok))
@@ -435,10 +417,10 @@ def suite_conv_equiv(seed: int = 0):
     return rows
 
 
-def suite_sdsa(samples: int = 100_000, seed: int = 0, pool=None):
+def suite_sdsa(samples: int = 100_000, seed: int = 0, jobs: int = 1):
     rows = []
     for f_q, f_k, hw in ((0.5, 0.5, 64), (0.2, 0.4, 196)):
-        rep = sdsa_moments_mc(f_q, f_k, hw, samples=samples, seed=seed, pool=pool)
+        rep = sdsa_moments_mc(f_q, f_k, hw, samples=samples, seed=seed, jobs=jobs)
         rows.append(_case("sdsa", {"f_q": f_q, "f_k": f_k, "hw": hw, "scaled": False}, rep.as_dict(), rep.passed))
         srep = sdsa_scaled_variance(rep, f_q, f_k, hw)
         rows.append(_case("sdsa", {"f_q": f_q, "f_k": f_k, "hw": hw, "scaled": True,
@@ -454,9 +436,9 @@ def suite_gradcheck(seed: int = 0, coords: int = 120):
 
 SUITES = {
     "theorem1": suite_theorem1,
-    "scaling": lambda samples, seed, pool, **_: suite_scaling(samples=samples, seed=seed, pool=pool),
+    "scaling": lambda samples, seed, jobs, **_: suite_scaling(samples=samples, seed=seed, jobs=jobs),
     "conv-equiv": lambda seed, **_: suite_conv_equiv(seed=seed),
-    "sdsa": lambda samples, seed, pool, **_: suite_sdsa(samples=samples, seed=seed, pool=pool),
+    "sdsa": lambda samples, seed, jobs, **_: suite_sdsa(samples=samples, seed=seed, jobs=jobs),
     "gradcheck": lambda seed, **_: suite_gradcheck(seed=seed),
 }
 
@@ -464,16 +446,11 @@ SUITES = {
 def run_suites(names, samples: int = 100_000, seed: int = 0, jobs: int = 1, fx=None, m=None):
     """Rows of the named suites in order; `fx` and `m` reach only theorem1.
 
-    At `jobs` > 1 the suites share one process pool of `jobs` workers, started
-    on the first Monte Carlo draw and shut down when this call returns or raises.
+    Each Monte Carlo draw runs at most `jobs` of its seed streams at once, on
+    the process's worker threads; the rows are the same at every `jobs`.
     """
     check_jobs(jobs)
     for name in names:
         if name not in SUITES:
             raise ContractError(f"unknown verification suite {name!r}; have {sorted(SUITES)} or 'all'")
-    pool = _SuitePool(jobs) if jobs > 1 else None
-    try:
-        return [row for name in names for row in SUITES[name](samples=samples, seed=seed, pool=pool, fx=fx, m=m)]
-    finally:
-        if pool is not None:
-            pool.shutdown()
+    return [row for name in names for row in SUITES[name](samples=samples, seed=seed, jobs=jobs, fx=fx, m=m)]

@@ -1,9 +1,14 @@
+import json
+import os
+import subprocess
 import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import dualspike
 from dualspike import parallel, tensor
 from dualspike.layers import RunContext
 from dualspike.model import build
@@ -49,6 +54,17 @@ def assert_grads_close(build_loss, leaves, atol=1e-7, rtol=1e-5):
     fd = fd_grad(lambda: float(build_loss().item()), [l.data for l in leaves])
     for a, f, leaf in zip(an, fd, leaves):
         np.testing.assert_allclose(a, f, atol=atol, rtol=rtol, err_msg=f"gradient mismatch for leaf {leaf!r}")
+
+
+SRC = str(Path(dualspike.__file__).resolve().parents[1])
+
+
+def in_fresh_process(code):
+    """Run `code` in a new interpreter that imports this checkout's package; returns the JSON it prints."""
+    env = dict(os.environ, PYTHONPATH=SRC)
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout.splitlines()[-1])
 
 
 def workers(monkeypatch, n):

@@ -1,19 +1,13 @@
 """The process's worker pool (`dualspike.parallel`): its edges, and the bits of the pooled ops at 1 and 2 workers."""
 
-import json
 import multiprocessing
-import os
-import subprocess
-import sys
 import threading
 from concurrent.futures import ProcessPoolExecutor
-from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import workers
+from conftest import in_fresh_process, workers
 
-import dualspike
 from dualspike import model as model_module
 from dualspike import ops, parallel
 from dualspike.data import SyntheticSpec, generate_split
@@ -21,9 +15,6 @@ from dualspike.layers import RunContext
 from dualspike.model import build
 from dualspike.tensor import Tensor, backward, no_grad
 from dualspike.training import AdamW
-from dualspike.verification import run_suites
-
-SRC = str(Path(dualspike.__file__).resolve().parents[1])
 
 
 def multi_chunk_conv(seed=0):
@@ -37,14 +28,6 @@ def multi_chunk_conv(seed=0):
 
 
 CHUNKED = 2 * 16 * 12 * 12
-
-
-def in_fresh_process(code):
-    """Run `code` in a new interpreter that imports this checkout's package; returns the JSON it prints."""
-    env = dict(os.environ, PYTHONPATH=SRC)
-    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
-    assert done.returncode == 0, done.stderr
-    return json.loads(done.stdout.splitlines()[-1])
 
 
 class TestRun:
@@ -119,12 +102,11 @@ class TestPoolEdges:
             assert all(np.array_equal(a, b) for a, b in zip(got, want))
 
     def test_forked_process_pool_after_a_pooled_op(self, monkeypatch):
-        # `verify --jobs 2` forks after an audit started the pool: the children drop it
+        # Python 3.11's multiprocessing forks by default, so a process pool started after a pooled op
+        # forks a running pool: the children drop it
         workers(monkeypatch, 2)
         monkeypatch.setattr(ops, "CHUNK_ELEMENTS", CHUNKED)
         multi_chunk_conv()
-        names, samples = ["theorem1", "scaling", "gradcheck"], 4096
-        assert run_suites(names, samples=samples, jobs=2) == run_suites(names, samples=samples, jobs=1)
         with ProcessPoolExecutor(2, mp_context=multiprocessing.get_context("fork")) as pool:
             child = pool.submit(_pool_state).result(timeout=60)
         assert child == (None, 1)
@@ -207,19 +189,24 @@ def nano_steps(batch, steps):
 class TestSameBitsAtOneAndTwoWorkers:
     """Pooled ops split only along axes whose pieces are computed independently, so no output moves."""
 
+    @pytest.fixture
+    def width(self):
+        """The worker count whose outputs are compared with one worker's."""
+        return 2
+
     @pytest.mark.parametrize("batch, steps", [(5, 3), (16, 1)])
-    def test_train_steps(self, monkeypatch, batch, steps):
+    def test_train_steps(self, monkeypatch, width, batch, steps):
         out = {}
-        for n in (1, 2):
+        for n in (1, width):
             workers(monkeypatch, n)
             out[n] = nano_steps(batch, steps)[1]
-        assert len(out[2]) == steps * (3 + 65 + 2 * len(build("Nano").bn_states()))
-        for a, b in zip(out[1], out[2]):
+        assert len(out[width]) == steps * (3 + 65 + 2 * len(build("Nano").bn_states()))
+        for a, b in zip(out[1], out[width]):
             assert a.dtype == b.dtype and np.array_equal(a, b)
 
     @pytest.mark.parametrize("channels", [2, 3, 5])
     @pytest.mark.parametrize("layout", ["c-order", "channels-last"])
-    def test_train_batchnorm_at_few_channels_and_a_strided_gradient(self, monkeypatch, channels, layout):
+    def test_train_batchnorm_at_few_channels_and_a_strided_gradient(self, monkeypatch, width, channels, layout):
         # a one-channel range would sum in another order, and so would a split of a strided gradient
         rng = np.random.default_rng(channels)
         x = (rng.standard_normal((16, channels, 12, 12)) * 3 + 1).astype(np.float32)
@@ -227,22 +214,30 @@ class TestSameBitsAtOneAndTwoWorkers:
         if layout == "channels-last":  # the memory order of the attention's embedding gradients
             g = np.ascontiguousarray(g.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2)
         out = {}
-        for n in (1, 2):
+        for n in (1, width):
             workers(monkeypatch, n)
             state = ops.BatchNormState("bn", channels, dtype=np.float32)
             y = ops.batchnorm(Tensor(x, requires_grad=True), state, training=True)
             out[n] = [y.data, *y._node.backward(g), state.running_mean, state.running_var]
-        for a, b in zip(out[1], out[2]):
+        for a, b in zip(out[1], out[width]):
             assert a.dtype == b.dtype and np.array_equal(a, b)
 
-    def test_eval_logits_and_predict_classes(self, monkeypatch):
+    def test_eval_logits_and_predict_classes(self, monkeypatch, width):
         net = nano_steps(5, 1)[0]
         images = generate_split(SyntheticSpec(seed=0, noise=0.3), 65, "test").images
         out = {}
-        for n in (1, 2):
+        for n in (1, width):
             workers(monkeypatch, n)
             with no_grad():
                 logits = [net.forward(images[:b], RunContext(training=False)).data for b in (2, 5, 65)]
             out[n] = logits + [net.predict(images[:b]) for b in (2, 5, 65)]
-        for a, b in zip(out[1], out[2]):
+        for a, b in zip(out[1], out[width]):
             assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
+class TestSameBitsAtMoreWorkers(TestSameBitsAtOneAndTwoWorkers):
+    """The same bits at 3 and 4 workers, the widths of a runner with more cores."""
+
+    @pytest.fixture(params=[3, 4])
+    def width(self, request):
+        return request.param

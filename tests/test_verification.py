@@ -1,12 +1,14 @@
 """Monte Carlo moment checks, conv-token equivalence, gradient checking."""
 
 import json
-from concurrent.futures import ProcessPoolExecutor
+import os
+import threading
 
 import numpy as np
 import pytest
+from conftest import in_fresh_process, workers
 
-from dualspike import verification
+from dualspike import parallel, verification
 from dualspike.attention import dst_scale
 from dualspike.layers import Linear
 from dualspike.tensor import ContractError, ShapeError, Tensor, mul, tensor_mean as tmean
@@ -57,46 +59,45 @@ def post_scale(rate, fan_in):
 
 class TestMomentLaw:
     def test_standard_form(self):
-        (rep,) = _dst_mc(256, [law(0.3, 256)], samples=80_000, seed=0, pool=None)
+        (rep,) = _dst_mc(256, [law(0.3, 256)], samples=80_000, seed=0)
         assert rep.predicted_mean == 0.0
         assert rep.predicted_variance == pytest.approx(76.8)
         assert rep.passed, rep.as_dict()
 
     def test_transposed_form(self):
-        (rep,) = _dst_mc(256, [law(0.3, 256, transposed=True)], samples=80_000, seed=1, pool=None)
+        (rep,) = _dst_mc(256, [law(0.3, 256, transposed=True)], samples=80_000, seed=1)
         assert rep.passed, rep.as_dict()
 
     def test_degenerate_rate_rejected(self):
         for bad in (0.0, 1.0, -0.2):
             with pytest.raises(ContractError):
-                _dst_mc(64, [law(bad, 64)], samples=100_000, seed=0, pool=None)
+                _dst_mc(64, [law(bad, 64)], samples=100_000, seed=0)
 
     def test_bad_plan_rejected(self):
         with pytest.raises(ContractError):
-            _dst_mc(64, [law(0.5, 64)], samples=4, seed=0, pool=None)
+            _dst_mc(64, [law(0.5, 64)], samples=4, seed=0)
 
     def test_jobs_do_not_change_results(self):
-        (a,) = _dst_mc(64, [law(0.2, 64)], samples=40_000, seed=3, pool=None)
-        with ProcessPoolExecutor(max_workers=4) as pool:
-            (b,) = _dst_mc(64, [law(0.2, 64)], samples=40_000, seed=3, pool=pool)
+        (a,) = _dst_mc(64, [law(0.2, 64)], samples=40_000, seed=3, jobs=1)
+        (b,) = _dst_mc(64, [law(0.2, 64)], samples=40_000, seed=3, jobs=4)
         assert (a.mean, a.variance, a.mean_stderr) == (b.mean, b.variance, b.mean_stderr)
 
     def test_seed_changes_samples(self):
-        (a,) = _dst_mc(64, [law(0.2, 64)], samples=40_000, seed=3, pool=None)
-        (b,) = _dst_mc(64, [law(0.2, 64)], samples=40_000, seed=4, pool=None)
+        (a,) = _dst_mc(64, [law(0.2, 64)], samples=40_000, seed=3)
+        (b,) = _dst_mc(64, [law(0.2, 64)], samples=40_000, seed=4)
         assert a.mean != b.mean
 
 
 class TestJobsContract:
     @pytest.fixture
-    def no_pool(self, monkeypatch):
+    def no_streams(self, monkeypatch):
         def refuse(*args, **kwargs):
-            raise AssertionError("a process pool was started")
+            raise AssertionError("seed streams were run")
 
-        monkeypatch.setattr(verification, "ProcessPoolExecutor", refuse)
+        monkeypatch.setattr(parallel, "run", refuse)
 
     @pytest.mark.parametrize("jobs", [0, -1, 17])
-    def test_out_of_range_rejected_before_any_pool(self, no_pool, jobs):
+    def test_out_of_range_rejected_before_any_pool(self, no_streams, jobs):
         for suite in ("theorem1", "scaling", "sdsa"):
             with pytest.raises(ContractError, match="jobs"):
                 run_suites([suite], samples=1_000, jobs=jobs)
@@ -110,8 +111,8 @@ class TestSamplesContract:
     @pytest.mark.parametrize("samples", [0, 15])
     def test_too_few_rejected(self, samples):
         for sample in (
-            lambda: _dst_mc(64, [law(0.2, 64)], samples=samples, seed=0, pool=None),
-            lambda: _dst_mc(64, [post_scale(0.2, 64)], samples=samples, seed=0, pool=None),
+            lambda: _dst_mc(64, [law(0.2, 64)], samples=samples, seed=0),
+            lambda: _dst_mc(64, [post_scale(0.2, 64)], samples=samples, seed=0),
             lambda: sdsa_moments_mc(0.2, 0.4, 49, samples=samples),
         ):
             with pytest.raises(ContractError, match="bad sampling plan"):
@@ -119,20 +120,20 @@ class TestSamplesContract:
 
     def test_floor_accepted(self):
         assert verification.check_samples(16) == 16
-        assert _dst_mc(64, [post_scale(0.2, 64)], samples=16, seed=0, pool=None)[0].samples >= 16
+        assert _dst_mc(64, [post_scale(0.2, 64)], samples=16, seed=0)[0].samples >= 16
         assert sdsa_moments_mc(0.2, 0.4, 49, samples=16).samples == 16
 
 
 class TestScaledVariance:
     def test_attention_scale_normalizes(self):
-        (rep,) = _dst_mc(128, [post_scale(0.25, 128)], samples=80_000, seed=0, pool=None)
+        (rep,) = _dst_mc(128, [post_scale(0.25, 128)], samples=80_000, seed=0)
         assert rep.predicted_variance == 1.0
         assert 0.9 <= rep.variance <= 1.1
         assert rep.passed
 
     def test_rate_contract(self):
         with pytest.raises(ContractError, match="non-degenerate"):
-            _dst_mc(128, [(1.0, False, 1.0, 1.0, 0.1)], samples=100_000, seed=0, pool=None)
+            _dst_mc(128, [(1.0, False, 1.0, 1.0, 0.1)], samples=100_000, seed=0)
 
     @pytest.mark.parametrize("verdict", [False, True])
     def test_scaled_rows_pass_on_variance_ok(self, monkeypatch, verdict):
@@ -158,8 +159,7 @@ class TestSpikeProductAttention:
 
     def test_jobs_deterministic(self):
         a = sdsa_moments_mc(0.3, 0.6, 49, samples=30_000, seed=5)
-        with ProcessPoolExecutor(max_workers=2) as pool:
-            b = sdsa_moments_mc(0.3, 0.6, 49, samples=30_000, seed=5, pool=pool)
+        b = sdsa_moments_mc(0.3, 0.6, 49, samples=30_000, seed=5, jobs=2)
         assert (a.mean, a.variance) == (b.mean, b.variance)
 
     def test_rate_contract(self):
@@ -285,48 +285,44 @@ class TestSuiteRunner:
 class TestSuitePool:
     SAMPLES = 3_200
 
-    @pytest.fixture
-    def pools(self, monkeypatch):
-        """Every process pool `verification` starts, with the number of times each was shut down."""
-        started = []
-
-        class Counting(ProcessPoolExecutor):
-            def __init__(self, *args, **kwargs):
-                super().__init__(*args, **kwargs)
-                self.shutdowns = 0
-                started.append(self)
-
-            def shutdown(self, *args, **kwargs):
-                self.shutdowns += 1
-                super().shutdown(*args, **kwargs)
-
-        monkeypatch.setattr(verification, "ProcessPoolExecutor", Counting)
-        return started
-
     def test_rows_equal_across_jobs(self):
         one = run_suites(sorted(SUITES), samples=self.SAMPLES, seed=0, jobs=1)
         two = run_suites(sorted(SUITES), samples=self.SAMPLES, seed=0, jobs=2)
         assert one == two
         assert repr(one) == repr(two)  # same Python scalar types, not only equal values
 
-    def test_one_pool_per_call(self, pools):
-        run_suites(["theorem1", "scaling", "sdsa"], samples=self.SAMPLES, jobs=2)
-        assert [p.shutdowns for p in pools] == [1]
-        assert pools[0]._max_workers == 2
+    @pytest.mark.parametrize("order", [(1, 2, 16), (16, 2, 1)])
+    def test_rows_equal_across_jobs_in_a_fresh_process(self, order):
+        # the first call meets OpenBLAS at its default thread count, before any op has split
+        digests = in_fresh_process(_ROWS_AT_JOBS.format(order=order, samples=self.SAMPLES))
+        assert len(digests) == 3 and len(set(digests)) == 1
 
-    @pytest.mark.parametrize("names, jobs", [(["theorem1", "scaling", "sdsa"], 1), (["conv-equiv", "gradcheck"], 2)])
-    def test_no_pool_without_parallel_draws(self, pools, names, jobs):
-        run_suites(names, samples=self.SAMPLES, jobs=jobs)
-        assert pools == []
+    def test_starts_no_process(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a process was forked")
 
-    def test_pool_shut_down_on_exception(self, pools, monkeypatch):
-        def broken(*args):
-            raise RuntimeError("scaled report broke")
+        monkeypatch.setattr(os, "fork", refuse)
+        rows = run_suites(sorted(SUITES), samples=self.SAMPLES, jobs=2)
+        assert len(rows) == 35
 
-        monkeypatch.setattr(verification, "sdsa_scaled_variance", broken)
-        with pytest.raises(RuntimeError, match="scaled report broke"):
-            run_suites(["sdsa"], samples=self.SAMPLES, jobs=2)
-        assert [p.shutdowns for p in pools] == [1]
+    def test_streams_run_on_the_pool_threads(self, monkeypatch):
+        """At jobs 2 on two workers, the two runs of eight streams run at once, each on its own worker."""
+        workers(monkeypatch, 2)
+        (want,) = _dst_mc(64, [law(0.2, 64)], samples=self.SAMPLES, seed=0, jobs=1)
+        chunk = verification._dst_chunk
+        both = threading.Barrier(2)  # each stream waits for a stream of the other run
+        threads = []
+
+        def counting(*args):
+            both.wait(30)
+            threads.append((threading.get_ident(), getattr(parallel._local, "worker", False)))
+            return chunk(*args)
+
+        monkeypatch.setattr(verification, "_dst_chunk", counting)
+        (rep,) = _dst_mc(64, [law(0.2, 64)], samples=self.SAMPLES, seed=0, jobs=2)
+        assert len(threads) == 16 and all(worker for _, worker in threads)
+        assert len({ident for ident, _ in threads}) == 2
+        assert rep == want
 
     def test_scaled_sdsa_rows_reuse_the_unscaled_draws(self, monkeypatch):
         chunk = verification._sdsa_chunk
@@ -346,6 +342,16 @@ class TestSuitePool:
             scale = scaled["case"]["scale"]
             assert scaled["samples"] == raw["samples"]
             assert scaled["variance"] == raw["variance"] * scale * scale
+
+
+# in a fresh process: a SHA-256 digest of the rows of every suite at each `jobs` of `order`, in that order
+_ROWS_AT_JOBS = """
+import hashlib, json
+from dualspike.verification import SUITES, run_suites
+digests = [hashlib.sha256(repr(run_suites(sorted(SUITES), samples={samples}, jobs=j)).encode()).hexdigest()
+           for j in {order}]
+print(json.dumps(digests))
+"""
 
 
 # Reference oracle: the per-case samplers as they were before cases shared a draw. Each case drew its
@@ -435,9 +441,9 @@ class TestSharedDraws:
         assert repr(rows) == repr(oracle)
 
     def test_single_reading_samplers_equal_oracle(self):
-        assert _dst_mc(64, [law(0.3, 64, transposed=True)], samples=self.SAMPLES, seed=2, pool=None) == [_oracle_report(
+        assert _dst_mc(64, [law(0.3, 64, transposed=True)], samples=self.SAMPLES, seed=2) == [_oracle_report(
             _oracle_dst_chunk, (0.3, 64, 4, 4, True), self.SAMPLES, 2, 0.3 * 64, 0.05)]
-        assert _dst_mc(96, [post_scale(0.2, 96)], samples=self.SAMPLES, seed=2, pool=None) == [_oracle_report(
+        assert _dst_mc(96, [post_scale(0.2, 96)], samples=self.SAMPLES, seed=2) == [_oracle_report(
             _oracle_scaled_chunk, (0.2, 96, 4, 4, dst_scale(0.2, 96)), self.SAMPLES, 2, 1.0, 0.1)]
 
     @pytest.mark.parametrize("suite, passes", [("theorem1", 2), ("scaling", 3)])
@@ -462,7 +468,6 @@ class TestSharedDraws:
             run_suites(["theorem1"], samples=self.SAMPLES, m=0)
         for bad in (0.0, 1.0, float("nan")):
             with pytest.raises(ContractError, match="non-degenerate"):
-                _dst_mc(64, [law(0.3, 64), law(bad, 64, transposed=True)], samples=self.SAMPLES, seed=0, pool=None)
+                _dst_mc(64, [law(0.3, 64), law(bad, 64, transposed=True)], samples=self.SAMPLES, seed=0)
             with pytest.raises(ContractError, match="non-degenerate"):
-                _dst_mc(196, [post_scale(0.2, 196), (bad, False, 1.0, 1.0, 0.1)], samples=self.SAMPLES, seed=0,
-                        pool=None)
+                _dst_mc(196, [post_scale(0.2, 196), (bad, False, 1.0, 1.0, 0.1)], samples=self.SAMPLES, seed=0)
