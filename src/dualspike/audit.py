@@ -26,8 +26,9 @@ count-only trace, and sums each layer's counts over the chunks; every count
 is a sum over images, and an eval-mode image's spikes do not depend on the
 other images of its forward. The float64 twin forwards its images whole
 (one-image chunks would land on another BLAS kernel), and its layers are
-replayed one per thread. Both fall back to the calling thread where a tracer
-has wrapped what they call, as `predict` does.
+replayed one per thread. Both hand their work to `DualSpikeNet.map_eval`,
+as `predict` does, so both stay in the calling thread while a tracer wraps
+`DualSpikeNet.forward` on the class.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .layers import RunContext
-from .model import _map_chunks, eval_chunks
+from .model import eval_chunks
 from .ops import conv_output_size, fold_bn
 from .tensor import ContractError, SpikeTensor, no_grad
 
@@ -329,7 +330,6 @@ def _check_dst(rec: LayerTrace) -> float:
 
 
 _CHECK_FNS = {"conv": _check_conv, "linear": _check_linear, "dst_t": _check_dst_t, "dst": _check_dst}
-_OWN_CHECK_FNS = dict(_CHECK_FNS)  # while an entry differs (a tracer's wrapper), the replay runs serially
 
 
 @dataclass
@@ -344,13 +344,12 @@ def verify_spike_driven(model, images, tolerance: float = 1e-6) -> EquivalenceRe
     on a float64 twin of the model (same tensors, statistics and rate EMAs). Each row carries the
     layer's input spike count: a layer with none passes without adding a single weight row.
 
-    The twin forwards the images whole; its layers are replayed on one thread per usable core
-    (`_map_chunks`), in the calling thread while a `_CHECK_FNS` entry is not the package's own.
+    The twin forwards the images whole; its layers are replayed one per thread (`map_eval`).
     """
     twin = model.astype(np.float64)
     trace = run_traced(twin, np.asarray(images), AuditTrace(currents=True))
     records = [rec for rec in trace.records if rec.kind != "stem"]
-    devs = _map_chunks(lambda rec: _CHECK_FNS[rec.kind](rec), records, serial=_CHECK_FNS != _OWN_CHECK_FNS)
+    devs = twin.map_eval(lambda rec: _CHECK_FNS[rec.kind](rec), records)
     rows = [{"record": "layer", "name": rec.name, "kind": rec.kind, "spikes": int(rec.spikes.sum(dtype=np.int64)),
              "max_deviation": dev, "passed": dev <= tolerance} for rec, dev in zip(records, devs)]
     return EquivalenceReport(passed=all(r["passed"] for r in rows), tolerance=tolerance, rows=rows)

@@ -30,6 +30,7 @@ from .training import evaluate, train
 from .verification import SUITES, check_fan_in, check_jobs, check_rate, check_samples, run_suites
 
 _ARCHES = ("Ti", "S", "M", "L", "Nano")
+_SPLIT_COUNTS = {"train": 320, "test": 160}  # default images of a generated split
 
 
 def _checked(check, convert=int):
@@ -134,8 +135,7 @@ def _dataset_for(args, cfg, split: str):
         noise=args.noise,
         seed=args.data_seed,
     )
-    count = args.train_count if split == "train" else args.test_count
-    return generate_split(spec, count, split)
+    return generate_split(spec, getattr(args, f"{split}_count"), split)
 
 
 def cmd_build(args) -> int:
@@ -262,10 +262,13 @@ def _add_model_flags(p):
     p.add_argument("--seed", type=_seed, help="weight seed (default 0; train: overrides the config file's seed)")
 
 
-def _add_data_flags(p):
-    p.add_argument("--dataset", help="dataset container file; omit for synthetic data")
-    p.add_argument("--train-count", type=_positive_int, default=320, dest="train_count")
-    p.add_argument("--test-count", type=_positive_int, default=160, dest="test_count")
+def _add_data_flags(p, *splits, dataset=True):
+    """The synthetic data's --noise and --data-seed, the image count of each of `splits` the command
+    generates, and --dataset where the command also reads a dataset file."""
+    if dataset:
+        p.add_argument("--dataset", help="dataset container file; omit for synthetic data")
+    for split in splits:
+        p.add_argument(f"--{split}-count", type=_positive_int, default=_SPLIT_COUNTS[split], dest=f"{split}_count")
     p.add_argument("--noise", type=float, default=0.3)
     p.add_argument("--data-seed", type=_seed, default=0, dest="data_seed")
 
@@ -282,7 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="train on a dataset")
     _add_model_flags(p)
-    _add_data_flags(p)
+    _add_data_flags(p, "train", "test")
     p.add_argument("--epochs", type=_positive_int)
     p.add_argument("--batch-size", type=_positive_int, dest="batch_size")
     p.add_argument("--lr", type=float)
@@ -293,16 +296,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("eval", help="evaluate a checkpoint")
     p.add_argument("--checkpoint", required=True)
-    p.add_argument("--dataset")
-    p.add_argument("--test-count", type=_positive_int, default=160, dest="test_count")
-    p.add_argument("--noise", type=float, default=0.3)
-    p.add_argument("--data-seed", type=_seed, default=0, dest="data_seed")
+    _add_data_flags(p, "test")
     p.add_argument("--batch-size", type=_positive_int, default=64, dest="batch_size")
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("audit", help="spike-driven compute audit")
     _add_model_flags(p)
-    _add_data_flags(p)
+    _add_data_flags(p, "test")
     p.add_argument("--checkpoint")
     p.add_argument("--batch", type=_positive_int, default=4)
     p.add_argument("--out", help="JSONL per-layer rows")
@@ -324,8 +324,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("dataset", help="write a synthetic dataset container")
     p.add_argument("--count", type=_positive_int, required=True)
     p.add_argument("--split", choices=("train", "test"), default="train")
-    p.add_argument("--noise", type=float, default=0.3)
-    p.add_argument("--data-seed", type=_seed, default=0, dest="data_seed")
+    _add_data_flags(p, dataset=False)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_dataset)
     return parser

@@ -17,19 +17,20 @@ the bits of one whole-batch forward. A batch of more than one image is never
 cut into one-image chunks: a one-image forward lands on OpenBLAS's
 small-matrix kernel, which rounds differently.
 
-`_map_chunks` runs such chunks, and the audit's event replay its layers, on
-the process's pinned workers (`parallel`): one per usable core, with NumPy's
-bundled OpenBLAS at one thread from the pool's first start on. NumPy's loops
-release the GIL, and with a chunk's arrays in cache the threads do not
-serialise on the page faults of fresh large arrays. A chunk's own ops run in
-its worker, unsplit. The logits are the same bits at one and at two OpenBLAS
-threads, and at any worker count. Where the pool does not start (one usable
-core, or an OpenBLAS whose thread count cannot be set) the chunks run in the
-calling thread: threads that each drive a multi-threaded BLAS were slower
-than one thread. Forwards also run there while `DualSpikeNet.forward` is
-wrapped on the class, as a tracer or profiler does for every instance at
-once: such a wrapper usually keeps one stack of open calls per process, which
-overlapping forwards would corrupt.
+`DualSpikeNet.map_eval` runs such chunks, the audit's traces of them and
+the equivalence check's layer replays on the process's pinned workers
+(`parallel.run`): one per usable core, with NumPy's bundled OpenBLAS at one
+thread from the pool's first start on. NumPy's loops release the GIL, and
+with a chunk's arrays in cache the threads do not serialise on the page
+faults of fresh large arrays. A chunk's own ops run in its worker, unsplit.
+The logits are the same bits at one and at two OpenBLAS threads, and at any
+worker count. Where the pool does not start (one usable core, or an
+OpenBLAS whose thread count cannot be set) the chunks run in the calling
+thread: threads that each drive a multi-threaded BLAS were slower than one
+thread. `map_eval` also keeps its work there while `DualSpikeNet.forward`
+is wrapped on the class, as a tracer or profiler does for every instance at
+once: such a wrapper usually keeps one stack of open calls per process,
+which overlapping calls would corrupt.
 """
 
 from __future__ import annotations
@@ -63,16 +64,10 @@ from .tensor import (
 EVAL_CHUNK_IMAGES = 2  # images per chunk of an eval forward (2-3); keeps each activation in cache
 
 
-def _map_chunks(fn, chunks: list, serial: bool = False) -> list:
-    """[fn(c) for c in chunks], over the process's pinned workers (`parallel.run`), or in the
-    calling thread when `serial` is set or `parallel.run` keeps the work there."""
-    return [fn(c) for c in chunks] if serial else parallel.run(fn, chunks)
-
-
 def eval_chunks(images) -> list:
     """One batch's max(1, m // EVAL_CHUNK_IMAGES) near-equal chunks of its m images, the larger first:
     5 images give 3 and 2, and a batch of 2-3 images stays whole."""
-    bounds = ops.split_bounds(len(images), max(1, len(images) // EVAL_CHUNK_IMAGES))
+    bounds = parallel.split_bounds(len(images), max(1, len(images) // EVAL_CHUNK_IMAGES))
     return [images[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
 
 
@@ -234,12 +229,12 @@ class DualSpikeNet(Module):
         return np.concatenate(outs) if outs else np.empty(0, dtype=np.int64)
 
     def map_eval(self, fn, chunks: list) -> list:
-        """[fn(c) for c in chunks] without tape recording, on the process's workers (`_map_chunks`).
+        """[fn(c) for c in chunks] without tape recording, on the process's workers (`parallel.run`).
         They run in the calling thread where the pool does not start or while `forward` is wrapped
-        on the class (a tracer's wrapper keeps one stack of open calls, which overlapping forwards
+        on the class (a tracer's wrapper keeps one stack of open calls, which overlapping calls
         would corrupt)."""
         with no_grad():  # the flag is a module global: set here once, read by every worker
-            return _map_chunks(fn, chunks, serial=type(self).forward is not _FORWARD)
+            return parallel.run(fn, chunks) if type(self).forward is _FORWARD else [fn(c) for c in chunks]
 
     def _classify(self, images) -> np.ndarray:
         return np.argmax(self.forward(images, RunContext(training=False)).data, axis=1)

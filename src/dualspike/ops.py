@@ -95,7 +95,7 @@ def _channels_leading(a: np.ndarray, padding: int = 0) -> np.ndarray:
     def copy(c0, c1):
         np.copyto(out[c0:c1, :, padding : padding + h, padding : padding + w], a[:, c0:c1].swapaxes(0, 1))
 
-    parallel.over_chunks(split_bounds(c, min(c, parallel.width())), copy)
+    parallel.over_chunks(parallel.split(c), copy)
     return out
 
 
@@ -162,7 +162,7 @@ def _conv2d_cols(x: Tensor, weight: Tensor, stride, padding, groups, ho, wo) -> 
             else:
                 np.matmul(gt, xcols[:, p0:p1].swapaxes(-1, -2), out=dw[:, :, p0:p1])
 
-        parallel.over_chunks(split_bounds(max(og, k), max(1, min(max(og, k) // 2, parallel.width()))), dw_part)
+        parallel.over_chunks(parallel.split(max(og, k), 2), dw_part)
         del xcols
         if not need_dx:
             return (None, dw.reshape(wd.shape))
@@ -382,7 +382,7 @@ def _channel_ranges(a: np.ndarray) -> list:
     array's sum for those channels, in every memory order of a 4-D array; a
     one-channel range drops the channel axis and can sum in another order.
     """
-    return split_bounds(a.shape[1], max(1, min(a.shape[1] // 2, parallel.width())))
+    return parallel.split(a.shape[1], 2)
 
 
 def batchnorm(x: Tensor, state: BatchNormState, training: bool) -> Tensor:

@@ -1,9 +1,11 @@
 """The process's parallelism: one worker thread per usable core, each pinned to its core.
 
-The ops that dominate a train step (`ops.conv2d`, train-mode `ops.batchnorm`,
-`neuron.sn_forward`), the AdamW update, `model._map_chunks` and the Monte
-Carlo seed streams of `verification` split their work over these workers
-through `run`. An op splits only along an axis whose pieces are computed
+Every hand-off to the workers goes through `run`: the ops that dominate a
+train step (`ops.conv2d`, train-mode `ops.batchnorm`, `neuron.sn_forward`),
+the AdamW update, `DualSpikeNet.map_eval` (`predict`'s chunks, the audit's
+traces and the equivalence replay) and the Monte Carlo seed streams of
+`verification`. `split` is the one rule for how many pieces an op cuts its
+work into. An op splits only along an axis whose pieces are computed
 independently (image chunks, channel ranges, neuron blocks, weight-gradient
 rows or columns, groups, kernel offsets, parameters or seed streams), never
 along a sum, so each output holds the bits the op gives in one thread. The
@@ -12,9 +14,11 @@ each thread its own arena, and large arrays allocated in the workers raised
 the train benchmark's peak RSS from about 508 to 582 MB on a 2-core x86-64
 machine.
 
-Each worker pins itself to one core (`os.sched_setaffinity` on its own
-thread). Where the scheduler does not rebalance threads between CPUs, two
-unpinned threads can share one CPU for the life of the process. The first
+The workers are a standard-library `ThreadPoolExecutor` of one thread per
+usable core, and each new worker pins itself to the next core of the
+process's affinity set (`os.sched_setaffinity` on its own thread). Where
+the scheduler does not rebalance threads between CPUs, two unpinned threads
+can share one CPU for the life of the process. The first
 `width()` that returns 2 or more sets NumPy's bundled OpenBLAS to one thread
 for the rest of the process, as `tensor._keep_freed_memory` sets the
 allocator: a second OpenBLAS thread busy-waits on the other core between
@@ -24,7 +28,7 @@ whether the pool has started yet: a float64 `_conv2d_cols` GEMM rounds
 differently at two OpenBLAS threads and at one.
 
 An op runs in its calling thread where the work is one piece, inside a
-worker (a pooled op called from a `_map_chunks` forward, so no worker waits
+worker (a pooled op called from a `map_eval` forward, so no worker waits
 on the pool), with one usable core, where OpenBLAS's thread count cannot be
 set (threads that each drive a multi-threaded BLAS were slower than one
 thread), and in a forked child, which drops the pool: its workers do not
@@ -36,14 +40,14 @@ from __future__ import annotations
 import ctypes
 import functools
 import glob
+import itertools
 import os
-import queue
 import threading
-from concurrent.futures import Future, wait
+from concurrent.futures import ThreadPoolExecutor, wait
 
 import numpy as np
 
-_pool = None  # the task queue of the running workers, or None before the first pooled op
+_pool = None  # the running executor, or None before the first pooled op
 _forked = False  # set in a forked child: everything runs in the calling thread there
 _start_lock = threading.Lock()
 _local = threading.local()  # `worker` is set on the pool's own threads
@@ -53,6 +57,12 @@ def split_bounds(total: int, parts: int) -> list:
     """Bounds [0, ..., total] of `parts` contiguous slices whose sizes differ by one at most, the larger first."""
     base, rem = divmod(total, parts)
     return [i * base + min(i, rem) for i in range(parts + 1)]
+
+
+def split(total: int, least: int = 1) -> list:
+    """`split_bounds` of `total` into one piece per worker, each at least `least` long where `total`
+    allows, and one piece where it does not."""
+    return split_bounds(total, max(1, min(total // least, width())))
 
 
 @functools.cache
@@ -102,13 +112,13 @@ def run(fn, items) -> list:
     items = list(items)
     if len(items) < 2 or width() < 2:
         return [fn(item) for item in items]
-    tasks = _started()
-    futures = []
-    for item in items:
-        fut = Future()
-        tasks.put((fut, fn, item))
-        futures.append(fut)
-    wait(futures)
+    pool = _started()
+    futures = [pool.submit(fn, item) for item in items]
+    try:
+        wait(futures)
+    finally:  # an interrupt drops the items no worker has started: the process waits for its workers on exit
+        for fut in futures:
+            fut.cancel()
     return [fut.result() for fut in futures]
 
 
@@ -119,7 +129,7 @@ def over_chunks(bounds, body, buffers=tuple):
     calling thread, once per run.
     """
     chunks = list(zip(bounds, bounds[1:]))
-    runs = split_bounds(len(chunks), max(1, min(len(chunks), width())))
+    runs = split(len(chunks))
     made = [buffers() for _ in runs[1:]]
 
     def chunk_run(k):
@@ -129,33 +139,25 @@ def over_chunks(bounds, body, buffers=tuple):
     run(chunk_run, range(len(runs) - 1))
 
 
-def _started():
-    """The task queue of the running pool; the first call starts it."""
+def _started() -> ThreadPoolExecutor:
+    """The running pool; the first call starts it."""
     global _pool
     with _start_lock:
         if _pool is None:
-            tasks = queue.SimpleQueue()
             cores = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else [None]
-            for i in range(_usable_cores()):
-                threading.Thread(target=_work, args=(tasks, cores[i % len(cores)]), daemon=True).start()
-            _pool = tasks
+            _pool = ThreadPoolExecutor(_usable_cores(), initializer=_enter, initargs=(itertools.cycle(cores),))
         return _pool
 
 
-def _work(tasks, core):
+def _enter(cores):
+    """A new worker's first step: mark it as a worker and pin it to the next core."""
     _local.worker = True
+    core = next(cores)
     try:
         if core is not None:
             os.sched_setaffinity(0, {core})
     except OSError:  # the core left this process's set since the pool read it: the worker runs unpinned
         pass
-    while True:
-        fut, fn, item = tasks.get()
-        try:
-            fut.set_result(fn(item))
-        except BaseException as exc:  # noqa: BLE001 - handed to the caller, which raises it
-            fut.set_exception(exc)
-        del fut, fn, item  # an idle worker keeps no closure, and so no array, alive
 
 
 def _drop_pool():

@@ -301,7 +301,9 @@ class TestEventDrivenEquivalence:
 
     def test_conv_and_linear_replay_adds_equal_sops(self, calibrated, monkeypatch):
         """The replay adds one table row of F floats per spike it gathers: count those scalar adds per
-        record and hold them against the closed-form SOP count of the same (twin) trace."""
+        record and hold them against the closed-form SOP count of the same (twin) trace. One worker:
+        `replaying[-1]` names the record being replayed only while one replay runs at a time."""
+        workers(monkeypatch, 1)
         model = calibrated[0]
         images = np.random.default_rng(6).standard_normal((2, 3, 32, 32)).astype(np.float32)
         traces, replaying, adds = [], [], {}

@@ -120,6 +120,13 @@ class TestCountFlags:
         assert exc.value.code == 2
         assert "expected a positive integer" in capsys.readouterr().err
 
+    def test_audit_takes_no_train_count(self, capsys):
+        # the audit generates only the test split
+        with pytest.raises(SystemExit) as exc:
+            main(["audit", "--arch", "Nano", "--train-count", "3"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --train-count 3" in capsys.readouterr().err
+
     def test_time_steps_override_applies(self, capsys, tmp_path, tiny_config):
         ckpt = tmp_path / "t1.dskc"
         code, _, _ = run(capsys, "build", "--config", tiny_config, "--time-steps", "1", "--out", str(ckpt))

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from dualspike import ops, verification
+from dualspike import ops, parallel, verification
 from dualspike.layers import RunContext
 from dualspike.model import DualSpikeNet, build
 from dualspike.ops import conv2d, conv_output_size, cross_entropy, maxpool2d
@@ -342,7 +342,8 @@ class TestMaxPool:
 
 
 class TestSplitBounds:
-    """`ops.split_bounds`, the one near-equal split: offset-path conv chunks, `predict` chunks, Monte Carlo streams."""
+    """`ops.split_bounds`, the one near-equal split: offset-path conv chunks, `predict` chunks, Monte Carlo streams;
+    and `parallel.split`, its one piece per worker."""
 
     @pytest.mark.parametrize("total, parts", [
         (0, 1), (1, 1), (5, 3), (7, 3), (10, 4), (15, 16), (64, 32), (65, 32), (6250, 16), (100_003, 16),
@@ -366,6 +367,22 @@ class TestSplitBounds:
 
     def test_five_images_in_three_chunks(self):
         assert ops.split_bounds(5, 3) == [0, 2, 4, 5]  # TestConvBitExact's 2-2-1 chunking
+
+    @pytest.mark.parametrize("width", [1, 2, 3, 4])
+    @pytest.mark.parametrize("least", [1, 2])
+    @pytest.mark.parametrize("total", range(6))
+    def test_split_gives_each_worker_a_piece_of_at_least_least(self, monkeypatch, width, least, total):
+        # `parallel.split`: as many near-equal pieces as there are workers, each at least `least` long, fewer
+        # where `total` is too short, and one where it is shorter than `least`; least 2 at 2, 3 and 5 channels
+        # is train-mode batch norm's channel ranges
+        monkeypatch.setattr(parallel, "width", lambda: width)
+        bounds = parallel.split(total, least)
+        sizes = np.diff(bounds)
+        parts = sizes.size
+        assert bounds[0] == 0 and bounds[-1] == total and 1 <= parts <= width
+        assert sizes.max() - sizes.min() <= 1 and list(sizes) == sorted(sizes, reverse=True)
+        assert parts == 1 or sizes.min() >= least
+        assert parts == width or (parts + 1) * least > total  # no more pieces would fit
 
 
 class TestNoImageGradient:

@@ -2,13 +2,14 @@
 
 import multiprocessing
 import threading
+import time
+import weakref
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
 from conftest import in_fresh_process, workers
 
-from dualspike import model as model_module
 from dualspike import ops, parallel
 from dualspike.data import SyntheticSpec, generate_split
 from dualspike.layers import RunContext
@@ -61,10 +62,41 @@ class TestRun:
         workers(monkeypatch, 2)
         assert parallel.run(lambda _: threading.get_ident(), [0]) == [threading.get_ident()]
 
+    def test_an_idle_worker_keeps_no_array_alive(self, monkeypatch):
+        workers(monkeypatch, 2)
+        arr = np.ones(2)
+        ref = weakref.ref(arr)
+        fn = lambda i, arr=arr: float(arr[i])  # noqa: E731 - holds the array, not a cell that `del` empties
+        assert parallel.run(fn, range(2)) == [1.0, 1.0]
+        del arr, fn
+        # a worker drops its task just after handing the result over, so give it a moment to go idle
+        deadline = time.monotonic() + 5
+        while ref() is not None and time.monotonic() < deadline:
+            time.sleep(0.001)
+        assert ref() is None
+
+    def test_an_interrupted_run_drops_the_items_no_worker_has_started(self, monkeypatch):
+        # the pool's threads are not daemons, so the process waits for them on exit: an interrupt in the
+        # caller must not leave the rest of its items queued
+        workers(monkeypatch, 2)
+        gate, submitted = threading.Event(), []
+
+        def interrupted(futures):
+            submitted.extend(futures)
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(parallel, "wait", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            parallel.run(lambda _: gate.wait(5), range(8))  # every worker holds its first item
+        try:
+            assert len(submitted) == 8 and all(fut.running() or fut.cancelled() for fut in submitted)
+        finally:
+            gate.set()
+
 
 class TestPoolEdges:
     def test_pooled_op_inside_a_chunk_worker_runs_in_that_worker(self, monkeypatch):
-        # a pooled op called from a `_map_chunks` worker splits nothing and submits nothing: no worker
+        # a pooled op called from a `parallel.run` worker splits nothing and submits nothing: no worker
         # waits on the pool, so two such forwards cannot deadlock it
         workers(monkeypatch, 2)
         monkeypatch.setattr(ops, "CHUNK_ELEMENTS", CHUNKED)
@@ -89,7 +121,7 @@ class TestPoolEdges:
         monkeypatch.setattr(parallel, "_started", spy_started)
         results = []
         caller = threading.Thread(target=lambda: results.extend(  # daemon: a deadlock fails the test, not the run
-            model_module._map_chunks(multi_chunk_conv, [0, 0])), daemon=True)
+            parallel.run(multi_chunk_conv, [0, 0])), daemon=True)
         caller.start()
         caller.join(timeout=60)
         assert not caller.is_alive()
