@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .parallel import over_chunks
-from .tensor import ConfigError, ShapeError, SpikeTensor, Tensor, make_node
+from .tensor import ConfigError, ShapeError, SpikeTensor, Tensor, _slot, copy_plan, make_node, rebuild_plan
 
 SURROGATE_KINDS = ("triangular", "sigmoid-derivative")
 BLOCK_NEURONS = 1 << 16  # neurons per block of the sn_forward time loops; keeps a block's state in L2
@@ -62,13 +62,24 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     return out
 
 
-def surrogate_grad(v: np.ndarray, neuron: NeuronSpec) -> np.ndarray:
-    """Pseudo-derivative of the firing nonlinearity at membrane values v."""
-    z = (v - neuron.u_th) / neuron.width
+def surrogate_grad(v: np.ndarray, neuron: NeuronSpec, out=None) -> np.ndarray:
+    """Pseudo-derivative of the firing nonlinearity at membrane values v, into `out` where given (it may be v).
+
+    The triangle is computed in place in `out`, with the same operations as out of place, except that a
+    division by a width of 1 is skipped: it is exact.
+    """
     if neuron.surrogate == "triangular":
-        return np.maximum(0.0, 1.0 - np.abs(z)) / neuron.width
-    s = _sigmoid(z)
-    return s * (1.0 - s) / neuron.width
+        z = np.subtract(v, neuron.u_th, out=out)
+        if neuron.width != 1.0:
+            z /= neuron.width
+        np.abs(z, out=z)
+        np.subtract(1.0, z, out=z)
+        np.maximum(0.0, z, out=z)
+        if neuron.width != 1.0:
+            z /= neuron.width
+        return z
+    s = _sigmoid((v - neuron.u_th) / neuron.width)
+    return np.divide(s * (1.0 - s), neuron.width, out=out)
 
 
 def smooth_step(v: np.ndarray, neuron: NeuronSpec) -> np.ndarray:
@@ -86,84 +97,125 @@ def sn_forward(current: Tensor, neuron: NeuronSpec = NeuronSpec(), smooth: bool 
     Spikes are a one-byte `SpikeTensor` (bool); `smooth=True` outputs the
     surrogate antiderivative as a plain Tensor in the current's dtype.
 
-    Fused into one tape node: the forward stores only membrane values V and
-    outputs S, and the backward runs truncated-in-space BPTT. Both run the
-    neurons in blocks of BLOCK_NEURONS, each block through all T steps in
-    reused buffers, with the same expressions in the same order as the
-    whole-array loop, so blocking changes no bits: forward and backward match
-    the whole-array oracle tests/test_neuron.py::bptt_oracle exactly. The
-    blocks run over the process's workers (`parallel.over_chunks`), each run
-    of blocks in its own buffers. The reset and the backward's 1 - s read a
-    block's spikes through a float buffer of the current's dtype, so every
-    arithmetic loop runs on same-dtype kernels.
+    Fused into one tape node, which keeps only the output S. Forward and
+    backward run the neurons in blocks of BLOCK_NEURONS, each block through
+    all T steps in reused buffers, so the membrane values V never exist
+    whole. The backward rebuilds each block's currents for all T steps in
+    one fill of a [T, block] buffer (`tensor.rebuild_plan`: from the batch
+    norm, matmul, scaled, summed or reshaped records that made them, out of
+    the arrays their own backwards keep), re-runs the block's forward on
+    that buffer, reading the kept spikes instead of firing again, and then
+    runs truncated-in-space BPTT over it. An input that cannot be rebuilt
+    is kept instead, at V's size. Every step is the same expressions in
+    the same order as the whole-array loop, less the additions of a zero
+    u_rest, so blocking and recomputing change no bits: spikes and
+    gradients match the whole-array oracle tests/test_neuron.py::bptt_oracle
+    byte for byte. The blocks run over the process's workers
+    (`parallel.over_chunks`), each run of blocks in its own buffers. The
+    reset and the backward's 1 - s read a block's spikes through a float
+    buffer of the current's dtype, so every arithmetic loop runs on
+    same-dtype kernels.
     """
     if current.data.ndim < 1 or current.data.shape[0] == 0:
         raise ShapeError(f"sn_forward needs a non-empty leading time axis, got shape {current.data.shape}")
     xd = current.data
-    t_steps = xd.shape[0]
+    shape, dtype, t_steps = xd.shape, xd.dtype, xd.shape[0]
     inv_tau = 1.0 / neuron.tau
-    v_hist = np.empty(xd.shape, dtype=xd.dtype)
-    s_out = np.empty(xd.shape, dtype=xd.dtype if smooth else np.bool_)
-    x2, v2, s2 = (a.reshape(t_steps, -1) for a in (xd, v_hist, s_out))
+    s_out = np.empty(shape, dtype=dtype if smooth else np.bool_)
+    x2, s2 = xd.reshape(t_steps, -1), s_out.reshape(t_steps, -1)
     size = x2.shape[1]
     block = max(1, min(size, BLOCK_NEURONS))
     blocks = list(range(0, size, block)) + [size]
 
-    def forward_block(b0, b1, u_buf, tmp_buf, sf_buf):
-        # The block runs all T steps before the next block starts. In place,
-        # but the same expressions in the same order as
-        # tests/test_neuron.py::bptt_oracle: v = ((x - u) + u_rest) * inv_tau + u,
-        # u = s * u_rest + (1 - s) * v.
-        u, tmp, sf = u_buf[: b1 - b0], tmp_buf[: b1 - b0], sf_buf[: b1 - b0]
+    # The same expressions in the same order as tests/test_neuron.py::bptt_oracle, in place:
+    # v = ((x - u) + u_rest) * inv_tau + u, then with keep = 1 - s, u = s * u_rest + keep * v.
+    # With u_rest = 0 both additions of u_rest are skipped: adding zero changes at most the sign
+    # of a zero, so every v keeps its value, and V is read only through v - u_th (u_th > 0) and
+    # u_rest - v, which give the same bits for either zero.
+    rest = neuron.u_rest != 0.0
+
+    def charge(x, u, v):
+        np.subtract(x, u, out=v)
+        if rest:
+            v += neuron.u_rest
+        v *= inv_tau
+        v += u
+
+    def reset(su, keep, v, u):  # su holds s * u_rest (unread where u_rest = 0)
+        np.multiply(keep, v, out=u)
+        if rest:
+            np.add(su, u, out=u)
+
+    def forward_block(b0, b1, v_buf, u_buf, tmp_buf, sf_buf):
+        v, u, tmp, sf = (a[: b1 - b0] for a in (v_buf, u_buf, tmp_buf, sf_buf))
         u.fill(neuron.u_rest)
         for t in range(t_steps):
-            v, s = v2[t, b0:b1], s2[t, b0:b1]
-            np.subtract(x2[t, b0:b1], u, out=v)
-            v += neuron.u_rest
-            v *= inv_tau
-            v += u
+            charge(x2[t, b0:b1], u, v)
+            s = s2[t, b0:b1]
             if smooth:
                 s[...] = smooth_step(v, neuron)
             else:
                 np.greater_equal(v, neuron.u_th, out=s)
-                np.copyto(sf, s)
+                np.copyto(sf, s.view(np.uint8))  # as bytes: NumPy's integer cast is the faster one
                 s = sf
-            np.subtract(1.0, s, out=tmp)
-            tmp *= v
-            np.multiply(s, neuron.u_rest, out=u)
-            u += tmp
+            if t + 1 < t_steps:  # the last step's membrane is never read
+                np.subtract(1.0, s, out=tmp)
+                if rest:
+                    np.multiply(s, neuron.u_rest, out=sf)
+                reset(sf, tmp, v, u)
 
-    over_chunks(blocks, forward_block, lambda: [np.empty(block, dtype=xd.dtype) for _ in range(3)])
-    shape, dtype = xd.shape, xd.dtype  # the backward reads V and S, not the input
+    over_chunks(blocks, forward_block, lambda: [np.empty(block, dtype=dtype) for _ in range(4)])
+    source = _slot(current)  # the backward rebuilds the input from its record, not from the array
+    kept = x2 if rebuild_plan(source, t_steps, block) is None else None  # the input, where it cannot be rebuilt
 
     def bw(g):
+        plan = rebuild_plan(source, t_steps, block) if kept is None else copy_plan(kept)
         d_current = np.empty(shape, dtype=dtype)
         g2, d2 = g.reshape(t_steps, -1), d_current.reshape(t_steps, -1)
 
-        def backward_block(b0, b1, du_buf, dv_buf, tmp_buf):
-            # The forward's block through all T steps backwards. Same
-            # expressions in the same order as the whole-array BPTT:
-            # dv = g * sg + du * (1 - s)  (the reset gate is detached), or with
-            # the smooth reset du * ((1 - s) + sg * (u_rest - v)); then
-            # d = dv * inv_tau and du = dv * (1 - inv_tau).
-            du, dv, tmp = du_buf[: b1 - b0], dv_buf[: b1 - b0], tmp_buf[: b1 - b0]
+        def backward_block(b0, b1, v_buf, keep_buf, s_buf, u_buf, tmp_buf, du_buf, *scratch):
+            # The block's currents into v, then its forward again in place, reading the kept spikes:
+            # v[t] holds V, and keep[t] 1 - s. Then, for all T steps at once, the surrogate gradient
+            # sg in place of V and the factor of du into keep: 1 - s (the reset gate is detached),
+            # or with the smooth reset (1 - s) + (u_rest - v) * sg. Then the whole-array BPTT's
+            # expressions in its order: dv = g * sg + keep * du in place of g * sg,
+            # du = dv * (1 - inv_tau), and at the end d = dv * inv_tau.
+            n = b1 - b0
+            v, keep, sf = (a[: t_steps * n].reshape(t_steps, n) for a in (v_buf, keep_buf, s_buf))
+            u, tmp, du = (a[:n] for a in (u_buf, tmp_buf, du_buf))
+            plan.fill(v, b0, b1, scratch)
+            if smooth:
+                sf, su = s2[:, b0:b1], sf  # the smooth spikes are floats already
+            else:
+                np.copyto(sf, s2[:, b0:b1].view(np.uint8))  # spikes as floats: same-dtype kernels
+                su = sf
+            np.subtract(1.0, sf, out=keep)
+            if rest:
+                np.multiply(sf, neuron.u_rest, out=su)
+            u.fill(neuron.u_rest)
+            for t in range(t_steps):
+                charge(v[t], u, v[t])
+                if t + 1 < t_steps:
+                    reset(su[t], keep[t], v[t], u)
+            if smooth:
+                np.subtract(neuron.u_rest, v, out=su)
+            surrogate_grad(v, neuron, out=v)
+            if smooth:
+                su *= v
+                keep += su
+            v *= g2[:, b0:b1]
             du.fill(0.0)
             for t in range(t_steps - 1, -1, -1):
-                v, s = v2[t, b0:b1], s2[t, b0:b1]
-                sg = surrogate_grad(v, neuron)
-                np.copyto(tmp, s)  # spikes as floats: 1 - s on a same-dtype kernel
-                np.subtract(1.0, tmp, out=tmp)
-                if smooth:
-                    np.subtract(neuron.u_rest, v, out=dv)
-                    dv *= sg
-                    tmp += dv
-                tmp *= du
-                np.multiply(g2[t, b0:b1], sg, out=dv)
-                dv += tmp
-                np.multiply(dv, inv_tau, out=d2[t, b0:b1])
-                np.multiply(dv, 1.0 - inv_tau, out=du)
+                np.multiply(keep[t], du, out=tmp)
+                v[t] += tmp
+                np.multiply(v[t], 1.0 - inv_tau, out=du)
+            np.multiply(v, inv_tau, out=d2[:, b0:b1])
 
-        over_chunks(blocks, backward_block, lambda: [np.empty(block, dtype=dtype) for _ in range(3)])
+        def buffers():  # three [T, block] ones, three of a block, then the rebuild's scratch
+            sizes = [t_steps * block] * 3 + [block] * 3 + list(plan.sizes)
+            return [np.empty(n, dtype=dtype) for n in sizes]
+
+        over_chunks(blocks, backward_block, buffers)
         return (d_current,)
 
     return make_node(s_out, (current,), bw, cls=Tensor if smooth else SpikeTensor)

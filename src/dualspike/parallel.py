@@ -15,8 +15,9 @@ the train benchmark's peak RSS from about 508 to 582 MB on a 2-core x86-64
 machine.
 
 The workers are a standard-library `ThreadPoolExecutor` of one thread per
-usable core, and each new worker pins itself to the next core of the
-process's affinity set (`os.sched_setaffinity` on its own thread). Where
+usable core, all started when the pool starts, and each new worker pins
+itself to the next core of the process's affinity set
+(`os.sched_setaffinity` on its own thread). Where
 the scheduler does not rebalance threads between CPUs, two unpinned threads
 can share one CPU for the life of the process. The first
 `width()` that returns 2 or more sets NumPy's bundled OpenBLAS to one thread
@@ -140,12 +141,26 @@ def over_chunks(bounds, body, buffers=tuple):
 
 
 def _started() -> ThreadPoolExecutor:
-    """The running pool; the first call starts it."""
+    """The running pool; the first call starts it, with every worker running and pinned on return.
+
+    The executor starts a thread per submitted item only while none is idle, so one item per worker,
+    each waiting for all the others, makes them all exist; left to itself it starts the second
+    worker only once the first is busy.
+    """
     global _pool
     with _start_lock:
         if _pool is None:
+            n = _usable_cores()
             cores = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else [None]
-            _pool = ThreadPoolExecutor(_usable_cores(), initializer=_enter, initargs=(itertools.cycle(cores),))
+            pool = ThreadPoolExecutor(n, initializer=_enter, initargs=(itertools.cycle(cores),))
+            arrived = threading.Barrier(n)
+            try:
+                wait([pool.submit(arrived.wait) for _ in range(n)])
+            except BaseException:  # a thread that could not start: release the ones waiting for it
+                arrived.abort()
+                pool.shutdown(wait=False)
+                raise
+            _pool = pool
         return _pool
 
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dualspike import neuron
+from dualspike import neuron, ops
 from dualspike.neuron import (
     SURROGATE_KINDS,
     NeuronSpec,
@@ -18,9 +18,13 @@ from dualspike.tensor import (
     ShapeError,
     SpikeTensor,
     Tensor,
+    add,
     backward,
+    matmul,
     mul,
+    reshape,
     tensor_sum,
+    transpose,
 )
 
 from conftest import assert_grads_close
@@ -165,6 +169,22 @@ class TestSequences:
         assert np.array_equal(out.data, spikes)
         assert cur.grad.dtype == dtype and np.array_equal(cur.grad, expect)
 
+    @given(st.integers(1, 5), st.integers(0, 2**31 - 1), st.sampled_from([0.0, -0.25]), st.booleans(),
+           st.sampled_from(SURROGATE_KINDS))
+    @settings(max_examples=60, deadline=None)
+    def test_gradient_bytes_match_the_oracle_on_signed_zeros(self, t_steps, seed, u_rest, smooth, kind):
+        # currents and gradients full of +0 and -0, and currents that bring v to zero or to the threshold
+        # exactly: with u_rest = 0 the loops skip adding u_rest, and must still give the oracle's bytes
+        rng = np.random.default_rng(seed)
+        spec = NeuronSpec(u_rest=u_rest, surrogate=kind)
+        values = np.array([0.0, -0.0, 1.0, -1.0, 2.0, 0.5, -0.5, 1e-45, -1e-45], dtype=np.float32)
+        cur_data, g = (rng.choice(values, (t_steps, 40)) for _ in range(2))
+        cur = Tensor(cur_data.copy(), requires_grad=True)
+        out = sn_forward(cur, spec, smooth=smooth)
+        grad = out._node.backward(g)[0]
+        spikes, _, expect = bptt_oracle(cur_data, g, spec, smooth)
+        assert np.array_equal(out.data, spikes) and grad.tobytes() == expect.tobytes()
+
     @given(st.integers(1, 6), st.integers(0, 2**31 - 1))
     @settings(max_examples=25, deadline=None)
     def test_outputs_always_binary(self, t_steps, seed):
@@ -182,6 +202,32 @@ class TestSequences:
         out = sn_forward(Tensor(np.array([[base, base + bump]] * t_steps)))
         fired = np.maximum.accumulate(out.data, axis=0)
         assert (fired[:, 1] >= fired[:, 0]).all()
+
+
+class TestRebuiltCurrents:
+    """The backward rebuilds V from the records that made the current: the same bits as from a leaf current."""
+
+    @pytest.mark.parametrize("smooth", [False, True])
+    @pytest.mark.parametrize("block", [neuron.BLOCK_NEURONS, 40, 7])  # one block, whole matrices, neither
+    def test_rebuildable_current_gives_the_bits_of_the_same_values_as_a_leaf(self, monkeypatch, smooth, block):
+        monkeypatch.setattr(neuron, "BLOCK_NEURONS", block)
+        rng = np.random.default_rng(block)
+        spec = NeuronSpec(tau=3.0, u_rest=-0.25)
+        x = Tensor((rng.standard_normal((8, 2, 4, 5)) * 2).astype(np.float32), requires_grad=True)
+        state = ops.BatchNormState("bn", 2, dtype=np.float32)
+        state.gamma.data[:] = [1.5, 2.0]
+        bn = reshape(ops.batchnorm(x, state, True), (4, 2, 2, 4, 5))
+        spikes = SpikeTensor(rng.random((4, 2, 2, 4, 4)) < 0.4)
+        prod = mul(matmul(transpose(spikes, (0, 1, 2, 4, 3)), bn), np.float32(2.5))  # [4, 2, 2, 4, 5]
+        g = rng.standard_normal((4, 2, 2, 4, 5)).astype(np.float32)
+        for current in (bn, prod, add(bn, prod), mul(bn, bn)):  # the last cannot be rebuilt: it is kept
+            leaf = Tensor(current.data.copy(), requires_grad=True)
+            runs = [sn_forward(c, spec, smooth=smooth) for c in (current, leaf)]
+            grads = [out._node.backward(g)[0] for out in runs]
+            assert runs[0].data.tobytes() == runs[1].data.tobytes()
+            assert grads[0].dtype == np.float32 and grads[0].tobytes() == grads[1].tobytes()
+            spikes_expected, _, expect = bptt_oracle(current.data, g, spec, smooth)
+            assert np.array_equal(runs[0].data, spikes_expected) and np.array_equal(grads[0], expect)
 
 
 class TestSurrogates:

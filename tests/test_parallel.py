@@ -157,6 +157,14 @@ class TestPoolEdges:
         assert got["pinned"] == [[core] for core in got["cores"]]  # and the calling thread stays unpinned
         assert got["blas"] == [1, 1]
 
+    @pytest.mark.skipif(parallel._usable_cores() < 2 or parallel._openblas_threads() is None,
+                        reason="needs two usable cores and NumPy's bundled OpenBLAS")
+    def test_every_worker_runs_once_the_pool_has_started(self):
+        # the executor adds a thread only while none is idle: left to itself, a first run of two quick
+        # items on a fresh pool leaves one thread
+        got = in_fresh_process(_FIRST_RUN)
+        assert got["threads"] == got["cores"] and got["pinned"] == [[core] for core in got["core_ids"]]
+
 
 def _pool_state():
     return parallel._pool, parallel.width()
@@ -195,6 +203,18 @@ blas = [parallel._openblas_threads()[0]()]
 parallel.run(lambda _: None, range(4))
 blas.append(parallel._openblas_threads()[0]())
 print(json.dumps({"pinned": pinned, "cores": sorted(os.sched_getaffinity(0)), "blas": blas}))
+"""
+
+
+# in a fresh process: one quick pooled run, then the pool's threads and each one's affinity
+_FIRST_RUN = """
+import json, os
+from dualspike import parallel
+parallel.run(lambda i: i, range(2))
+threads = list(parallel._pool._threads)
+pinned = sorted(sorted(os.sched_getaffinity(t.native_id)) for t in threads)
+print(json.dumps({"threads": len(threads), "cores": parallel._usable_cores(), "pinned": pinned,
+                  "core_ids": sorted(os.sched_getaffinity(0))}))
 """
 
 

@@ -301,8 +301,34 @@ class TestTrainForwardTape:
         assert copies == []
 
 
-def closure_arrays(loss: Tensor) -> list:
-    """Every ndarray the backward closures on `loss`'s tape hold, through nested functions, lists and tuples."""
+    def test_lif_backwards_keep_no_membrane_values_or_inputs(self, monkeypatch):
+        # Each LIF backward rebuilds its input currents from the records that made them (batch norm,
+        # the attention's scaled products, residual sums), so its closure holds no float array of its
+        # input's size: neither the membrane values V of every step nor the input itself.
+        lifs = []
+
+        def recording(fn):
+            def wrapped(current, *args, **kwargs):
+                out = fn(current, *args, **kwargs)
+                lifs.append((current.data.size, out))
+                return out
+
+            return wrapped
+
+        for owner in (layers, attention):
+            monkeypatch.setattr(owner, "sn_forward", recording(owner.sn_forward))
+        net = model.build("Nano", seed=0)
+        images = np.random.default_rng(0).standard_normal((3, 3, 32, 32)).astype(np.float32)
+        net.forward(images, RunContext(training=True))
+        assert len(lifs) == 6 * sum(s.blocks for s in net.config.stages) + len(net.config.stages)
+        for size, out in lifs:
+            held = closure_arrays(out, ancestors=False)
+            assert [a.shape for a in held if a.dtype != np.bool_ and a.size == size] == []
+
+
+def closure_arrays(loss: Tensor, ancestors: bool = True) -> list:
+    """Every ndarray the backward closures on `loss`'s tape hold, through nested functions, lists and tuples;
+    with ancestors=False, those of `loss`'s own record only."""
     arrays, seen = [], set()
 
     def visit(value):
@@ -321,15 +347,94 @@ def closure_arrays(loss: Tensor) -> list:
                 except ValueError:  # a cell not yet assigned
                     pass
 
-    records = [loss._node]
+    records, walked = [loss._node], set()  # apart from `seen`: a closure may hold a record (sn_forward's input's)
     while records:
         node = records.pop()
-        if id(node) in seen:
+        if id(node) in walked:
             continue
-        seen.add(id(node))
+        walked.add(id(node))
         visit(node.backward)
-        records.extend(p for p in node.parents if isinstance(p, tensor._Node))
+        if ancestors:
+            records.extend(p for p in node.parents if isinstance(p, tensor._Node))
     return arrays
+
+
+def rebuilt(out: Tensor, rows: int, cols: int) -> np.ndarray:
+    """`out`'s data as its record's rebuild gives it, viewed as [rows, -1] and filled `cols` columns at a time."""
+    plan = tensor.rebuild_plan(out._node, rows, cols)
+    scratch = [np.full(n, np.nan, dtype=out.data.dtype) for n in plan.sizes]
+    size = out.data.size // rows
+    whole = np.full((rows, size), np.nan, dtype=out.data.dtype)
+    for c0 in range(0, size, cols):
+        c1 = min(size, c0 + cols)
+        dst = np.full((rows, c1 - c0), np.nan, dtype=out.data.dtype)
+        plan.fill(dst, c0, c1, scratch)
+        whole[:, c0:c1] = dst
+    return whole
+
+
+def same_bytes(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestRebuild:
+    """Each record's rebuild gives its output's bytes from what its backward keeps, for any block width."""
+
+    @given(st.integers(1, 3), st.integers(1, 4), st.integers(1, 40), st.sampled_from([np.float32, np.float64]))
+    @settings(max_examples=30, deadline=None)
+    def test_train_batchnorm_then_reshape(self, t_steps, channels, cols, dtype):
+        rng = np.random.default_rng(cols)
+        x = Tensor((rng.standard_normal((2 * t_steps, channels, 3, 2)) * 2 + 1).astype(dtype), requires_grad=True)
+        state = ops.BatchNormState("bn", channels, dtype=dtype)
+        state.gamma.data[:] = rng.standard_normal(channels)
+        state.beta.data[:] = rng.standard_normal(channels)
+        out = reshape(ops.batchnorm(x, state, True), (t_steps, 2, channels, 3, 2))
+        assert same_bytes(rebuilt(out, t_steps, cols), out.data.reshape(t_steps, -1))
+
+    def test_batchnorm_of_an_input_not_in_c_order_cannot_be_rebuilt(self, rng):
+        # its xhat takes the input's memory order, whose [T, -1] rows would be a copy
+        x = Tensor(np.asfortranarray(rng.standard_normal((4, 3, 2, 2))), requires_grad=True)
+        out = ops.batchnorm(x, ops.BatchNormState("bn", 3), True)
+        assert tensor.rebuild_plan(out._node, 2, 8) is None
+        assert tensor.rebuild_plan(reshape(out, (2, 2, 3, 2, 2))._node, 2, 8) is None
+
+    @given(st.integers(1, 70), st.sampled_from([np.float32, np.float64]))
+    @settings(max_examples=25, deadline=None)
+    def test_scaled_attention_products(self, cols, dtype):
+        # the attention's two products: strided one-byte spikes @ a float map, and one-byte spikes @ a
+        # transposed float view, each times a 0-d constant; cols of 8 * 5 = 40 are whole matrices
+        rng = np.random.default_rng(cols)
+        spikes = SpikeTensor(rng.random((2, 3, 1, 4, 8)) < 0.4)
+        xh = transpose(spikes, (0, 1, 2, 4, 3))  # [2, 3, 1, 8, 4], strided like the attention's
+        z = Tensor(rng.standard_normal((2, 3, 1, 4, 5)).astype(dtype), requires_grad=True)
+        amap = SpikeTensor(rng.random((2, 3, 1, 8, 5)) < 0.4)
+        zt = transpose(Tensor(rng.standard_normal((2, 3, 1, 4, 5)).astype(dtype), requires_grad=True), (0, 1, 2, 4, 3))
+        for out in (mul(matmul(xh, z), np.float64(0.37)), mul(1.7, matmul(amap, zt))):
+            assert same_bytes(rebuilt(out, 2, cols), out.data.reshape(2, -1))
+
+    @pytest.mark.parametrize("cols", [1, 7, 30, 60])
+    def test_residual_sums_of_rebuilds_and_a_tracked_leaf(self, rng, cols):
+        x = Tensor(rng.standard_normal((4, 3, 5, 2)).astype(np.float32), requires_grad=True)
+        a = reshape(ops.batchnorm(x, ops.BatchNormState("a", 3, dtype=np.float32), True), (2, 2, 3, 5, 2))
+        b = reshape(ops.batchnorm(x, ops.BatchNormState("b", 3, dtype=np.float32), True), (2, 2, 3, 5, 2))
+        leaf = Tensor(rng.standard_normal((2, 2, 3, 5, 2)).astype(np.float32), requires_grad=True)
+        for out in (add(a, b), add(leaf, add(a, add(b, a))), add(add(a, b), add(b, leaf))):
+            assert same_bytes(rebuilt(out, 2, cols), out.data.reshape(2, -1))
+
+    def test_what_cannot_be_rebuilt(self, rng):
+        x = t(rng.standard_normal((2, 3)))
+        y = t(rng.standard_normal((2, 3)))
+        assert tensor.rebuild_plan(mul(x, y)._node, 2, 3) is None  # no constant factor
+        assert tensor.rebuild_plan(mul(x, Tensor(np.full(3, 2.0)))._node, 2, 3) is None  # not 0-d
+        assert tensor.rebuild_plan(add(x, t(np.ones(3)))._node, 2, 3) is None  # broadcast
+        assert tensor.rebuild_plan(add(x, Tensor(np.ones((2, 3))))._node, 2, 3) is None  # an untracked operand
+        assert tensor.rebuild_plan(transpose(x, (1, 0))._node, 3, 2) is None
+
+    def test_a_freed_record_keeps_no_rebuild(self, rng):
+        x = Tensor(rng.standard_normal((4, 3, 2, 2)), requires_grad=True)
+        out = reshape(ops.batchnorm(x, ops.BatchNormState("bn", 3), True), (2, 2, 3, 2, 2))
+        backward(tensor_sum(out), free_graph=True)
+        assert out._node.rebuild is None and tensor.rebuild_plan(out._node, 2, 4) is None
 
 
 class TestSpikeTensor:
