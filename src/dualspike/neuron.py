@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .parallel import over_chunks
-from .tensor import ConfigError, ShapeError, SpikeTensor, Tensor, _slot, copy_plan, make_node, rebuild_plan
+from .tensor import ConfigError, ShapeError, SpikeTensor, Tensor, _slot, make_node, rebuildable, rebuilt
 
 SURROGATE_KINDS = ("triangular", "sigmoid-derivative")
 BLOCK_NEURONS = 1 << 16  # neurons per block of the sn_forward time loops; keeps a block's state in L2
@@ -65,18 +65,15 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
 def surrogate_grad(v: np.ndarray, neuron: NeuronSpec, out=None) -> np.ndarray:
     """Pseudo-derivative of the firing nonlinearity at membrane values v, into `out` where given (it may be v).
 
-    The triangle is computed in place in `out`, with the same operations as out of place, except that a
-    division by a width of 1 is skipped: it is exact.
+    The triangle is computed in place in `out`, with the same operations as out of place.
     """
     if neuron.surrogate == "triangular":
         z = np.subtract(v, neuron.u_th, out=out)
-        if neuron.width != 1.0:
-            z /= neuron.width
+        z /= neuron.width
         np.abs(z, out=z)
         np.subtract(1.0, z, out=z)
         np.maximum(0.0, z, out=z)
-        if neuron.width != 1.0:
-            z /= neuron.width
+        z /= neuron.width
         return z
     s = _sigmoid((v - neuron.u_th) / neuron.width)
     return np.divide(s * (1.0 - s), neuron.width, out=out)
@@ -100,21 +97,21 @@ def sn_forward(current: Tensor, neuron: NeuronSpec = NeuronSpec(), smooth: bool 
     Fused into one tape node, which keeps only the output S. Forward and
     backward run the neurons in blocks of BLOCK_NEURONS, each block through
     all T steps in reused buffers, so the membrane values V never exist
-    whole. The backward rebuilds each block's currents for all T steps in
-    one fill of a [T, block] buffer (`tensor.rebuild_plan`: from the batch
-    norm, matmul, scaled, summed or reshaped records that made them, out of
-    the arrays their own backwards keep), re-runs the block's forward on
-    that buffer, reading the kept spikes instead of firing again, and then
-    runs truncated-in-space BPTT over it. An input that cannot be rebuilt
-    is kept instead, at V's size. Every step is the same expressions in
-    the same order as the whole-array loop, less the additions of a zero
-    u_rest, so blocking and recomputing change no bits: spikes and
-    gradients match the whole-array oracle tests/test_neuron.py::bptt_oracle
-    byte for byte. The blocks run over the process's workers
-    (`parallel.over_chunks`), each run of blocks in its own buffers. The
-    reset and the backward's 1 - s read a block's spikes through a float
-    buffer of the current's dtype, so every arithmetic loop runs on
-    same-dtype kernels.
+    whole. The backward first rebuilds the input currents whole
+    (`tensor.rebuilt`: the batch norm, matmul, scaled, summed or reshaped
+    records that made them re-run their forward expressions on the arrays
+    their own backwards keep), into the array that then takes the
+    gradient. Each block re-runs its forward on its currents, reading the
+    kept spikes instead of firing again, and then runs truncated-in-space
+    BPTT over them. An input that cannot be rebuilt is kept instead, at
+    V's size. Every step is the same expressions in the same order as the
+    whole-array loop, so blocking and recomputing change no bits: spikes
+    and gradients match the whole-array oracle
+    tests/test_neuron.py::bptt_oracle byte for byte. The blocks run over
+    the process's workers (`parallel.over_chunks`), each run of blocks in
+    its own buffers. The reset and the backward's 1 - s read a block's
+    spikes through a float buffer of the current's dtype, so every
+    arithmetic loop runs on same-dtype kernels.
     """
     if current.data.ndim < 1 or current.data.shape[0] == 0:
         raise ShapeError(f"sn_forward needs a non-empty leading time axis, got shape {current.data.shape}")
@@ -129,22 +126,15 @@ def sn_forward(current: Tensor, neuron: NeuronSpec = NeuronSpec(), smooth: bool 
 
     # The same expressions in the same order as tests/test_neuron.py::bptt_oracle, in place:
     # v = ((x - u) + u_rest) * inv_tau + u, then with keep = 1 - s, u = s * u_rest + keep * v.
-    # With u_rest = 0 both additions of u_rest are skipped: adding zero changes at most the sign
-    # of a zero, so every v keeps its value, and V is read only through v - u_th (u_th > 0) and
-    # u_rest - v, which give the same bits for either zero.
-    rest = neuron.u_rest != 0.0
-
     def charge(x, u, v):
         np.subtract(x, u, out=v)
-        if rest:
-            v += neuron.u_rest
+        v += neuron.u_rest
         v *= inv_tau
         v += u
 
-    def reset(su, keep, v, u):  # su holds s * u_rest (unread where u_rest = 0)
+    def reset(su, keep, v, u):  # su holds s * u_rest
         np.multiply(keep, v, out=u)
-        if rest:
-            np.add(su, u, out=u)
+        np.add(su, u, out=u)
 
     def forward_block(b0, b1, v_buf, u_buf, tmp_buf, sf_buf):
         v, u, tmp, sf = (a[: b1 - b0] for a in (v_buf, u_buf, tmp_buf, sf_buf))
@@ -160,21 +150,20 @@ def sn_forward(current: Tensor, neuron: NeuronSpec = NeuronSpec(), smooth: bool 
                 s = sf
             if t + 1 < t_steps:  # the last step's membrane is never read
                 np.subtract(1.0, s, out=tmp)
-                if rest:
-                    np.multiply(s, neuron.u_rest, out=sf)
+                np.multiply(s, neuron.u_rest, out=sf)
                 reset(sf, tmp, v, u)
 
     over_chunks(blocks, forward_block, lambda: [np.empty(block, dtype=dtype) for _ in range(4)])
     source = _slot(current)  # the backward rebuilds the input from its record, not from the array
-    kept = x2 if rebuild_plan(source, t_steps, block) is None else None  # the input, where it cannot be rebuilt
+    kept = None if rebuildable(current) else x2  # the input, where it cannot be rebuilt
 
     def bw(g):
-        plan = rebuild_plan(source, t_steps, block) if kept is None else copy_plan(kept)
-        d_current = np.empty(shape, dtype=dtype)
-        g2, d2 = g.reshape(t_steps, -1), d_current.reshape(t_steps, -1)
+        # the input currents as a new C-ordered [T, -1] array; each block overwrites its own with its gradient
+        d2 = kept.copy() if kept is not None else np.ascontiguousarray(rebuilt(source)).reshape(t_steps, -1)
+        g2 = g.reshape(t_steps, -1)
 
-        def backward_block(b0, b1, v_buf, keep_buf, s_buf, u_buf, tmp_buf, du_buf, *scratch):
-            # The block's currents into v, then its forward again in place, reading the kept spikes:
+        def backward_block(b0, b1, v_buf, keep_buf, s_buf, u_buf, tmp_buf, du_buf):
+            # The block's forward again from its rebuilt currents, reading the kept spikes:
             # v[t] holds V, and keep[t] 1 - s. Then, for all T steps at once, the surrogate gradient
             # sg in place of V and the factor of du into keep: 1 - s (the reset gate is detached),
             # or with the smooth reset (1 - s) + (u_rest - v) * sg. Then the whole-array BPTT's
@@ -183,18 +172,16 @@ def sn_forward(current: Tensor, neuron: NeuronSpec = NeuronSpec(), smooth: bool 
             n = b1 - b0
             v, keep, sf = (a[: t_steps * n].reshape(t_steps, n) for a in (v_buf, keep_buf, s_buf))
             u, tmp, du = (a[:n] for a in (u_buf, tmp_buf, du_buf))
-            plan.fill(v, b0, b1, scratch)
             if smooth:
                 sf, su = s2[:, b0:b1], sf  # the smooth spikes are floats already
             else:
                 np.copyto(sf, s2[:, b0:b1].view(np.uint8))  # spikes as floats: same-dtype kernels
                 su = sf
             np.subtract(1.0, sf, out=keep)
-            if rest:
-                np.multiply(sf, neuron.u_rest, out=su)
+            np.multiply(sf, neuron.u_rest, out=su)
             u.fill(neuron.u_rest)
             for t in range(t_steps):
-                charge(v[t], u, v[t])
+                charge(d2[t, b0:b1], u, v[t])
                 if t + 1 < t_steps:
                     reset(su[t], keep[t], v[t], u)
             if smooth:
@@ -211,11 +198,8 @@ def sn_forward(current: Tensor, neuron: NeuronSpec = NeuronSpec(), smooth: bool 
                 np.multiply(v[t], 1.0 - inv_tau, out=du)
             np.multiply(v, inv_tau, out=d2[:, b0:b1])
 
-        def buffers():  # three [T, block] ones, three of a block, then the rebuild's scratch
-            sizes = [t_steps * block] * 3 + [block] * 3 + list(plan.sizes)
-            return [np.empty(n, dtype=dtype) for n in sizes]
-
-        over_chunks(blocks, backward_block, buffers)
-        return (d_current,)
+        sizes = [t_steps * block] * 3 + [block] * 3
+        over_chunks(blocks, backward_block, lambda: [np.empty(n, dtype=dtype) for n in sizes])
+        return (d2.reshape(shape),)
 
     return make_node(s_out, (current,), bw, cls=Tensor if smooth else SpikeTensor)

@@ -40,9 +40,7 @@ from .tensor import (
     Parameter,
     ShapeError,
     Tensor,
-    _Plan,
     _slot,
-    _view,
     make_node,
     matmul,  # Linear.forward calls ops.matmul
 )
@@ -387,37 +385,6 @@ def _channel_ranges(a: np.ndarray) -> list:
     return parallel.split(a.shape[1], 2)
 
 
-def _affine_rebuild(xhat: np.ndarray, gd: np.ndarray, bd: np.ndarray):
-    """The rebuild (`tensor.make_node`) of train-mode batch norm's output, xhat * gamma + beta, from the
-    `xhat`, gamma and beta its backward reads; None for an `xhat` not in C order, whose rows would
-    be a copy.
-
-    Gamma and beta are laid out per column of one image, each channel's value repeated over its
-    positions, and tiled, so that any block's columns take one slice of each; each element gets the
-    forward's product and sum, so the bits are the forward's.
-    """
-    if not xhat.flags.c_contiguous:
-        return None
-    image = xhat[0].size  # one image's elements: channels times positions
-    positions = image // xhat.shape[1]
-
-    def rebuild(parents, rows, cols):
-        x2 = _view(xhat, (rows, -1))
-        if x2 is None or x2.shape[1] % image:  # a row must start at an image
-            return None
-        reps = -(-(image + cols) // image)
-        g_cols, b_cols = (np.tile(np.repeat(a.ravel(), positions), reps) for a in (gd, bd))
-
-        def fill(dst, c0, c1, scratch):
-            o = c0 % image
-            np.multiply(x2[:, c0:c1], g_cols[o : o + c1 - c0], out=dst)
-            dst += b_cols[o : o + c1 - c0]
-
-        return _Plan((), fill)
-
-    return rebuild
-
-
 def batchnorm(x: Tensor, state: BatchNormState, training: bool) -> Tensor:
     """Batch normalization with the fused backward formula."""
     if x.data.ndim < 2:
@@ -449,8 +416,17 @@ def batchnorm(x: Tensor, state: BatchNormState, training: bool) -> Tensor:
             var[c0:c1] /= np.intp(count)
             inv[c0:c1] = 1.0 / np.sqrt(var[c0:c1] + state.eps)
             xhat[r] *= inv[c0:c1].reshape(rshape)
-            np.multiply(xhat[r], gd[r], out=out[r])
-            out[r] += bd[r]
+            affine(out, c0, c1)
+
+        def affine(dst, c0, c1):  # dst's channels [c0, c1) as xhat * gamma + beta
+            r = (slice(None), slice(c0, c1))
+            np.multiply(xhat[r], gd[r], out=dst[r])
+            dst[r] += bd[r]
+
+        def rebuild(parents):  # the output again, from the xhat, gamma and beta the backward reads
+            dst = np.empty_like(xhat)
+            parallel.over_chunks(_channel_ranges(xhat), lambda c0, c1: affine(dst, c0, c1))
+            return dst
 
         parallel.over_chunks(_channel_ranges(xd), forward_channels)
         m = state.momentum
@@ -483,7 +459,7 @@ def batchnorm(x: Tensor, state: BatchNormState, training: bool) -> Tensor:
             parallel.over_chunks(_channel_ranges(g), backward_channels)
             return (dx, dgamma, dbeta)
 
-        return make_node(out, (x, gamma, beta), bw, rebuild=_affine_rebuild(xhat, gd, bd))
+        return make_node(out, (x, gamma, beta), bw, rebuild=rebuild)
 
     inv, scale, shift = _eval_affine(state)
     scale = scale.reshape(bshape)

@@ -19,19 +19,19 @@ x86-64 machine, with the same bits. Spikes are one-byte `bool` arrays
 where they compute (`_coerce`, `_as`), so the closures keep the one-byte
 arrays; that took the peak to about 510 MB, again with the same bits.
 
-A record may also carry a rebuild (`make_node`): a way to recompute its
-output bit for bit, block by block (`_Plan`), from its parents' slots and
-the arrays its backward reads. Train-mode batch norm rebuilds from `xhat`,
-gamma and beta; `matmul` from its two operands; `mul` by a 0-d constant
-from that constant and its other operand's rebuild; `add` of same-shape
-operands from both rebuilds; `reshape` passes its parent's through; a
-tracked leaf copies its data. `neuron.sn_forward` keeps no membrane values
-for its backward: it rebuilds its input currents from these. In a
-batch-16 Nano train forward that holds for all 21 LIFs, and the tape went
-from 418 to 222 MiB: the backward closures hold BN's `xhat` (161 MiB), the
-convs' one-byte inputs (48 MiB) and the matmul operands (14 MiB). The
-`train` benchmark's peak RSS fell from about 508 to 321 MB on a 2-core
-x86-64 machine, with the same bits.
+A record may also carry a rebuild (`make_node`): its forward expression
+again, which recomputes its output bit for bit into a new array from its
+parents' slots and the arrays its backward reads (`rebuilt`). Train-mode
+batch norm rebuilds from `xhat`, gamma and beta; `matmul` from its two
+operands; `mul` by a 0-d constant from that constant and its other
+operand's rebuild; `add` of same-shape operands from both rebuilds;
+`reshape` reshapes its parent's; a tracked leaf copies its data.
+`neuron.sn_forward` keeps no membrane values for its backward: it rebuilds
+its input currents from these. In a batch-16 Nano train forward that holds
+for all 21 LIFs, and the tape went from 418 to 222 MiB: the backward
+closures hold BN's `xhat` (161 MiB), the convs' one-byte inputs (48 MiB)
+and the matmul operands (14 MiB). The `train` benchmark's peak RSS fell
+from about 508 to 321 MB on a 2-core x86-64 machine, with the same bits.
 
 The first backward(..., free_graph=True) of a process, which is the first
 training step, sets glibc's malloc to keep freed memory in the process
@@ -56,10 +56,8 @@ from __future__ import annotations
 
 import ctypes
 import functools
-import itertools
 import threading
 import warnings
-from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -231,8 +229,9 @@ def _slot(t: Tensor):
 def make_node(data, parents, backward, cls=Tensor, rebuild=None):
     """Create a tape node. `backward(grad)` returns one ndarray (or None) per parent.
 
-    `rebuild(parents, rows, cols)`, where the op gives one, returns the `_Plan` that recomputes `data`
-    from the record's parent slots and the arrays `backward` reads, or None where it cannot.
+    `rebuild(parents)`, where the op gives one, returns a new array with `data`'s values, bit for bit,
+    recomputed by the forward's own expression from the record's parent slots and the arrays
+    `backward` reads. An op gives one only where every parent it reads is `rebuildable`.
     """
     out = _leaf(data, cls)
     if _grad_enabled:
@@ -243,84 +242,15 @@ def make_node(data, parents, backward, cls=Tensor, rebuild=None):
     return out
 
 
-class _Plan(NamedTuple):
-    """How to recompute a tape tensor's data, viewed as [rows, -1] (C order), in blocks of `cols` columns.
-
-    `fill(dst, c0, c1, scratch)` writes the columns [c0, c1) of that view into `dst`, a C-ordered
-    [rows, c1 - c0] array, with their bits; c0 is a multiple of `cols` and c1 - c0 <= cols. `scratch`
-    holds one array per entry of `sizes`, of at least that many elements in dst's dtype: the caller
-    makes them in its own thread, once for many fills, as the pooled ops make their buffers.
-    """
-
-    sizes: tuple
-    fill: Callable
+def rebuildable(t: Tensor) -> bool:
+    """Whether `rebuilt` can recompute `t`'s data from its slot: a record with a rebuild, or a tracked leaf."""
+    return t._node.rebuild is not None if t._node is not None else t.requires_grad
 
 
-def rebuild_plan(slot, rows: int, cols: int):
-    """The `_Plan` of the tensor behind `slot` (see `_slot`), or None where its data cannot be rebuilt.
-
-    A record's comes from its op's rebuild; a tracked leaf's copies its data, which the slot keeps.
-    """
-    if isinstance(slot, _Node):
-        return None if slot.rebuild is None else slot.rebuild(slot.parents, rows, cols)
-    if isinstance(slot, Tensor):
-        return None if (rows_view := _view(slot.data, (rows, -1))) is None else copy_plan(rows_view)
-    return None
-
-
-def copy_plan(rows_view: np.ndarray) -> _Plan:
-    """The `_Plan` that copies its columns out of `rows_view`, an array the caller keeps."""
-    return _Plan((), lambda dst, c0, c1, scratch: np.copyto(dst, rows_view[:, c0:c1]))
-
-
-def _view(arr: np.ndarray, shape):
-    """`arr` reshaped to `shape` without a copy, or None where that takes one (or the size does not fit)."""
-    try:
-        out = arr.reshape(shape)
-    except ValueError:
-        return None
-    return out if np.may_share_memory(out, arr) else None
-
-
-def _add_rebuild(parents, rows, cols):
-    """An `add` of same-shape operands: the one whose fill needs more scratch fills dst, the other the
-    first scratch array, which is then added in; addition commutes exactly, so either order gives the bits."""
-    plans = [rebuild_plan(p, rows, cols) for p in parents]
-    if any(p is None for p in plans):
-        return None
-    first, second = sorted(plans, key=lambda p: len(p.sizes), reverse=True)
-    sizes = (rows * cols,) + second.sizes
-    sizes = tuple(max(pair) for pair in itertools.zip_longest(first.sizes, sizes, fillvalue=0))
-
-    def fill(dst, c0, c1, scratch):
-        first.fill(dst, c0, c1, scratch)
-        term = scratch[0][: dst.size].reshape(dst.shape)
-        second.fill(term, c0, c1, scratch[1:])
-        dst += term
-
-    return _Plan(sizes, fill)
-
-
-def _scaled_rebuild(side, const):
-    """A `mul` of parent `side` by the 0-d constant `const` that its backward keeps."""
-
-    def rebuild(parents, rows, cols):
-        plan = rebuild_plan(parents[side], rows, cols)
-        if plan is None:
-            return None
-
-        def fill(dst, c0, c1, scratch):
-            plan.fill(dst, c0, c1, scratch)
-            dst *= const
-
-        return _Plan(plan.sizes, fill)
-
-    return rebuild
-
-
-def _same_rebuild(parents, rows, cols):
-    """A `reshape`, which keeps every element's place in C order: its parent's plan."""
-    return rebuild_plan(parents[0], rows, cols)
+def rebuilt(slot) -> np.ndarray:
+    """A new array with the data of the `rebuildable` tensor behind `slot` (see `_slot`): its record's
+    rebuild, or a copy of a tracked leaf's data, which the slot keeps."""
+    return slot.rebuild(slot.parents) if isinstance(slot, _Node) else slot.data.copy()
 
 
 def _coerce(a, b):
@@ -371,7 +301,13 @@ def add(a, b):
     def bw(g):
         return (_unbroadcast(g, ashape), _unbroadcast(g, bshape))
 
-    return make_node(data, (a, b), bw, rebuild=_add_rebuild if ashape == bshape else None)
+    def rebuild(parents):  # in place in the first operand's new array: the same sums as the forward's
+        out = _as(rebuilt(parents[0]), dtype)
+        out += _as(rebuilt(parents[1]), dtype)
+        return out
+
+    same = ashape == bshape and rebuildable(a) and rebuildable(b)
+    return make_node(data, (a, b), bw, rebuild=rebuild if same else None)
 
 
 def mul(a, b):
@@ -390,8 +326,14 @@ def mul(a, b):
 
     # a tensor times a 0-d constant, which the backward keeps: the attention's scaled currents
     const, side = (bd, 0) if ad is None else (ad, 1)
-    rebuild = _scaled_rebuild(side, _as(const, dtype)) if const is not None and const.ndim == 0 else None
-    return make_node(data, (a, b), bw, rebuild=rebuild)
+
+    def rebuild(parents):  # in place in the tensor's new array: the same products as the forward's
+        out = _as(rebuilt(parents[side]), dtype)
+        out *= _as(const, dtype)
+        return out
+
+    scaled = const is not None and const.ndim == 0 and rebuildable((a, b)[side])
+    return make_node(data, (a, b), bw, rebuild=rebuild if scaled else None)
 
 
 # -- matmul ----------------------------------------------------------------
@@ -405,63 +347,18 @@ def matmul(a, b):
     if a.data.shape[-1] != b.data.shape[-2]:
         raise ShapeError(f"matmul inner dimensions disagree: {a.data.shape} @ {b.data.shape}")
     ad, bd = a.data, b.data
-    data = np.matmul(_as(ad, dtype), _as(bd, dtype))
+
+    def product():  # the forward, and its rebuild from the operands the backward keeps
+        return np.matmul(_as(ad, dtype), _as(bd, dtype))
+
+    data = product()
 
     def bw(g):
         ga = np.matmul(g, _as(bd, dtype).swapaxes(-1, -2))
         gb = np.matmul(_as(ad, dtype).swapaxes(-1, -2), g)
         return (_unbroadcast(ga, ad.shape), _unbroadcast(gb, bd.shape))
 
-    return make_node(data, (a, b), bw, rebuild=_matmul_rebuild(ad, bd, dtype))
-
-
-def _matmul_rebuild(ad, bd, dtype):
-    """A `matmul` whose operands have the same leading axes: the products of the whole matrices a block
-    of columns touches, from the operands the backward keeps.
-
-    Each matrix pair reaches BLAS as in the forward: a one-byte operand is converted slab by slab into
-    scratch laid out as `_as` lays out the whole operand, so every GEMM gets the forward's shapes and
-    strides, and gives its bits. Where the block is whole matrices, the products go straight into dst.
-    """
-    if ad.shape[:-2] != bd.shape[:-2]:
-        return None
-    r, k, c = ad.shape[-2], ad.shape[-1], bd.shape[-1]
-    count, mn = int(np.prod(ad.shape[:-2])), r * c
-
-    def rebuild(parents, rows, cols):
-        if mn == 0 or count % rows:
-            return None
-        a4, b4 = _view(ad, (rows, count // rows, r, k)), _view(bd, (rows, count // rows, k, c))
-        if a4 is None or b4 is None:
-            return None
-        most = -(-cols // mn) + 1  # matrices that `cols` columns from any start touch
-        converts = [x.dtype != dtype for x in (a4, b4)]
-        sizes = tuple(rows * most * n for n, conv in zip((r * k, k * c), converts) if conv)
-        sizes += (rows * most * mn,) if cols % mn else ()
-
-        def fill(dst, c0, c1, scratch):
-            m0, m1 = c0 // mn, -(-c1 // mn)
-            free = iter(scratch)
-            a, b = (_as_into(next(free), x[:, m0:m1]) if conv else x[:, m0:m1] for x, conv in zip((a4, b4), converts))
-            if c0 == m0 * mn and c1 == m1 * mn:
-                np.matmul(a, b, out=dst.reshape(rows, m1 - m0, r, c))
-            else:
-                prod = next(free)[: rows * (m1 - m0) * mn].reshape(rows, m1 - m0, r, c)
-                np.matmul(a, b, out=prod)
-                np.copyto(dst, prod.reshape(rows, -1)[:, c0 - m0 * mn : c1 - m0 * mn])
-
-        return _Plan(sizes, fill)
-
-    return rebuild
-
-
-def _as_into(buf: np.ndarray, src: np.ndarray) -> np.ndarray:
-    """`_as(src, buf.dtype)` written into `buf`: `src`'s values with its axes laid out in the order of
-    its strides, largest first, as astype's order 'K' lays them out."""
-    order = sorted(range(src.ndim), key=lambda i: -abs(src.strides[i]))
-    out = buf[: src.size].reshape([src.shape[i] for i in order]).transpose(np.argsort(order))
-    np.copyto(out, src.view(np.uint8) if src.dtype == np.bool_ else src)  # bytes take NumPy's faster cast
-    return out
+    return make_node(data, (a, b), bw, rebuild=lambda parents: product())
 
 
 # -- shape ops ---------------------------------------------------------------
@@ -475,7 +372,11 @@ def reshape(a: Tensor, shape):
     def bw(g):
         return (g.reshape(orig),)
 
-    return make_node(data, (a,), bw, cls=type(a) if isinstance(a, SpikeTensor) else Tensor, rebuild=_same_rebuild)
+    def rebuild(parents):
+        return rebuilt(parents[0]).reshape(shape)
+
+    cls = type(a) if isinstance(a, SpikeTensor) else Tensor
+    return make_node(data, (a,), bw, cls=cls, rebuild=rebuild if rebuildable(a) else None)
 
 
 def transpose(a: Tensor, axes):

@@ -174,7 +174,7 @@ class TestSequences:
     @settings(max_examples=60, deadline=None)
     def test_gradient_bytes_match_the_oracle_on_signed_zeros(self, t_steps, seed, u_rest, smooth, kind):
         # currents and gradients full of +0 and -0, and currents that bring v to zero or to the threshold
-        # exactly: with u_rest = 0 the loops skip adding u_rest, and must still give the oracle's bytes
+        # exactly: the in-place loops must give the oracle's bytes, the signs of zeros included
         rng = np.random.default_rng(seed)
         spec = NeuronSpec(u_rest=u_rest, surrogate=kind)
         values = np.array([0.0, -0.0, 1.0, -1.0, 2.0, 0.5, -0.5, 1e-45, -1e-45], dtype=np.float32)
@@ -208,7 +208,7 @@ class TestRebuiltCurrents:
     """The backward rebuilds V from the records that made the current: the same bits as from a leaf current."""
 
     @pytest.mark.parametrize("smooth", [False, True])
-    @pytest.mark.parametrize("block", [neuron.BLOCK_NEURONS, 40, 7])  # one block, whole matrices, neither
+    @pytest.mark.parametrize("block", [neuron.BLOCK_NEURONS, 40, 7])  # one block, half a step's, uneven ones
     def test_rebuildable_current_gives_the_bits_of_the_same_values_as_a_leaf(self, monkeypatch, smooth, block):
         monkeypatch.setattr(neuron, "BLOCK_NEURONS", block)
         rng = np.random.default_rng(block)
@@ -219,11 +219,15 @@ class TestRebuiltCurrents:
         bn = reshape(ops.batchnorm(x, state, True), (4, 2, 2, 4, 5))
         spikes = SpikeTensor(rng.random((4, 2, 2, 4, 4)) < 0.4)
         prod = mul(matmul(transpose(spikes, (0, 1, 2, 4, 3)), bn), np.float32(2.5))  # [4, 2, 2, 4, 5]
+        # batch norm of an input in Fortran order: its output, and so its rebuild, is in that order too
+        fortran = ops.batchnorm(Tensor(np.asfortranarray(x.data), requires_grad=True), state, True)
         g = rng.standard_normal((4, 2, 2, 4, 5)).astype(np.float32)
-        for current in (bn, prod, add(bn, prod), mul(bn, bn)):  # the last cannot be rebuilt: it is kept
+        for current in (bn, prod, add(bn, prod), fortran, mul(bn, bn)):  # the last cannot be rebuilt: it is kept
             leaf = Tensor(current.data.copy(), requires_grad=True)
             runs = [sn_forward(c, spec, smooth=smooth) for c in (current, leaf)]
+            g = g.reshape(current.data.shape)
             grads = [out._node.backward(g)[0] for out in runs]
+            assert grads[0].flags.c_contiguous
             assert runs[0].data.tobytes() == runs[1].data.tobytes()
             assert grads[0].dtype == np.float32 and grads[0].tobytes() == grads[1].tobytes()
             spikes_expected, _, expect = bptt_oracle(current.data, g, spec, smooth)
