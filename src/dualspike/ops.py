@@ -21,10 +21,11 @@ overwrites them, and its backward has one full-size temporary. Every
 product and sum is the one the plain expressions compute, in the same
 order, so the bits are the same.
 
-The chunks, the dW GEMMs and train-mode batch norm's channel ranges run
-over the process's pinned workers (`parallel`), each piece writing into
-arrays allocated here in the calling thread. A piece is never a part of a
-sum, so no output changes with the worker count.
+The chunks, the dW GEMMs (split by rows or columns on the columns path,
+by (group, offset) pair for overlapping kernels) and train-mode batch
+norm's channel ranges run over the process's pinned workers (`parallel`),
+each piece writing into arrays allocated here in the calling thread. A
+piece is never a part of a sum, so no output changes with the worker count.
 """
 
 from __future__ import annotations
@@ -206,16 +207,17 @@ def _conv2d_offsets(x: Tensor, weight: Tensor, stride, padding, groups, ho, wo) 
     its float64 edge kernels can round differently. `tests/test_conv.py` and
     `tests/test_reference.py` pin the float32 bits.
 
-    In the backward, dW stays whole-batch: one GEMM per (offset, group)
+    In the backward, dW stays whole-batch: one GEMM per (group, offset) pair
     reduces over all K = N*Ho*Wo columns in one call (splitting that K
-    re-associates the sum and moves the training losses), reading each
-    offset's window from one padded channels-leading copy of the input.
-    Those GEMMs split over the workers by group, or by kernel offset where
-    groups is 1. dX is chunked over the forward's image bounds: per chunk,
-    the same per-(offset, group) GEMMs against the transposed taps, added in
-    offset order into the zeroed chunk of dX where each window lies inside
-    the input. Its bits hold across chunks as the forward's do. An input
-    that needs no gradient (the encoded images at the stem) gets no dX.
+    re-associates the sum and moves the training losses), reading the pair's
+    window from one padded channels-leading copy of the input. The pairs,
+    in group-major order, split over the workers in contiguous runs, each
+    run with its own [C/g, N*Ho*Wo] window buffer. dX is chunked over the
+    forward's image bounds: per chunk, the same per-(offset, group) GEMMs
+    against the transposed taps, added in offset order into the zeroed
+    chunk of dX where each window lies inside the input. Its bits hold
+    across chunks as the forward's do. An input that needs no gradient (the
+    encoded images at the stem) gets no dX.
     """
     n, c, h, w = x.data.shape
     o, cg, kh, kw = weight.data.shape
@@ -257,29 +259,21 @@ def _conv2d_offsets(x: Tensor, weight: Tensor, stride, padding, groups, ho, wo) 
     need_dx = _slot(x) is not None  # the images of the stem need none
 
     def weight_grad(gt):
-        # One GEMM per (offset, group) over all N*Ho*Wo columns. The input is
-        # padded once, channels-leading and in its own dtype (one byte for
-        # spikes), so each offset's window copy into a [C, N*Ho*Wo] buffer of
+        # One GEMM per (group, offset) pair over all N*Ho*Wo columns. The input
+        # is padded once, channels-leading and in its own dtype (one byte for
+        # spikes), so each pair's window copy into a [C/g, N*Ho*Wo] buffer of
         # the weight's dtype reads rows in order. Its buffers are freed on
         # return, before the dX buffers exist: lower peak memory.
         xpc = _channels_leading(xd, padding)
         dw6 = np.zeros_like(w6)
 
-        def dw_taps(group_range, tap_range, xs):
-            xsg = xs.reshape(groups, cg, n * l)
-            rows = slice(group_range.start * cg, group_range.stop * cg)
-            for tap in tap_range:
-                si, sj = offset_slices(tap)
-                np.copyto(xs[rows], xpc[rows, :, si, sj])
-                for gi in group_range:
-                    dw6[gi, :, :, tap // kw, tap % kw] += np.matmul(gt[gi], xsg[gi].T)
+        def dw_pair(pair, _, xs):  # pairs run group-major: pair = gi * taps + tap
+            gi, tap = divmod(pair, taps)
+            si, sj = offset_slices(tap)
+            np.copyto(xs, xpc[gi * cg : (gi + 1) * cg, :, si, sj])
+            dw6[gi, :, :, tap // kw, tap % kw] += np.matmul(gt[gi], xs.reshape(cg, n * l).T)
 
-        if groups > 1:  # by group: each fills its own channel rows of one window buffer
-            xs = np.empty((c, n, ho, wo), dtype=wd.dtype)
-            parallel.over_chunks(range(groups + 1), lambda g0, g1: dw_taps(range(g0, g1), range(taps), xs))
-        else:  # by kernel offset, each run of offsets in its own window buffer
-            parallel.over_chunks(range(taps + 1), lambda t0, t1, xs: dw_taps(range(1), range(t0, t1), xs),
-                                 lambda: [np.empty((c, n, ho, wo), dtype=wd.dtype)])
+        parallel.over_chunks(range(groups * taps + 1), dw_pair, lambda: [np.empty((cg, n, ho, wo), dtype=wd.dtype)])
         return dw6.reshape(wd.shape)
 
     def bw(g):

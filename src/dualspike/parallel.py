@@ -7,8 +7,8 @@ traces and the equivalence replay) and the Monte Carlo seed streams of
 `verification`. `split` is the one rule for how many pieces an op cuts its
 work into. An op splits only along an axis whose pieces are computed
 independently (image chunks, channel ranges, neuron blocks, weight-gradient
-rows or columns, groups, kernel offsets, parameters or seed streams), never
-along a sum, so each output holds the bits the op gives in one thread. The
+rows or columns, (group, kernel offset) pairs, parameters or seed streams),
+never along a sum, so each output holds the bits the op gives in one thread. The
 pieces write into slices of arrays the calling thread allocated: glibc gives
 each thread its own arena, and large arrays allocated in the workers raised
 the train benchmark's peak RSS from about 508 to 582 MB on a 2-core x86-64

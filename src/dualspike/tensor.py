@@ -113,15 +113,6 @@ class no_grad:
         return False
 
 
-class _Freed(tuple):
-    """Type of `_FREED`, an empty tuple distinct from a leaf's `()`."""
-
-
-# The parents of a record whose graph backward(free_graph=True) tore down. It is
-# empty, as a leaf's are, but a second backward must not take the record for one.
-_FREED = _Freed()
-
-
 class _Node:
     """The tape's record of one op: its parents' slots (`_slot`), its backward closure, and where the op
     can recompute its output from what that closure reads, its rebuild (`make_node`)."""
@@ -457,7 +448,7 @@ def backward(loss: Tensor, free_graph: bool = False):
         stack.append((node, True))
         if isinstance(node, Tensor):  # a leaf
             continue
-        if node.parents is _FREED:
+        if node.backward is None:  # a live record always has one: backward(free_graph=True) tore this down
             raise ContractError("backward through a graph that an earlier backward(free_graph=True) freed")
         for p in node.parents:
             if p is not None and id(p) not in visited:
@@ -479,7 +470,7 @@ def backward(loss: Tensor, free_graph: bool = False):
                 prev = grads.get(id(p))
                 grads[id(p)] = pg if prev is None else prev + pg
             if free_graph:
-                node.parents = _FREED
+                node.parents = ()
                 node.backward = node.rebuild = None
         elif node.requires_grad:
             touched_leaf = True

@@ -9,7 +9,7 @@ from dualspike.model import DualSpikeNet, build
 from dualspike.ops import conv2d, conv_output_size, cross_entropy, maxpool2d
 from dualspike.tensor import ConfigError, ShapeError, Tensor, backward, mul, tensor_sum
 
-from conftest import assert_grads_close
+from conftest import assert_grads_close, workers
 
 
 def conv_reference(x, w, stride, padding, groups):
@@ -157,6 +157,12 @@ class TestConvBitExact:
 
         return set_for
 
+    @pytest.fixture(params=[1, 2, 3, 4], ids=lambda n: f"{n}-workers")
+    def width(self, request, monkeypatch):
+        """Split the pooled work over 1 to 4 workers. dW runs its (group, offset) pairs in contiguous
+        runs: at 3 workers the 18 pairs of 2 groups split 6/6/6, so the middle run spans both groups."""
+        workers(monkeypatch, request.param)
+
     @pytest.mark.parametrize("stride", [1, 2])
     @pytest.mark.parametrize("groups", [1, 2, 8])
     def test_binary_spikes(self, rng, chunking, groups, stride):
@@ -179,7 +185,7 @@ class TestConvBitExact:
 
     @pytest.mark.parametrize("stride", [1, 2])
     @pytest.mark.parametrize("groups", [1, 2, 8])
-    def test_backward_binary_spikes(self, rng, chunking, groups, stride):
+    def test_backward_binary_spikes(self, rng, chunking, width, groups, stride):
         n, c, h = 5, 64 * groups, 24
         x = (rng.random((n, c, h, h)) < 0.25).astype(np.float32)
         w = rng.standard_normal((c, 64, 3, 3)).astype(np.float32)
@@ -191,7 +197,7 @@ class TestConvBitExact:
         assert dx.dtype == expect_dx.dtype and dw.dtype == expect_dw.dtype
         assert np.array_equal(dx, expect_dx) and np.array_equal(dw, expect_dw)
 
-    def test_backward_real_valued_stem(self, rng, chunking):
+    def test_backward_real_valued_stem(self, rng, chunking, width):
         n, h = 5, 32
         x = rng.standard_normal((n, 3, h, h)).astype(np.float32)
         w = rng.standard_normal((32, 3, 3, 3)).astype(np.float32)

@@ -35,7 +35,7 @@ def bptt_oracle(current, g, spec, smooth):
 
     Returns (spikes, membrane values v, d_current for upstream gradient g).
     Same expressions in the same order as the blocked `sn_forward`, which
-    must reproduce all three bit for bit.
+    must reproduce its spikes and gradients bit for bit.
     """
     inv_tau = 1.0 / spec.tau
     u = np.full(current.shape[1:], spec.u_rest, dtype=current.dtype)
@@ -57,6 +57,19 @@ def bptt_oracle(current, g, spec, smooth):
         d_current[t] = dv * inv_tau
         du = dv * (1.0 - inv_tau)
     return s_out, v_hist, d_current
+
+
+def assert_same_bytes(got, expect):
+    """Same dtype and bytes: unlike `np.array_equal`, this fails on a zero of the other sign."""
+    assert got.dtype == expect.dtype and got.tobytes() == expect.tobytes()
+
+
+def assert_spikes_match(out, spikes, smooth):
+    """Smooth-mode spikes are floats, compared by bytes; binary spikes are one-byte bools, compared by value."""
+    if smooth:
+        assert_same_bytes(out, spikes)
+    else:
+        assert out.dtype == np.bool_ and np.array_equal(out, spikes)
 
 
 def run_lif(current, spec=NeuronSpec()):
@@ -135,7 +148,7 @@ class TestSequences:
         cur = Tensor(cur_data.copy(), requires_grad=True)
         backward(tensor_sum(mul(sn_forward(cur, smooth=smooth), Tensor(g))))
         _, _, expect = bptt_oracle(cur_data, g, NeuronSpec(), smooth)
-        assert np.array_equal(cur.grad, expect)
+        assert_same_bytes(cur.grad, expect)
 
     @pytest.mark.parametrize("smooth", [False, True])
     def test_neuron_blocks_match_one_block_and_stepwise(self, rng, monkeypatch, smooth):
@@ -151,8 +164,8 @@ class TestSequences:
             runs.append((out.data, cur.grad))
         spikes, _, expect = bptt_oracle(cur_data, g, spec, smooth)
         for out, grad in runs:
-            assert out.dtype == (np.float32 if smooth else np.bool_) and np.array_equal(out, spikes)
-            assert np.array_equal(grad, expect)
+            assert_spikes_match(out, spikes, smooth)
+            assert_same_bytes(grad, expect)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("kind", SURROGATE_KINDS)
@@ -166,8 +179,8 @@ class TestSequences:
         out = sn_forward(cur, spec, smooth=smooth)
         backward(tensor_sum(mul(out, Tensor(g))))
         spikes, _, expect = bptt_oracle(cur_data, g, spec, smooth)
-        assert np.array_equal(out.data, spikes)
-        assert cur.grad.dtype == dtype and np.array_equal(cur.grad, expect)
+        assert_spikes_match(out.data, spikes, smooth)
+        assert_same_bytes(cur.grad, expect)  # expect has `dtype`: the oracle computes in the current's dtype
 
     @given(st.integers(1, 5), st.integers(0, 2**31 - 1), st.sampled_from([0.0, -0.25]), st.booleans(),
            st.sampled_from(SURROGATE_KINDS))
@@ -231,7 +244,8 @@ class TestRebuiltCurrents:
             assert runs[0].data.tobytes() == runs[1].data.tobytes()
             assert grads[0].dtype == np.float32 and grads[0].tobytes() == grads[1].tobytes()
             spikes_expected, _, expect = bptt_oracle(current.data, g, spec, smooth)
-            assert np.array_equal(runs[0].data, spikes_expected) and np.array_equal(grads[0], expect)
+            assert_spikes_match(runs[0].data, spikes_expected, smooth)
+            assert_same_bytes(grads[0], expect)
 
 
 class TestSurrogates:
